@@ -42,6 +42,5 @@ from .measures import (
     known_measure_bound,
     theorem1_bound,
 )
-from .rationals import Rational, compare, factorial, rational
 
 __version__ = "0.1.0"

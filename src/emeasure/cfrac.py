@@ -31,16 +31,18 @@ class PartialSumRecord:
     full_factorial: bool  # q_n == n!
 
 
+def _partial_quotient(k: int) -> int:
+    """a_k of e = [2; 1, 2, 1, 1, 4, 1, ...]: 2(k+1)/3 when k = 2 mod 3."""
+    if k == 0:
+        return 2
+    return 2 * (k + 1) // 3 if k % 3 == 2 else 1
+
+
 def e_partial_quotients(count: int) -> list[int]:
     """First `count` partial quotients of e: 2, 1, 2, 1, 1, 4, 1, 1, 6, ..."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    quotients = [2]
-    k = 1
-    while len(quotients) < count:
-        quotients.extend((1, 2 * k, 1))
-        k += 1
-    return quotients[:count]
+    return [_partial_quotient(k) for k in range(count)]
 
 
 class _ConvergentTable:
@@ -59,14 +61,8 @@ class _ConvergentTable:
         self._q = [1, 0]
         self._k = 0
 
-    def _quotient(self, k: int) -> int:
-        if k == 0:
-            return 2
-        r = (k - 1) % 3
-        return 2 * ((k + 2) // 3) if r == 1 else 1
-
     def grow(self) -> Convergent:
-        a = self._quotient(self._k)
+        a = _partial_quotient(self._k)
         p = a * self._p[1] + self._p[0]
         q = a * self._q[1] + self._q[0]
         self._p = [self._p[1], p]

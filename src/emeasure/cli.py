@@ -25,12 +25,16 @@ EXIT_DOMAIN = 1
 EXIT_RESOURCE = 2
 
 
-def _depth_cap_default() -> int:
-    return int(os.environ.get("EMEASURE_DEPTH_CAP", enclosure.DEFAULT_DEPTH_CAP))
-
-
-def _workers_default() -> int:
-    return int(os.environ.get("EMEASURE_WORKERS", "1"))
+def _env_int(name: str, default: int) -> int:
+    """Integer override from the environment. Read when a command runs, so
+    a bad value is a domain error of that command and nothing else."""
+    text = os.environ.get(name)
+    if text is None:
+        return default
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{name} must be an integer, got {text!r}") from None
 
 
 def _emit_json(obj) -> None:
@@ -78,7 +82,9 @@ def cmd_interval(args) -> int:
 
 def cmd_distance(args) -> int:
     r = Fraction(args.p, args.q)
-    cap = args.depth_cap if args.depth_cap is not None else _depth_cap_default()
+    cap = args.depth_cap
+    if cap is None:
+        cap = _env_int("EMEASURE_DEPTH_CAP", enclosure.DEFAULT_DEPTH_CAP)
     out = {
         "r": _frac_str(r),
         "digits": enclosure.render_distance(r, args.digits, depth_cap=cap),
@@ -217,9 +223,10 @@ def cmd_cantor(args) -> int:
 
 
 def cmd_density(args) -> int:
-    report = density.density_report(
-        args.x, workers=args.workers, csv_path=args.csv
-    )
+    workers = args.workers
+    if workers is None:
+        workers = _env_int("EMEASURE_WORKERS", 1)
+    report = density.density_report(args.x, workers=workers, csv_path=args.csv)
     _emit_json(
         {
             "x": str(report.x),
@@ -319,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("density", help="range scan of S/P exception counts")
     p.add_argument("--x", type=int, required=True)
     p.add_argument("--csv", metavar="FILE")
-    p.add_argument("--workers", type=int, default=_workers_default())
+    p.add_argument("--workers", type=int)
     p.set_defaults(fn=cmd_density)
 
     p = sub.add_parser("verify-paper", help="run the full verification suite")

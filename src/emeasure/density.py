@@ -15,6 +15,7 @@ results merge in block order.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -168,17 +169,22 @@ def density_report(
     """Exact exception counts over q in [2, x].
 
     With workers > 1 the blocks run in separate processes (each builds its
-    own sieve); the merged result is byte-identical to the serial one.
-    csv_path, if given, receives one row per q with its S/P values and flags.
+    own sieve); the merged result is byte-identical to the serial one. The
+    pool starts every worker at once, so workers is clamped to the number of
+    blocks and of CPUs. csv_path, if given, receives one row per q with its
+    S/P values and flags.
     """
     if x < 2:
         raise ValueError("density_report requires x >= 2")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     if x + 1 > max_entries:
         raise ResourceError(f"sieve of {x + 1} entries exceeds {max_entries}")
     blocks = [
         (lo, min(lo + BLOCK_SIZE - 1, x)) for lo in range(2, x + 1, BLOCK_SIZE)
     ]
-    if workers > 1 and len(blocks) > 1 and csv_path is None:
+    workers = min(workers, len(blocks), os.cpu_count() or 1)
+    if workers > 1 and csv_path is None:
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_init_worker, initargs=(x,)
         ) as pool:

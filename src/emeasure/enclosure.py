@@ -83,12 +83,21 @@ def distance_bracket(r: Fraction, n: int) -> tuple[Fraction, Fraction]:
     return Fraction(0), max(r - box.left, box.right - r)
 
 
-def _depths(depth_cap: int | None):
+def refine(decide, what, depth_cap: int | None = DEFAULT_DEPTH_CAP):
+    """First answer other than None of decide(n), for n = 4, 8, 16, ...
+    clipped to depth_cap (None: no cap).
+
+    Raises DepthCapExceeded if the cap is reached undecided. `what()` names
+    the question in that message and is called only then: str() of a
+    factorial-sized bound can pass Python's int-to-str digit limit.
+    """
     n = 4
     while True:
-        yield n
+        answer = decide(n)
+        if answer is not None:
+            return answer
         if depth_cap is not None and n >= depth_cap:
-            return
+            raise DepthCapExceeded(f"{what()} undecided at depth {depth_cap}")
         n *= 2
         if depth_cap is not None:
             n = min(n, depth_cap)
@@ -108,35 +117,47 @@ def compare_distance_to_e(
         raise ValueError("bound must be >= 0")
     if bound == 0:
         return GREATER
-    for n in _depths(depth_cap):
+
+    def decide(n: int) -> str | None:
         lo, hi = distance_bracket(r, n)
         if lo > bound:
             return GREATER
         if hi < bound:
             return LESS
-    raise DepthCapExceeded(
-        f"comparison of |e - {r}| against {bound} undecided at depth {depth_cap}"
+        return None
+
+    return refine(
+        decide, lambda: f"comparison of |e - {r}| against {bound}", depth_cap
     )
 
 
 def render_distance(
-    r: Fraction, digits: int, depth_cap: int | None = DEFAULT_DEPTH_CAP
+    r: Fraction,
+    digits: int,
+    depth_cap: int | None = DEFAULT_DEPTH_CAP,
+    bound: Fraction = Fraction(0),
 ) -> str:
-    """Truncated decimal expansion of |e - r|, correct to `digits` places.
+    """Truncated decimal of |e - r| - bound, with sign, correct to `digits`
+    places.
 
-    Refines until both bracket endpoints truncate identically.
+    The value is irrational, so refining eventually fixes its sign and both
+    bracket endpoints truncate identically.
     """
     if digits < 1:
         raise ValueError("digits must be >= 1")
-    for n in _depths(depth_cap):
+
+    def decide(n: int) -> str | None:
         lo, hi = distance_bracket(r, n)
-        if lo == 0:
-            continue
+        if bound:
+            lo, hi = lo - bound, hi - bound
+        # Sign still open? (Numerator signs: cheaper than comparing to 0.)
+        if lo.numerator <= 0 <= hi.numerator:
+            return None
         lo_text = truncate_decimal(lo, digits)
-        if lo_text == truncate_decimal(hi, digits):
-            return lo_text
-    raise DepthCapExceeded(
-        f"decimal rendering of |e - {r}| undecided at depth {depth_cap}"
+        return lo_text if lo_text == truncate_decimal(hi, digits) else None
+
+    return refine(
+        decide, lambda: f"decimal rendering of |e - {r}| - {bound}", depth_cap
     )
 
 
@@ -148,10 +169,10 @@ def floor_e_times(q: int, depth_cap: int | None = DEFAULT_DEPTH_CAP) -> int:
     """
     if q < 1:
         raise ValueError("q must be >= 1")
-    for n in _depths(depth_cap):
+
+    def decide(n: int) -> int | None:
         box = interval(n)
         lo = (box.left * q).__floor__()
-        hi = (box.right * q).__floor__()
-        if lo == hi:
-            return lo
-    raise DepthCapExceeded(f"floor(e * {q}) undecided at depth {depth_cap}")
+        return lo if lo == (box.right * q).__floor__() else None
+
+    return refine(decide, lambda: f"floor(e * {q})", depth_cap)

@@ -39,19 +39,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def primes_up_to(n: int) -> list[int]:
-    """Eratosthenes sieve, inclusive."""
-    if n < 2:
-        return []
-    flags = bytearray([1]) * (n + 1)
-    flags[0] = flags[1] = 0
-    for p in range(2, math.isqrt(n) + 1):
-        if flags[p]:
-            start = p * p
-            flags[start :: p] = bytearray(len(range(start, n + 1, p)))
-    return [i for i, f in enumerate(flags) if f]
-
-
 def factorize(q: int) -> Factorization:
     """Prime factorization of q >= 2 by deterministic trial division."""
     if q < 2:

@@ -18,16 +18,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .enclosure import (
-    DEFAULT_DEPTH_CAP,
-    DepthCapExceeded,
-    _depths,
     compare_distance_to_e,
-    distance_bracket,
     floor_e_times,
     interval,
+    render_distance,
 )
 from .kempner import is_prime, kempner_S, largest_prime_factor
-from .rationals import LESS, truncate_decimal
+from .rationals import LESS
 
 BOUND_NAMES = ("theorem1", "weak_prime", "prime_factor", "known_eps")
 
@@ -65,31 +62,9 @@ def prime_factor_bound(q: int) -> Fraction:
     return Fraction(1, math.factorial(largest_prime_factor(q) + 1))
 
 
-def render_margin(
-    r: Fraction,
-    bound: Fraction,
-    digits: int = MARGIN_DIGITS,
-    depth_cap: int | None = DEFAULT_DEPTH_CAP,
-) -> str:
-    """Truncated decimal of |e - r| - bound, with sign.
-
-    The margin is irrational (a rational offset of |e - r|), so refining the
-    enclosure eventually fixes both its sign and its leading digits.
-    """
-    for n in _depths(depth_cap):
-        lo, hi = distance_bracket(r, n)
-        m_lo, m_hi = lo - bound, hi - bound
-        if m_lo <= 0 <= m_hi:
-            continue
-        lo_text = truncate_decimal(m_lo, digits)
-        if lo_text == truncate_decimal(m_hi, digits):
-            return lo_text
-    raise DepthCapExceeded(f"margin of |e - {r}| vs {bound} undecided")
-
-
 def _verdict(p: int, q: int, bound_name: str, bound: Fraction) -> MeasureVerdict:
     r = Fraction(p, q)
-    margin = render_margin(r, bound)
+    margin = render_distance(r, MARGIN_DIGITS, bound=bound)
     return MeasureVerdict(
         p=p,
         q=q,

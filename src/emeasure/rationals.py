@@ -2,47 +2,16 @@
 
 Everything downstream works with ``fractions.Fraction``, which already
 guarantees the two invariants we need: denominators are positive and values
-are stored in lowest terms. This module adds the constructors, comparisons,
-decimal rendering, and JSON (de)serialization the rest of the toolkit uses.
+are stored in lowest terms. This module adds the comparison verdicts,
+decimal rendering, and JSON serialization the rest of the toolkit uses.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
-# The universal exact value type.
-Rational = Fraction
-
 LESS = "less"
-EQUAL = "equal"
 GREATER = "greater"
-
-
-def rational(p: int, q: int = 1) -> Fraction:
-    """Exact p/q in lowest terms with positive denominator.
-
-    Raises ValueError on q == 0.
-    """
-    if q == 0:
-        raise ValueError("denominator must be nonzero")
-    return Fraction(p, q)
-
-
-def factorial(n: int) -> int:
-    """Exact n! for n >= 0."""
-    if n < 0:
-        raise ValueError("factorial requires n >= 0")
-    return math.factorial(n)
-
-
-def compare(a: Fraction, b: Fraction) -> str:
-    """Exact three-way comparison: 'less', 'equal', or 'greater'."""
-    if a < b:
-        return LESS
-    if a == b:
-        return EQUAL
-    return GREATER
 
 
 def truncate_decimal(x: Fraction, digits: int) -> str:
@@ -62,10 +31,6 @@ def to_json(x: Fraction) -> dict:
     """JSON form {"num": str, "den": str}; decimal strings because values
     routinely exceed 64-bit range (e.g. 19!)."""
     return {"num": str(x.numerator), "den": str(x.denominator)}
-
-
-def from_json(obj: dict) -> Fraction:
-    return rational(int(obj["num"]), int(obj["den"]))
 
 
 def parse_rational(text: str) -> Fraction:

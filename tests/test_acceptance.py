@@ -1,17 +1,13 @@
-"""Acceptance suite: one test per headline criterion, each with its runtime
-budget. Everything here is exact arithmetic, so assertions carry zero
-tolerance; the timing limits are asserted on the operation itself after the
-module warm-up below.
+"""Acceptance suite: one test per headline claim of `emeasure.verify`, each
+held to the runtime budget registered with it. The claims themselves live in
+`verify.CHECKS` only. Everything is exact arithmetic, so a check either
+passes or not; the timing limits apply to the check itself after the module
+warm-up below.
 """
-
-import math
-import time
-from fractions import Fraction
 
 import pytest
 
-from emeasure import cantor, cfrac, density, enclosure, kempner, measures
-from emeasure.rationals import GREATER, LESS, truncate_decimal
+from emeasure import cfrac, enclosure, verify
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -22,184 +18,10 @@ def warmup():
     cfrac.convergents(3)
 
 
-def timed(budget_seconds, fn, *args, **kwargs):
-    start = time.perf_counter()
-    result = fn(*args, **kwargs)
-    elapsed = time.perf_counter() - start
-    assert elapsed < budget_seconds, f"took {elapsed:.3f}s, budget {budget_seconds}s"
-    return result
-
-
-def test_criterion_1_interval_reproduction():
-    def build():
-        return [enclosure.interval(n) for n in range(1, 5)]
-
-    boxes = timed(0.001, build)
-    expected = [
-        (Fraction(2), Fraction(3)),
-        (Fraction(5, 2), Fraction(6, 2)),
-        (Fraction(16, 6), Fraction(17, 6)),
-        (Fraction(65, 24), Fraction(66, 24)),
-    ]
-    assert [(b.left, b.right) for b in boxes] == expected
-
-
-def test_criterion_2_sandwich():
-    r = Fraction(65, 24)
-
-    def check():
-        return (
-            enclosure.compare_distance_to_e(r, Fraction(1, 120)),
-            enclosure.compare_distance_to_e(r, Fraction(1, 24)),
-            enclosure.render_distance(r, 5),
-        )
-
-    lower, upper, digits = timed(0.010, check)
-    assert lower == GREATER  # 1/120 < |e - 65/24|
-    assert upper == LESS  # |e - 65/24| < 1/24
-    assert digits == "0.00994"
-    assert truncate_decimal(Fraction(1, 120), 5) == "0.00833"
-    assert truncate_decimal(Fraction(1, 24), 5) == "0.04166"
-
-
-def test_criterion_3_kempner_oracle_equivalence():
-    def check():
-        mismatches = [
-            q
-            for q in range(1, 10_001)
-            if kempner.kempner_S(q) != kempner.kempner_S_naive(q)
-        ]
-        anchors = (
-            kempner.kempner_S(6) == 3
-            and all(kempner.kempner_S(q) == q for q in range(1, 6))
-            and all(kempner.kempner_S(math.factorial(n)) == n for n in range(2, 13))
-        )
-        return mismatches, anchors
-
-    mismatches, anchors = timed(5.0, check)
-    assert mismatches == []
-    assert anchors
-
-
-def test_criterion_4_measure_sweep_to_2000():
-    def sweep():
-        failures = []
-        for q in range(2, 2001):
-            bound = measures.theorem1_bound(q)
-            f = enclosure.floor_e_times(q)
-            for p in (f - 1, f, f + 1, f + 2):
-                if enclosure.compare_distance_to_e(Fraction(p, q), bound) != GREATER:
-                    failures.append((p, q))
-        return failures
-
-    assert timed(30.0, sweep) == []
-
-
-def test_criterion_5_sharpness_and_primality_scan():
-    def check():
-        sharp = [measures.check_sharpness(n) for n in range(3, 13)]
-        scans = [measures.corollary2_scan(n) for n in range(2, 13)]
-        return sharp, scans
-
-    sharp, scans = timed(5.0, check)
-    assert all(sharp)
-    for scan in scans:
-        assert scan["all_hold"] == scan["prime"], scan
-    assert next(s for s in scans if s["n"] == 4)["witness"] == (65, 24)
-
-
-def test_criterion_6_convergent_quality():
-    def check():
-        box = enclosure.interval(12)
-        bound12 = math.factorial(12)
-        bad = []
-        for conv in cfrac.convergents(50):
-            q = conv.value.denominator
-            quality = enclosure.compare_distance_to_e(
-                conv.value, Fraction(1, q * q), depth_cap=None
-            )
-            if quality != LESS:
-                bad.append(("quality", conv.index))
-            if q > bound12 and not box.contains(conv.value):
-                bad.append(("containment", conv.index))
-        return bad
-
-    assert timed(5.0, check) == []
-
-
-def test_criterion_7_q19_data_point():
-    record = timed(0.010, cfrac.partial_sum_record, 19)
-    assert record.q_n == math.factorial(19) // 4000
-
-
-def test_criterion_8_conjecture2_and_corollary3():
-    def scan():
-        return cfrac.conjecture2_scan(500), cfrac.corollary3_scan(60)
-
-    hits, rows = timed(60.0, scan)
-    assert hits == [1, 3]
-    assert all(not row["violated"] for row in rows)
-
-
-def test_criterion_9_cantor_classifications():
-    def check():
-        unit = cantor.classify(cantor.unit_family(a0=2))
-        comp = cantor.classify(cantor.complement_family(a0=0))
-        even = cantor.classify(cantor.masked_unit_family((1, 0)))
-        odd = cantor.classify(cantor.masked_unit_family((0, 1)))
-        sums_ok = all(
-            cantor.cantor_partial_sum(cantor.complement_family(0), N)
-            == 1 - Fraction(1, math.factorial(N + 1))
-            for N in range(0, 21)
-        )
-        return unit, comp, even, odd, sums_ok
-
-    unit, comp, even, odd, sums_ok = timed(1.0, check)
-    assert unit.classification == cantor.IRRATIONAL
-    assert comp.classification == cantor.RATIONAL and comp.rational_value == 1
-    assert even.classification == cantor.IRRATIONAL
-    assert odd.classification == cantor.IRRATIONAL
-    assert sums_ok
-
-
-def test_criterion_10_density_scan():
-    def pointwise_agreement():
-        return all(
-            r.s == kempner.kempner_S(r.q)
-            and r.p == kempner.largest_prime_factor(r.q)
-            for r in density.batch_kempner(10_000)
-        )
-
-    assert pointwise_agreement()
-
-    small = density.density_report(1000)
-    large = timed(60.0, density.density_report, 10**6)
-    assert large.count_S_neq_P * small.x < small.count_S_neq_P * large.x
-    assert (
-        large.count_conjecture1_fail * small.x
-        < small.count_conjecture1_fail * large.x
+@pytest.mark.parametrize("check", verify.CHECKS, ids=lambda fn: fn.__name__)
+def test_claim(check):
+    result = verify.run_check(check)
+    assert result.passed, f"{result.name}: {result.detail}"
+    assert result.seconds < check.budget, (
+        f"{result.name} took {result.seconds:.3f}s, budget {check.budget}s"
     )
-    parallel = density.density_report(10**6, workers=2)
-    assert (
-        parallel.count_S_neq_P,
-        parallel.count_conjecture1_fail,
-        parallel.exceptions_S_neq_P,
-        parallel.exceptions_conjecture1,
-    ) == (
-        large.count_S_neq_P,
-        large.count_conjecture1_fail,
-        large.exceptions_S_neq_P,
-        large.exceptions_conjecture1,
-    )
-
-
-def test_criterion_11_factorial_square_boundary():
-    def check():
-        return (
-            all(measures.factorial_square_boundary(n) for n in range(3, 101)),
-            measures.factorial_square_boundary(2),
-        )
-
-    holds, at_2 = timed(0.001, check)
-    assert holds
-    assert at_2 is False

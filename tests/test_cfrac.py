@@ -33,9 +33,19 @@ def test_first_convergents():
     ]
 
 
+def _quotients_by_blocks(count):
+    """Independent encoding of e's quotients: 2, then blocks 1, 2k, 1."""
+    quotients = [2]
+    k = 1
+    while len(quotients) < count:
+        quotients.extend((1, 2 * k, 1))
+        k += 1
+    return quotients[:count]
+
+
 def test_convergents_from_recurrence_oracle():
-    # Rebuild the recurrence independently from the quotient list.
-    quotients = e_partial_quotients(30)
+    # Rebuild the recurrence independently from the block encoding.
+    quotients = _quotients_by_blocks(30)
     p_prev, p = 1, quotients[0]
     q_prev, q = 0, 1
     expected = [Fraction(p, q)]

@@ -167,6 +167,25 @@ def test_resource_error_exit_code(capsys, monkeypatch):
     assert "resource" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "env, argv, expected",
+    [
+        ({"EMEASURE_WORKERS": "abc"}, ["kempner", "--q", "6"], 0),
+        ({"EMEASURE_WORKERS": "abc"}, ["density", "--x", "1000"], 1),
+        ({"EMEASURE_DEPTH_CAP": "abc"}, ["distance", "--p", "65", "--q", "24"], 1),
+        ({}, ["density", "--x", "1000", "--workers", "0"], 1),
+    ],
+)
+def test_bad_overrides(capsys, monkeypatch, env, argv, expected):
+    # A bad override fails only the command that reads it, with a message.
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    assert cli.run(argv) == expected
+    err = capsys.readouterr().err
+    if expected:
+        assert err.startswith("error: ")
+
+
 def test_unknown_flag_rejected():
     with pytest.raises(SystemExit):
         cli.run(["interval", "--bogus", "1"])

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from emeasure import density
 from emeasure.density import (
     ResourceError,
     batch_kempner,
@@ -82,9 +83,46 @@ def test_ratios_shrink():
 
 
 def test_worker_counts_identical():
-    serial = density_report(200_000, workers=1)
-    parallel = density_report(200_000, workers=3)
-    assert serial == parallel
+    for x, workers in ((200_000, 3), (10**6, 2)):
+        serial = density_report(x, workers=1)
+        parallel = density_report(x, workers=workers)
+        assert serial == parallel
+
+
+class _InProcessPool:
+    """Stand-in for ProcessPoolExecutor that records max_workers and runs
+    the blocks in this process, so no worker is ever started."""
+
+    requested: list[int] = []
+
+    def __init__(self, max_workers, initializer, initargs):
+        self.requested.append(max_workers)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize(
+    "workers, cpus, expected",
+    [(1000, 8, [3]), (2, 8, [2]), (1000, 2, [2]), (1000, None, [])],
+)
+def test_worker_count_clamped(monkeypatch, workers, cpus, expected):
+    # x spans 3 blocks; the pool gets min(workers, blocks, CPUs) and is not
+    # used at all when that leaves one worker (os.cpu_count() may be None).
+    monkeypatch.setattr(density, "ProcessPoolExecutor", _InProcessPool)
+    monkeypatch.setattr(density, "_WORKER_STATE", {})
+    monkeypatch.setattr(density.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(_InProcessPool, "requested", [])
+    x = 2 * density.BLOCK_SIZE + 100
+    assert density_report(x, workers=workers) == density_report(x)
+    assert _InProcessPool.requested == expected
 
 
 def test_csv_export(tmp_path):

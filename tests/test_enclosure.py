@@ -10,6 +10,7 @@ from emeasure.enclosure import (
     floor_e_times,
     interval,
     partial_sum,
+    refine,
     render_distance,
     subdivide_second,
 )
@@ -84,6 +85,38 @@ def test_depth_cap_raises_instead_of_looping():
     # s_600 is far closer to e than anything a depth-8 enclosure can resolve.
     with pytest.raises(DepthCapExceeded):
         compare_distance_to_e(partial_sum(600), Fraction(1, 10**1000), depth_cap=8)
+
+
+def _depths_seen(depth_cap, stop_after=None):
+    """Depths refine hands to an undecided `decide` (or one that answers
+    after `stop_after` calls), and how often it formatted its message."""
+    seen, formatted = [], []
+
+    def decide(n):
+        seen.append(n)
+        return "done" if len(seen) == stop_after else None
+
+    def what():
+        formatted.append(1)
+        return "test question"
+
+    try:
+        refine(decide, what, depth_cap)
+    except DepthCapExceeded as exc:
+        assert str(exc) == f"test question undecided at depth {depth_cap}"
+    return seen, len(formatted)
+
+
+def test_refine_depth_schedule():
+    assert _depths_seen(20)[0] == [4, 8, 16, 20]
+    assert _depths_seen(2)[0] == [4]
+    assert _depths_seen(None, stop_after=8)[0] == [4, 8, 16, 32, 64, 128, 256, 512]
+
+
+def test_refine_formats_message_only_when_raising():
+    assert _depths_seen(20) == ([4, 8, 16, 20], 1)
+    assert _depths_seen(20, stop_after=3) == ([4, 8, 16], 0)
+    assert _depths_seen(None, stop_after=8)[1] == 0
 
 
 def test_nearest_multiples_of_inverse_factorial_keep_distance():

@@ -13,7 +13,6 @@ from emeasure.kempner import (
     kempner_result,
     largest_prime_factor,
     legendre_valuation,
-    primes_up_to,
     rewrite_over_factorial,
 )
 
@@ -37,11 +36,6 @@ def test_factorize_reconstructs(q):
     assert primes == sorted(primes) and len(set(primes)) == len(primes)
     assert all(is_prime(p) and e >= 1 for p, e in factors)
     assert math.prod(p**e for p, e in factors) == q
-
-
-def test_primes_up_to():
-    assert primes_up_to(1) == []
-    assert primes_up_to(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
 
 
 def test_legendre_valuation_anchors():
