@@ -14,12 +14,18 @@ results merge in block order.
 
 from __future__ import annotations
 
+import csv
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
+from fractions import Fraction
+from itertools import chain, compress, islice, repeat
+from operator import gt, ne
 
-from .kempner import Factorization, KempnerResult, kempner_prime_power
+from .kempner import kempner_prime_power
+from .rationals import truncate_decimal
 
 BLOCK_SIZE = 1 << 16
 DEFAULT_MAX_SIEVE_ENTRIES = 10**8
@@ -63,40 +69,37 @@ def sieve_smallest_prime_factor(
     return spf
 
 
-def factorize_with_spf(q: int, spf: list[int]) -> Factorization:
-    """Factorization of q >= 2 by walking the spf table."""
-    factors: Factorization = []
-    while q > 1:
-        p = spf[q]
-        e = 0
-        while q % p == 0:
-            e += 1
-            q //= p
-        factors.append((p, e))
-    return factors
+def kempner_range(lo: int, hi: int, spf: list[int]) -> tuple[list[int], list[int]]:
+    """Lists of S(q) and of P(q) for q = lo .. hi, by walking the spf table.
 
-
-def batch_kempner(x: int, spf: list[int] | None = None):
-    """Yield KempnerResult for q = 2 .. x, identical to the pointwise API."""
-    if x < 2:
-        raise ValueError("batch_kempner requires x >= 2")
-    if spf is None:
-        spf = sieve_smallest_prime_factor(x)
+    The one kernel behind every range scan; its values agree with the
+    pointwise kempner_S and largest_prime_factor.
+    """
+    if lo < 2 or hi >= len(spf):
+        raise ValueError("kempner_range requires 2 <= lo and hi within the sieve")
+    S: list[int] = []
+    P: list[int] = []
     cache: dict[tuple[int, int], int] = {}
-    for q in range(2, x + 1):
-        factors = factorize_with_spf(q, spf)
+    for q in range(lo, hi + 1):
         s = 0
-        for p, e in factors:
-            if e == 1:
+        while q > 1:
+            p = spf[q]
+            q //= p
+            if q % p:
                 k = p
             else:
-                key = (p, e)
-                k = cache.get(key)
+                e = 1
+                while q % p == 0:
+                    e += 1
+                    q //= p
+                k = cache.get((p, e))
                 if k is None:
-                    k = cache[key] = kempner_prime_power(p, e)
+                    k = cache[(p, e)] = kempner_prime_power(p, e)
             if k > s:
                 s = k
-        yield KempnerResult(q=q, s=s, p=factors[-1][0], factorization=factors)
+        S.append(s)
+        P.append(p)
+    return S, P
 
 
 def _factorial_threshold(x: int) -> tuple[int, list[int]]:
@@ -112,37 +115,33 @@ def _factorial_threshold(x: int) -> tuple[int, list[int]]:
     return len(facts) - 1, facts
 
 
-def _scan_block(lo: int, hi: int, spf: list[int], threshold: int, facts: list[int]):
-    """Counts and capped offender lists for q in [lo, hi]."""
-    count_sp = count_c1 = count_c1p = 0
-    sample_sp: list[int] = []
-    sample_c1: list[int] = []
-    cache: dict[tuple[int, int], int] = {}
-    for q in range(lo, hi + 1):
-        factors = factorize_with_spf(q, spf)
-        s = 0
-        for p, e in factors:
-            if e == 1:
-                k = p
-            else:
-                key = (p, e)
-                k = cache.get(key)
-                if k is None:
-                    k = cache[key] = kempner_prime_power(p, e)
-            if k > s:
-                s = k
-        biggest = factors[-1][0]
-        if s != biggest:
-            count_sp += 1
-            if len(sample_sp) < EXCEPTIONS_CAP:
-                sample_sp.append(q)
-        if s < threshold and q * q >= facts[s]:
-            count_c1 += 1
-            if len(sample_c1) < EXCEPTIONS_CAP:
-                sample_c1.append(q)
-        if biggest < threshold and q * q >= facts[biggest]:
-            count_c1p += 1
-    return count_sp, count_c1, count_c1p, sample_sp, sample_c1
+def _scan_block(
+    lo: int, hi: int, spf: list[int], threshold: int, facts: list[int], writer=None
+):
+    """Counts and capped offender lists for q in [lo, hi]; with a csv writer,
+    also one row per q."""
+    S, P = kempner_range(lo, hi, spf)
+    qs = range(lo, hi + 1)
+    neq = list(map(ne, S, P))
+    # q^2 >= P(q)! needs P(q) < threshold, and so does q^2 >= S(q)! since
+    # P(q) <= S(q); few q per block have so small a P(q).
+    small = [
+        (q, S[q - lo], P[q - lo]) for q in compress(qs, map(gt, repeat(threshold), P))
+    ]
+    fail_c1 = [q for q, s, _ in small if s < threshold and q * q >= facts[s]]
+    count_c1p = sum(q * q >= facts[p] for q, _, p in small)
+    if writer is not None:
+        fails = set(fail_c1)
+        writer.writerows(
+            zip(qs, S, P, map(int, neq), map(int, map(fails.__contains__, qs)))
+        )
+    return (
+        neq.count(True),
+        len(fail_c1),
+        count_c1p,
+        list(islice(compress(qs, neq), EXCEPTIONS_CAP)),
+        fail_c1[:EXCEPTIONS_CAP],
+    )
 
 
 _WORKER_STATE: dict = {}
@@ -168,23 +167,26 @@ def density_report(
 ) -> DensityReport:
     """Exact exception counts over q in [2, x].
 
-    With workers > 1 the blocks run in separate processes (each builds its
-    own sieve); the merged result is byte-identical to the serial one. The
-    pool starts every worker at once, so workers is clamped to the number of
-    blocks and of CPUs. csv_path, if given, receives one row per q with its
-    S/P values and flags.
+    With workers > 1 the blocks run in separate processes; each builds its
+    own sieve, so max_entries bounds the sum of their entries. The merged
+    result is byte-identical to the serial one. The pool starts every worker
+    at once, so workers is clamped to the number of blocks and of CPUs.
+    csv_path, if given, receives one row per q with its S/P values and flags,
+    written as each block is scanned; CSV runs use one process.
     """
     if x < 2:
         raise ValueError("density_report requires x >= 2")
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    if x + 1 > max_entries:
-        raise ResourceError(f"sieve of {x + 1} entries exceeds {max_entries}")
     blocks = [
         (lo, min(lo + BLOCK_SIZE - 1, x)) for lo in range(2, x + 1, BLOCK_SIZE)
     ]
     workers = min(workers, len(blocks), os.cpu_count() or 1)
-    if workers > 1 and csv_path is None:
+    pooled = workers > 1 and csv_path is None
+    sieves = workers if pooled else 1  # each pool worker builds its own sieve
+    if (x + 1) * sieves > max_entries:
+        raise ResourceError(f"{sieves} x {x + 1} sieve entries exceed {max_entries}")
+    if pooled:
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_init_worker, initargs=(x,)
         ) as pool:
@@ -192,43 +194,24 @@ def density_report(
     else:
         spf = sieve_smallest_prime_factor(x, max_entries=max_entries)
         threshold, facts = _factorial_threshold(x)
-        results = [_scan_block(lo, hi, spf, threshold, facts) for lo, hi in blocks]
-        if csv_path is not None:
-            _write_csv(csv_path, x, spf, threshold, facts)
+        sink = nullcontext() if csv_path is None else open(csv_path, "w", newline="")
+        with sink as handle:
+            writer = None if handle is None else csv.writer(handle)
+            if writer is not None:
+                writer.writerow(["q", "S", "P", "S_neq_P", "conj1_fail"])
+            results = [
+                _scan_block(lo, hi, spf, threshold, facts, writer) for lo, hi in blocks
+            ]
 
-    count_sp = sum(r[0] for r in results)
-    count_c1 = sum(r[1] for r in results)
-    count_c1p = sum(r[2] for r in results)
-    sample_sp: list[int] = []
-    sample_c1: list[int] = []
-    for r in results:
-        sample_sp.extend(r[3][: EXCEPTIONS_CAP - len(sample_sp)])
-        sample_c1.extend(r[4][: EXCEPTIONS_CAP - len(sample_c1)])
+    sp, c1, c1p, sample_sp, sample_c1 = zip(*results)
+    count_sp, count_c1 = sum(sp), sum(c1)
     return DensityReport(
         x=x,
         count_S_neq_P=count_sp,
         count_conjecture1_fail=count_c1,
-        count_conjecture1_fail_P=count_c1p,
-        ratio_S_neq_P=_ratio(count_sp, x),
-        ratio_conjecture1_fail=_ratio(count_c1, x),
-        exceptions_S_neq_P=sample_sp,
-        exceptions_conjecture1=sample_c1,
+        count_conjecture1_fail_P=sum(c1p),
+        ratio_S_neq_P=truncate_decimal(Fraction(count_sp, x), 8),
+        ratio_conjecture1_fail=truncate_decimal(Fraction(count_c1, x), 8),
+        exceptions_S_neq_P=list(islice(chain(*sample_sp), EXCEPTIONS_CAP)),
+        exceptions_conjecture1=list(islice(chain(*sample_c1), EXCEPTIONS_CAP)),
     )
-
-
-def _ratio(count: int, x: int, digits: int = 8) -> str:
-    scaled = count * 10**digits // x
-    return f"{scaled // 10**digits}.{scaled % 10**digits:0{digits}d}"
-
-
-def _write_csv(path: str, x: int, spf, threshold: int, facts: list[int]) -> None:
-    import csv
-
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["q", "S", "P", "S_neq_P", "conj1_fail"])
-        for result in batch_kempner(x, spf):
-            conj1_fail = result.s < threshold and result.q**2 >= facts[result.s]
-            writer.writerow(
-                [result.q, result.s, result.p, int(result.s != result.p), int(conj1_fail)]
-            )

@@ -83,13 +83,20 @@ def distance_bracket(r: Fraction, n: int) -> tuple[Fraction, Fraction]:
     return Fraction(0), max(r - box.left, box.right - r)
 
 
+def _name(x: Fraction | int) -> str:
+    """str(x), or x's size when str() would pass the int-to-str digit limit."""
+    try:
+        return str(x)
+    except ValueError:
+        return f"<{x.numerator.bit_length()}/{x.denominator.bit_length()}-bit rational>"
+
+
 def refine(decide, what, depth_cap: int | None = DEFAULT_DEPTH_CAP):
     """First answer other than None of decide(n), for n = 4, 8, 16, ...
     clipped to depth_cap (None: no cap).
 
     Raises DepthCapExceeded if the cap is reached undecided. `what()` names
-    the question in that message and is called only then: str() of a
-    factorial-sized bound can pass Python's int-to-str digit limit.
+    the question in that message and is called only then.
     """
     n = 4
     while True:
@@ -127,7 +134,9 @@ def compare_distance_to_e(
         return None
 
     return refine(
-        decide, lambda: f"comparison of |e - {r}| against {bound}", depth_cap
+        decide,
+        lambda: f"comparison of |e - {_name(r)}| against {_name(bound)}",
+        depth_cap,
     )
 
 
@@ -157,7 +166,9 @@ def render_distance(
         return lo_text if lo_text == truncate_decimal(hi, digits) else None
 
     return refine(
-        decide, lambda: f"decimal rendering of |e - {r}| - {bound}", depth_cap
+        decide,
+        lambda: f"decimal rendering of |e - {_name(r)}| - {_name(bound)}",
+        depth_cap,
     )
 
 
@@ -175,4 +186,4 @@ def floor_e_times(q: int, depth_cap: int | None = DEFAULT_DEPTH_CAP) -> int:
         lo = (box.left * q).__floor__()
         return lo if lo == (box.right * q).__floor__() else None
 
-    return refine(decide, lambda: f"floor(e * {q})", depth_cap)
+    return refine(decide, lambda: f"floor(e * {_name(q)})", depth_cap)

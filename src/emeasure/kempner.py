@@ -74,18 +74,22 @@ def legendre_valuation(p: int, k: int) -> int:
 
 
 def kempner_prime_power(p: int, a: int) -> int:
-    """Smallest k with p^a | k!, i.e. legendre_valuation(p, k) >= a.
+    """Smallest k with p^a | k!, i.e. legendre_valuation(p, k) >= a (p prime).
 
     The answer is a multiple of p and is at most a*p, so a linear walk over
-    multiples of p is plenty fast at the scales used here.
+    multiples of p, summing their p-adic valuations, is plenty fast here.
     """
     if a < 1:
         raise ValueError("exponent must be >= 1")
     if a == 1:
         return p
-    k = p
-    while legendre_valuation(p, k) < a:
+    k = valuation = 0
+    while valuation < a:
         k += p
+        m = k
+        while m % p == 0:
+            valuation += 1
+            m //= p
     return k
 
 

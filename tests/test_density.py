@@ -7,12 +7,11 @@ import pytest
 from emeasure import density
 from emeasure.density import (
     ResourceError,
-    batch_kempner,
     density_report,
-    factorize_with_spf,
+    kempner_range,
     sieve_smallest_prime_factor,
 )
-from emeasure.kempner import factorize, kempner_S, largest_prime_factor
+from emeasure.kempner import kempner_S, largest_prime_factor
 
 
 def test_spf_small_table():
@@ -33,26 +32,26 @@ def test_spf_budget():
         sieve_smallest_prime_factor(10**6, max_entries=1000)
 
 
-def test_factorize_with_spf_matches_trial_division():
-    spf = sieve_smallest_prime_factor(20_000)
-    for q in range(2, 2000):
-        assert factorize_with_spf(q, spf) == factorize(q)
-    rng = random.Random(7)
-    for q in rng.sample(range(2, 20_001), 500):
-        assert factorize_with_spf(q, spf) == factorize(q)
-
-
 def test_batch_agrees_with_pointwise():
-    for result in batch_kempner(10_000):
-        assert result.s == kempner_S(result.q)
-        assert result.p == largest_prime_factor(result.q)
+    spf = sieve_smallest_prime_factor(20_000)
+    S, P = kempner_range(2, 10_000, spf)
+    for q, s, p in zip(range(2, 10_001), S, P):
+        assert s == kempner_S(q)
+        assert p == largest_prime_factor(q)
+    # A range that starts mid-table, as every block after the first does.
+    rng = random.Random(7)
+    lo = rng.randrange(10_001, 19_000)
+    S, P = kempner_range(lo, 20_000, spf)
+    assert S == [kempner_S(q) for q in range(lo, 20_001)]
+    assert P == [largest_prime_factor(q) for q in range(lo, 20_001)]
 
 
 def test_batch_first_values():
-    rows = {r.q: r for r in batch_kempner(10)}
-    assert (rows[4].s, rows[4].p) == (4, 2)
-    assert (rows[8].s, rows[8].p) == (4, 2)
-    assert (rows[6].s, rows[6].p) == (3, 3)
+    S, P = kempner_range(2, 10, sieve_smallest_prime_factor(10))
+    assert S == [2, 3, 4, 5, 3, 7, 4, 6, 5]
+    assert P == [2, 3, 2, 5, 3, 7, 2, 3, 5]
+    with pytest.raises(ValueError):
+        kempner_range(2, 11, sieve_smallest_prime_factor(10))
 
 
 def test_smallest_exceptions():
@@ -64,15 +63,18 @@ def test_smallest_exceptions():
 
 def test_counts_against_direct_recount():
     report = density_report(3000)
-    direct_sp = direct_c1 = 0
+    direct_sp = direct_c1 = direct_c1p = 0
     for q in range(2, 3001):
-        s = kempner_S(q)
-        if s != largest_prime_factor(q):
+        s, p = kempner_S(q), largest_prime_factor(q)
+        if s != p:
             direct_sp += 1
         if q * q >= math.factorial(s):
             direct_c1 += 1
+        if q * q >= math.factorial(p):
+            direct_c1p += 1
     assert report.count_S_neq_P == direct_sp
     assert report.count_conjecture1_fail == direct_c1
+    assert report.count_conjecture1_fail_P == direct_c1p
 
 
 def test_ratios_shrink():
@@ -125,12 +127,42 @@ def test_worker_count_clamped(monkeypatch, workers, cpus, expected):
     assert _InProcessPool.requested == expected
 
 
+@pytest.mark.parametrize(
+    "workers, budget, fits",
+    [
+        (2, lambda x: 2 * (x + 1) - 1, False),
+        (2, lambda x: 2 * (x + 1), True),
+        (1, lambda x: x + 1, True),
+    ],
+    ids=["two-sieves-short-by-one", "two-sieves", "one-sieve"],
+)
+def test_sieve_budget_counts_every_worker(monkeypatch, workers, budget, fits):
+    # Each pool worker builds its own (x + 1)-entry sieve. No process is
+    # started: the pool runs its blocks in this process.
+    monkeypatch.setattr(density, "ProcessPoolExecutor", _InProcessPool)
+    monkeypatch.setattr(density, "_WORKER_STATE", {})
+    monkeypatch.setattr(density.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(_InProcessPool, "requested", [])
+    x = density.BLOCK_SIZE + 300
+    if fits:
+        report = density_report(x, workers=workers, max_entries=budget(x))
+        assert report == density_report(x)
+    else:
+        with pytest.raises(ResourceError):
+            density_report(x, workers=workers, max_entries=budget(x))
+    assert _InProcessPool.requested == ([2] if workers == 2 and fits else [])
+
+
 def test_csv_export(tmp_path):
+    # x spans two blocks, so rows are written by more than one block scan.
+    x = density.BLOCK_SIZE + 300
     path = tmp_path / "exceptions.csv"
-    report = density_report(300, csv_path=str(path))
+    report = density_report(x, csv_path=str(path))
     with open(path) as handle:
         rows = list(csv.DictReader(handle))
-    assert len(rows) == 299
+    assert [int(r["q"]) for r in rows] == list(range(2, x + 1))
+    assert sum(int(r["S_neq_P"]) for r in rows) == report.count_S_neq_P
+    assert sum(int(r["conj1_fail"]) for r in rows) == report.count_conjecture1_fail
     flagged = [int(r["q"]) for r in rows if r["S_neq_P"] == "1"]
     assert flagged[: len(report.exceptions_S_neq_P)] == report.exceptions_S_neq_P
     row6 = next(r for r in rows if r["q"] == "6")

@@ -87,6 +87,15 @@ def test_depth_cap_raises_instead_of_looping():
         compare_distance_to_e(partial_sum(600), Fraction(1, 10**1000), depth_cap=8)
 
 
+def test_depth_cap_with_unprintable_bound():
+    # str() of 1/2001! passes the int-to-str digit limit; the message names
+    # the bound by its size, so the resource error is not a ValueError.
+    with pytest.raises(DepthCapExceeded, match="-bit rational"):
+        compare_distance_to_e(
+            partial_sum(600), Fraction(1, math.factorial(2001)), depth_cap=8
+        )
+
+
 def _depths_seen(depth_cap, stop_after=None):
     """Depths refine hands to an undecided `decide` (or one that answers
     after `stop_after` calls), and how often it formatted its message."""
