@@ -96,14 +96,15 @@ def cantor_partial_sum(spec: CantorSpec, upto: int) -> Fraction:
     """Exact sum of the first terms: a0 + sum_{n=1}^{upto} a_n/(b_1...b_n)."""
     if upto < 0:
         raise ValueError("upto must be >= 0")
-    total = Fraction(spec.a0)
-    product = 1
+    # The head sum is numerator / product, kept unreduced: adding
+    # a_n / (product * b_n) is numerator * b_n + a_n over product * b_n.
+    numerator, product = 0, 1
     for n in range(1, upto + 1):
         a, b = term(spec, n)
         _check_term(a, b, n)
+        numerator = numerator * b + a
         product *= b
-        total += Fraction(a, product)
-    return total
+    return Fraction(spec.a0 * product + numerator, product)
 
 
 def _tail_predicates(spec: CantorSpec) -> tuple[bool, bool, bool, list[str]]:

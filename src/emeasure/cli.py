@@ -10,6 +10,7 @@ error (sieve budget, enclosure depth cap).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import datetime
 import json
@@ -35,6 +36,23 @@ def _env_int(name: str, default: int) -> int:
         return int(text)
     except ValueError:
         raise ValueError(f"{name} must be an integer, got {text!r}") from None
+
+
+@contextlib.contextmanager
+def _full_digits():
+    """Let str() print integers of any length while a result is serialized.
+
+    Exact results pass Python's int-to-str digit limit (5000! has 16326
+    digits). The limit is lifted only here and restored afterwards, so a
+    computation that names a value in an error message still gets the
+    ValueError that makes it use the value's bit size instead.
+    """
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(previous)
 
 
 def _emit_json(obj) -> None:
@@ -76,7 +94,8 @@ def cmd_kempner(args) -> int:
 
 def cmd_interval(args) -> int:
     box = enclosure.interval(args.n)
-    _emit_json({"n": args.n, "left": to_json(box.left), "right": to_json(box.right)})
+    with _full_digits():
+        _emit_json({"n": args.n, "left": to_json(box.left), "right": to_json(box.right)})
     return EXIT_OK
 
 
@@ -117,12 +136,13 @@ def cmd_measure(args) -> int:
     eps = parse_rational(args.eps)
     if args.corollary2 is not None:
         scan = measures.corollary2_scan(args.corollary2)
-        scan["witness"] = (
-            [str(scan["witness"][0]), str(scan["witness"][1])]
-            if scan["witness"]
-            else None
-        )
-        _emit_json(scan)
+        with _full_digits():
+            scan["witness"] = (
+                [str(scan["witness"][0]), str(scan["witness"][1])]
+                if scan["witness"]
+                else None
+            )
+            _emit_json(scan)
         return EXIT_OK
     if args.compare:
         if args.q is None:
@@ -141,16 +161,15 @@ def cmd_measure(args) -> int:
         verdict = measures.check_weak_prime(args.p, args.q)
     else:  # known
         verdict = measures.check_known(args.p, args.q, eps)
-    _emit_json(_verdict_json(verdict))
+    with _full_digits():
+        _emit_json(_verdict_json(verdict))
     return EXIT_OK
 
 
 def cmd_convergents(args) -> int:
-    rows = [
-        {"index": c.index, "value": to_json(c.value)}
-        for c in cfrac.convergents(args.count)
-    ]
-    _emit_json(rows)
+    values = cfrac.convergents(args.count)
+    with _full_digits():
+        _emit_json([{"index": c.index, "value": to_json(c.value)} for c in values])
     return EXIT_OK
 
 
@@ -171,7 +190,8 @@ def cmd_partial_sums(args) -> int:
         ]
         if args.check_convergent:
             row.append(int(cfrac.is_convergent(record.s_n)))
-        writer.writerow(row)
+        with _full_digits():
+            writer.writerow(row)
     return EXIT_OK
 
 
@@ -206,19 +226,21 @@ def _spec_from_args(args) -> cantor.CantorSpec:
 
 def cmd_cantor(args) -> int:
     spec = _spec_from_args(args)
-    out: dict = {"family": spec.family, "a0": spec.a0}
-    out["partial_sum"] = to_json(cantor.cantor_partial_sum(spec, args.N))
-    out["N"] = args.N
-    if args.classify:
-        verdict = cantor.classify(spec)
-        out["classification"] = verdict.classification
-        out["rational_value"] = (
-            to_json(verdict.rational_value)
-            if verdict.rational_value is not None
-            else None
-        )
-        out["conditions_used"] = verdict.conditions_used
-    _emit_json(out)
+    total = cantor.cantor_partial_sum(spec, args.N)
+    verdict = cantor.classify(spec) if args.classify else None
+    with _full_digits():
+        out: dict = {"family": spec.family, "a0": spec.a0}
+        out["partial_sum"] = to_json(total)
+        out["N"] = args.N
+        if verdict is not None:
+            out["classification"] = verdict.classification
+            out["rational_value"] = (
+                to_json(verdict.rational_value)
+                if verdict.rational_value is not None
+                else None
+            )
+            out["conditions_used"] = verdict.conditions_used
+        _emit_json(out)
     return EXIT_OK
 
 

@@ -10,13 +10,20 @@ until the enclosure decides it; e itself is never materialized.
 
 from __future__ import annotations
 
-import math
+import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .rationals import GREATER, LESS, truncate_decimal
+from .rationals import GREATER, LESS, truncate_ratio
 
 DEFAULT_DEPTH_CAP = 500
+
+# compare_distance_to_e starts refining where 1/n! is below 2^-8 of the
+# bound's size. Convergent validation compares |e - p/q| with 1/q^2, and the
+# two can differ by a small fraction of 1/q^2: with no slack, 124 of the
+# first 1500 convergents were undecided at the start depth and doubled it
+# (to about 1800, where the endpoint cache then grew); with 8 bits, none.
+_START_SLACK_BITS = 8
 
 
 class DepthCapExceeded(RuntimeError):
@@ -40,26 +47,40 @@ class Interval:
         return self.left < x < self.right
 
 
-# Memoized partial sums of 1/k!; _SUMS[n] = sum_{k=0}^{n} 1/k!.
-_SUMS: list[Fraction] = [Fraction(1)]
+# The endpoints of I_n are N_n/n! and (N_n + 1)/n!, with N_0 = 1 and
+# N_n = n N_(n-1) + 1. _NUMS[n] = N_n and _FACTS[n] = n!, built by the
+# recurrence and kept unreduced, so every decision below multiplies integers.
+_NUMS: list[int] = [1]
+_FACTS: list[int] = [1]
+
+
+def _grow(n: int) -> None:
+    """Extend the endpoint cache to depth n."""
+    while len(_NUMS) <= n:
+        k = len(_NUMS)
+        _NUMS.append(k * _NUMS[-1] + 1)
+        _FACTS.append(k * _FACTS[-1])
+
+
+def _endpoint(n: int) -> tuple[int, int]:
+    """(N_n, n!): s_n = N_n / n! is the left endpoint of I_n."""
+    _grow(n)
+    return _NUMS[n], _FACTS[n]
 
 
 def partial_sum(n: int) -> Fraction:
     """s_n = sum_{k=0}^{n} 1/k!, the left endpoint of I_n for n >= 1."""
     if n < 0:
         raise ValueError("partial_sum requires n >= 0")
-    while len(_SUMS) <= n:
-        k = len(_SUMS)
-        _SUMS.append(_SUMS[-1] + Fraction(1, math.factorial(k)))
-    return _SUMS[n]
+    return Fraction(*_endpoint(n))
 
 
 def interval(n: int) -> Interval:
     """The n-th interval of the construction: [s_n, s_n + 1/n!]."""
     if n < 1:
         raise ValueError("interval requires n >= 1")
-    left = partial_sum(n)
-    return Interval(left=left, right=left + Fraction(1, math.factorial(n)), n=n)
+    num, fact = _endpoint(n)
+    return Interval(left=Fraction(num, fact), right=Fraction(num + 1, fact), n=n)
 
 
 def subdivide_second(prev: Interval) -> Interval:
@@ -91,14 +112,14 @@ def _name(x: Fraction | int) -> str:
         return f"<{x.numerator.bit_length()}/{x.denominator.bit_length()}-bit rational>"
 
 
-def refine(decide, what, depth_cap: int | None = DEFAULT_DEPTH_CAP):
-    """First answer other than None of decide(n), for n = 4, 8, 16, ...
-    clipped to depth_cap (None: no cap).
+def refine(decide, what, depth_cap: int | None = DEFAULT_DEPTH_CAP, start: int = 4):
+    """First answer other than None of decide(n), for n = start, 2 start,
+    4 start, ... clipped to depth_cap (None: no cap).
 
     Raises DepthCapExceeded if the cap is reached undecided. `what()` names
     the question in that message and is called only then.
     """
-    n = 4
+    n = start
     while True:
         answer = decide(n)
         if answer is not None:
@@ -110,6 +131,28 @@ def refine(decide, what, depth_cap: int | None = DEFAULT_DEPTH_CAP):
             n = min(n, depth_cap)
 
 
+def _start_depth(bits: int, depth_cap: int | None) -> int:
+    """Smallest n >= 1 whose n! has at least `bits` bits, clipped to
+    depth_cap. The cache grows no deeper than the answer."""
+    cap = None if depth_cap is None else max(depth_cap, 1)
+    while _FACTS[-1].bit_length() < bits and (cap is None or len(_FACTS) <= cap):
+        _grow(len(_FACTS))
+    top = len(_FACTS) - 1 if cap is None else min(len(_FACTS) - 1, cap)
+    return bisect.bisect_left(_FACTS, bits, 1, top, key=int.bit_length)
+
+
+def _scaled_bracket(a: int, b: int, n: int) -> tuple[int, int, int]:
+    """(lo, hi, n! b) such that [lo, hi] / (n! b) is distance_bracket(a/b, n)."""
+    num, fact = _endpoint(n)
+    den = fact * b
+    d = num * b - a * fact  # (s_n - a/b) n! b
+    if d >= 0:
+        return d, d + b, den
+    if d + b <= 0:
+        return -d - b, -d, den
+    return 0, max(-d, d + b), den
+
+
 def compare_distance_to_e(
     r: Fraction, bound: Fraction, depth_cap: int | None = DEFAULT_DEPTH_CAP
 ) -> str:
@@ -119,17 +162,27 @@ def compare_distance_to_e(
     rational. bound = 0 is answered 'greater' immediately for the same
     reason. depth_cap=None removes the safety cap (termination is still
     guaranteed mathematically).
+
+    Refinement starts where n! has a few more bits than the smaller of
+    the bound's denominator v and the square of r's denominator b.
+    Shallower, the bracket is wider than the bound and cannot answer
+    'less'. Deeper than b^2 is not needed for a tiny bound: |e - a/b| is
+    not much below 1/b^2 (e has irrationality measure 2), so once
+    1/n! < 1/b^2 such a bound is answered 'greater'.
     """
     if bound < 0:
         raise ValueError("bound must be >= 0")
     if bound == 0:
         return GREATER
+    a, b = r.numerator, r.denominator
+    u, v = bound.numerator, bound.denominator
 
     def decide(n: int) -> str | None:
-        lo, hi = distance_bracket(r, n)
-        if lo > bound:
+        lo, hi, den = _scaled_bracket(a, b, n)
+        scaled_bound = u * den
+        if lo * v > scaled_bound:
             return GREATER
-        if hi < bound:
+        if hi * v < scaled_bound:
             return LESS
         return None
 
@@ -137,6 +190,9 @@ def compare_distance_to_e(
         decide,
         lambda: f"comparison of |e - {_name(r)}| against {_name(bound)}",
         depth_cap,
+        start=_start_depth(
+            min(v.bit_length(), 2 * b.bit_length()) + _START_SLACK_BITS, depth_cap
+        ),
     )
 
 
@@ -154,16 +210,17 @@ def render_distance(
     """
     if digits < 1:
         raise ValueError("digits must be >= 1")
+    a, b = r.numerator, r.denominator
+    u, v = bound.numerator, bound.denominator
 
     def decide(n: int) -> str | None:
-        lo, hi = distance_bracket(r, n)
-        if bound:
-            lo, hi = lo - bound, hi - bound
-        # Sign still open? (Numerator signs: cheaper than comparing to 0.)
-        if lo.numerator <= 0 <= hi.numerator:
+        lo, hi, den = _scaled_bracket(a, b, n)
+        # Over the common denominator n! b v.
+        lo, hi, den = lo * v - u * den, hi * v - u * den, den * v
+        if lo <= 0 <= hi:  # sign still open
             return None
-        lo_text = truncate_decimal(lo, digits)
-        return lo_text if lo_text == truncate_decimal(hi, digits) else None
+        lo_text = truncate_ratio(lo, den, digits)
+        return lo_text if lo_text == truncate_ratio(hi, den, digits) else None
 
     return refine(
         decide,
@@ -182,8 +239,8 @@ def floor_e_times(q: int, depth_cap: int | None = DEFAULT_DEPTH_CAP) -> int:
         raise ValueError("q must be >= 1")
 
     def decide(n: int) -> int | None:
-        box = interval(n)
-        lo = (box.left * q).__floor__()
-        return lo if lo == (box.right * q).__floor__() else None
+        num, fact = _endpoint(n)
+        lo = num * q // fact
+        return lo if lo == (num * q + q) // fact else None
 
     return refine(decide, lambda: f"floor(e * {_name(q)})", depth_cap)

@@ -19,10 +19,16 @@ def truncate_decimal(x: Fraction, digits: int) -> str:
 
     Truncation is toward zero, matching the "0.00994 ..." display style.
     """
+    return truncate_ratio(x.numerator, x.denominator, digits)
+
+
+def truncate_ratio(num: int, den: int, digits: int) -> str:
+    """truncate_decimal of num/den for integers num and den > 0, which need
+    not be in lowest terms."""
     if digits < 1:
         raise ValueError("digits must be >= 1")
-    sign = "-" if x < 0 else ""
-    scaled = (abs(x.numerator) * 10**digits) // x.denominator
+    sign = "-" if num < 0 else ""
+    scaled = (abs(num) * 10**digits) // den
     int_part, frac_part = divmod(scaled, 10**digits)
     return f"{sign}{int_part}.{frac_part:0{digits}d}"
 

@@ -141,7 +141,7 @@ def check_q19() -> tuple[bool, str]:
     return record.q_n == expected, f"q_19={record.q_n}, expected {expected}"
 
 
-@_check("partial-sum convergent scan to 500 yields exactly n = 1 and 3", budget=60.0)
+@_check("partial-sum convergent scan to 500 yields exactly n = 1 and 3", budget=5.0)
 def check_conjecture2() -> tuple[bool, str]:
     hits = cfrac.conjecture2_scan(500)
     rows = cfrac.corollary3_scan(60)

@@ -2,11 +2,13 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from emeasure.cantor import (
     CONDITIONAL,
     IRRATIONAL,
     RATIONAL,
+    TAIL_MODES,
     CantorSpec,
     cantor_partial_sum,
     classify,
@@ -134,3 +136,41 @@ def test_bad_family_and_mask_rejected():
         CantorSpec(family="bogus")
     with pytest.raises(ValueError):
         CantorSpec(family="masked_unit", mask=(2,))
+
+
+def _fraction_partial_sum(spec, upto):
+    """The running-Fraction sum, kept as the oracle of cantor_partial_sum."""
+    total = Fraction(spec.a0)
+    product = 1
+    for n in range(1, upto + 1):
+        a, b = term(spec, n)
+        product *= b
+        total += Fraction(a, product)
+    return total
+
+
+@st.composite
+def specs(draw):
+    a0 = draw(st.integers(min_value=-5, max_value=5))
+    family = draw(st.sampled_from(["unit", "complement", "masked_unit", "custom"]))
+    if family == "unit":
+        return unit_family(a0)
+    if family == "complement":
+        return complement_family(a0)
+    if family == "masked_unit":
+        mask = draw(st.lists(st.integers(0, 1), min_size=1, max_size=6))
+        return masked_unit_family(tuple(mask), a0)
+    b_table = draw(st.lists(st.integers(2, 50), min_size=1, max_size=6))
+    a_table = [draw(st.integers(0, b - 1)) for b in b_table]
+    return CantorSpec(
+        a0=a0,
+        family="custom",
+        a_table=tuple(a_table),
+        b_table=tuple(b_table),
+        tail_mode=draw(st.sampled_from(TAIL_MODES)),
+    )
+
+
+@given(specs(), st.integers(min_value=0, max_value=60))
+def test_integer_partial_sum_matches_fraction_loop(spec, upto):
+    assert cantor_partial_sum(spec, upto) == _fraction_partial_sum(spec, upto)

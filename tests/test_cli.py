@@ -1,8 +1,14 @@
+import csv
+import io
 import json
+import math
+import sys
+from fractions import Fraction
 
 import pytest
 
 from emeasure import cli
+from emeasure.enclosure import partial_sum
 
 
 def run_json(capsys, argv):
@@ -184,6 +190,50 @@ def test_bad_overrides(capsys, monkeypatch, env, argv, expected):
     err = capsys.readouterr().err
     if expected:
         assert err.startswith("error: ")
+
+
+@pytest.fixture
+def run_big(capsys):
+    """stdout of a command whose result passes the int-to-str digit limit.
+
+    The command runs under the limit and must restore it; the limit is then
+    lifted until the test ends, because int() parsing the output back has
+    the same limit.
+    """
+    limit = sys.get_int_max_str_digits()
+
+    def run(argv):
+        assert cli.run(argv) == 0
+        assert sys.get_int_max_str_digits() == limit
+        sys.set_int_max_str_digits(0)
+        return capsys.readouterr().out
+
+    yield run
+    sys.set_int_max_str_digits(limit)
+
+
+def fraction(doc):
+    return Fraction(int(doc["num"]), int(doc["den"]))
+
+
+def test_interval_prints_big_endpoints(run_big):
+    doc = json.loads(run_big(["interval", "--n", "1600"]))
+    left = fraction(doc["left"])
+    assert left == partial_sum(1600)
+    assert fraction(doc["right"]) == left + Fraction(1, math.factorial(1600))
+
+
+def test_cantor_prints_big_partial_sum(run_big):
+    doc = json.loads(run_big(["cantor", "--family", "unit", "--N", "2000"]))
+    assert fraction(doc["partial_sum"]) == partial_sum(2001) - 2
+
+
+def test_partial_sums_print_big_rows(run_big):
+    text = run_big(["partial-sums", "--max-n", "1700"])
+    rows = [[int(v) for v in row] for row in list(csv.reader(io.StringIO(text)))[1:]]
+    assert [row[0] for row in rows] == list(range(1701))
+    n, num, den, q_n, _ = rows[-1]
+    assert Fraction(num, den) == partial_sum(n) and den == q_n
 
 
 def test_unknown_flag_rejected():

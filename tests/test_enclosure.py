@@ -2,9 +2,13 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from emeasure.enclosure import (
     DepthCapExceeded,
+    Interval,
+    _scaled_bracket,
+    _start_depth,
     compare_distance_to_e,
     distance_bracket,
     floor_e_times,
@@ -14,7 +18,7 @@ from emeasure.enclosure import (
     render_distance,
     subdivide_second,
 )
-from emeasure.rationals import GREATER, LESS
+from emeasure.rationals import GREATER, LESS, truncate_decimal
 
 
 def test_first_intervals_match_construction():
@@ -146,8 +150,6 @@ def test_render_distance_paper_digits():
 
 def test_render_distance_matches_deep_enclosure():
     # Independent oracle: truncate the exact bracket from a fixed deep interval.
-    from emeasure.rationals import truncate_decimal
-
     for r in (Fraction(3, 2), Fraction(65, 24), Fraction(8, 3), Fraction(2)):
         lo, hi = distance_bracket(r, 30)
         expected = truncate_decimal(lo, 8)
@@ -159,3 +161,114 @@ def test_floor_e_times():
     assert floor_e_times(1) == 2
     assert floor_e_times(24) == 65
     assert floor_e_times(10**6) == 2718281
+
+
+def test_far_query_with_huge_terms_answers_under_default_cap():
+    # The bit-length start depth is far past 500 here; clipped to the cap,
+    # the query is still answered.
+    r = 3 + Fraction(1, 10**2000)
+    assert compare_distance_to_e(r, Fraction(1, 10**4000)) == GREATER
+
+
+def test_start_depth_is_smallest_factorial_with_enough_bits():
+    for bits in range(1, 3000, 37):
+        n = _start_depth(bits, None)
+        assert math.factorial(n).bit_length() >= bits
+        assert n == 1 or math.factorial(n - 1).bit_length() < bits
+    assert _start_depth(10**5, 8) == 8
+    assert _start_depth(10**5, 0) == 1
+
+
+# Oracle for the integer decisions: I_DEEP built by literal subdivision from
+# I_1 = [2, 3], in Fractions, with no use of the integer endpoint cache.
+DEEP = 80
+_DEEP_BOX = Interval(left=Fraction(2), right=Fraction(3), n=1)
+for _ in range(DEEP - 1):
+    _DEEP_BOX = subdivide_second(_DEEP_BOX)
+
+
+def _oracle_bracket(r):
+    lo, hi = distance_bracket(r, DEEP)
+    box = _DEEP_BOX
+    if r <= box.left:
+        assert (lo, hi) == (box.left - r, box.right - r)
+    elif r >= box.right:
+        assert (lo, hi) == (r - box.right, r - box.left)
+    else:
+        assert (lo, hi) == (0, max(r - box.left, box.right - r))
+    return lo, hi
+
+
+@st.composite
+def near_intervals(draw):
+    """r inside I(n), just left of it, or just right of it, for n <= 30."""
+    box = interval(draw(st.integers(min_value=1, max_value=30)))
+    t = draw(st.fractions(min_value=0, max_value=1, max_denominator=10**6))
+    offset = Fraction(1, 10 ** draw(st.integers(min_value=0, max_value=40)))
+    where = draw(st.sampled_from(["inside", "left", "right"]))
+    if where == "inside":
+        return box.left + t * box.width
+    if where == "left":
+        return box.left - t * offset
+    return box.right + t * offset
+
+
+rationals_near_e = st.one_of(
+    near_intervals(),
+    st.fractions(min_value=-10, max_value=10, max_denominator=10**12),
+)
+
+
+@st.composite
+def bounds_near(draw, r):
+    """0, or a bound just above or just below |e - r|."""
+    lo, hi = _oracle_bracket(r)
+    delta = Fraction(
+        draw(st.integers(min_value=1, max_value=10**6)),
+        10 ** draw(st.integers(min_value=1, max_value=50)),
+    )
+    return draw(st.sampled_from([Fraction(0), hi + delta, max(lo - delta, lo / 2)]))
+
+
+@given(rationals_near_e, st.integers(min_value=1, max_value=DEEP))
+def test_integer_bracket_is_distance_bracket(r, n):
+    lo, hi, den = _scaled_bracket(r.numerator, r.denominator, n)
+    assert (Fraction(lo, den), Fraction(hi, den)) == distance_bracket(r, n)
+
+
+@given(st.data())
+def test_compare_matches_fraction_oracle(data):
+    r = data.draw(rationals_near_e)
+    bound = data.draw(bounds_near(r))
+    lo, hi = _oracle_bracket(r)
+    if bound == 0:
+        expected = GREATER
+    elif lo > bound:
+        expected = GREATER
+    elif hi < bound:
+        expected = LESS
+    else:
+        assume(False)  # undecided at the oracle's depth
+    assert compare_distance_to_e(r, bound) == expected
+
+
+@given(st.data(), st.integers(min_value=1, max_value=30))
+def test_render_matches_fraction_oracle(data, digits):
+    r = data.draw(rationals_near_e)
+    bound = data.draw(bounds_near(r))
+    lo, hi = _oracle_bracket(r)
+    lo, hi = lo - bound, hi - bound
+    assume(not lo <= 0 <= hi)
+    expected = truncate_decimal(lo, digits)
+    assume(truncate_decimal(hi, digits) == expected)
+    if bound:
+        assert render_distance(r, digits, bound=bound) == expected
+    else:
+        assert render_distance(r, digits) == expected
+
+
+@given(st.integers(min_value=1, max_value=10**40))
+def test_floor_e_times_matches_fraction_oracle(q):
+    lo = math.floor(_DEEP_BOX.left * q)
+    assume(lo == math.floor(_DEEP_BOX.right * q))
+    assert floor_e_times(q) == lo
