@@ -13,6 +13,7 @@ pointwise comparator of theorem1 vs the classical bound.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,6 +31,12 @@ BOUND_NAMES = ("theorem1", "weak_prime", "prime_factor", "known_eps")
 
 MARGIN_DIGITS = 6
 
+# The bound factorials, memoised one entry deep. The nearest-numerator sweeps
+# check p = f and f + 1 against 1/(S(q)+1)!, then 1/(P(q)+1)! where P(q) =
+# S(q) (every prime q and most others), so consecutive calls share one k!;
+# holding more entries would keep every past factorial alive.
+_factorial = functools.lru_cache(maxsize=1)(math.factorial)
+
 
 @dataclass(frozen=True)
 class MeasureVerdict:
@@ -45,21 +52,21 @@ def theorem1_bound(q: int) -> Fraction:
     """1/(S(q)+1)!, the lower bound of the new measure; requires q >= 2."""
     if q < 2:
         raise ValueError("theorem1_bound requires q >= 2")
-    return Fraction(1, math.factorial(kempner_S(q) + 1))
+    return Fraction(1, _factorial(kempner_S(q) + 1))
 
 
 def weak_prime_bound(q: int) -> Fraction:
     """1/(q+1)!, the weakening obtained from S(q) <= q."""
     if q < 2:
         raise ValueError("weak_prime_bound requires q >= 2")
-    return Fraction(1, math.factorial(q + 1))
+    return Fraction(1, _factorial(q + 1))
 
 
 def prime_factor_bound(q: int) -> Fraction:
     """1/(P(q)+1)!; valid for almost all q, not for every q."""
     if q < 2:
         raise ValueError("prime_factor_bound requires q >= 2")
-    return Fraction(1, math.factorial(largest_prime_factor(q) + 1))
+    return Fraction(1, _factorial(largest_prime_factor(q) + 1))
 
 
 def _verdict(p: int, q: int, bound_name: str, bound: Fraction) -> MeasureVerdict:
@@ -182,19 +189,37 @@ def known_measure_bound(q: int, eps: Fraction = Fraction(0)) -> Fraction:
     return Fraction(scale, q**2 * upper)
 
 
+def _capped_factorial(n: int, cap: int) -> int:
+    """n! if n! <= cap, else a partial product 2*3*...*k (k <= n) above cap.
+
+    Either way it compares with cap as n! does, after no more
+    multiplications than it takes the product to pass cap.
+    """
+    product = 1
+    for k in range(2, n + 1):
+        product *= k
+        if product > cap:
+            break
+    return product
+
+
 def compare_bounds(q: int, eps: Fraction = Fraction(0)) -> dict:
     """Pointwise strength of theorem1 vs the classical measure at q.
 
     theorem1 is stronger exactly when (S(q)+1)! < q^(2+eps); the comparison
     is done in integers (both sides raised to the eps denominator), so it is
-    exact even for fractional eps.
+    exact even for fractional eps. Neither factorial is built past the
+    other side of its comparison, which is at most q^(2+2*eps).
     """
     if q < 2:
         raise ValueError("compare_bounds requires q >= 2")
     s = kempner_S(q)
     c, d = eps.numerator, eps.denominator
-    lhs = math.factorial(s + 1) ** d
     rhs = q ** (2 * d + c)
+    # (S+1)! > rhs already decides (S+1)!^d > rhs, since d >= 1.
+    lhs = _capped_factorial(s + 1, rhs)
+    if lhs <= rhs:
+        lhs **= d
     if lhs < rhs:
         stronger = "theorem1"
     elif lhs > rhs:
@@ -205,7 +230,7 @@ def compare_bounds(q: int, eps: Fraction = Fraction(0)) -> dict:
         "q": q,
         "eps": eps,
         "stronger": stronger,
-        "conjecture1_holds_at_q": q * q < math.factorial(s),
+        "conjecture1_holds_at_q": q * q < _capped_factorial(s, q * q),
     }
 
 

@@ -89,7 +89,7 @@ def check_kempner_oracle() -> tuple[bool, str]:
 
 @_check(
     "lower bound 1/(S(q)+1)! sweep, q in [2, 2000], nearest numerators",
-    budget=30.0,
+    budget=3.0,
 )
 def check_measure_sweep() -> tuple[bool, str]:
     failures = []

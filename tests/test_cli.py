@@ -84,6 +84,15 @@ def test_measure_compare(capsys):
     assert doc["stronger"] == "theorem1"
 
 
+@pytest.mark.parametrize("eps", [[], ["--eps", "1/3"]])
+def test_measure_compare_at_a_large_prime(capsys, eps):
+    # Would need (10^6 + 4)! if the factorials were built in full.
+    code, doc = run_json(capsys, ["measure", "--compare", "--q", "1000003", *eps])
+    assert code == 0
+    assert doc["stronger"] == "known"
+    assert doc["conjecture1_holds_at_q"] is True
+
+
 def test_convergents_subcommand(capsys):
     code, doc = run_json(capsys, ["convergents", "--count", "3"])
     assert code == 0

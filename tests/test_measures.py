@@ -2,8 +2,12 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
-from emeasure.kempner import is_prime
+from emeasure import measures
+from emeasure.density import density_report
+from emeasure.enclosure import floor_e_times
+from emeasure.kempner import is_prime, kempner_S, largest_prime_factor
 from emeasure.measures import (
     check_known,
     check_prime_factor_bound,
@@ -115,6 +119,90 @@ def test_compare_bounds_examples():
     assert compare_bounds(4)["conjecture1_holds_at_q"] is True  # 16 < 24
     result = compare_bounds(720, Fraction(0))
     assert result["stronger"] == "theorem1"  # 7! = 5040 < 720^2
+
+
+def compare_bounds_oracle(q, eps):
+    """compare_bounds with both factorials built in full."""
+    s = kempner_S(q)
+    c, d = eps.numerator, eps.denominator
+    lhs = math.factorial(s + 1) ** d
+    rhs = q ** (2 * d + c)
+    stronger = "theorem1" if lhs < rhs else "known" if lhs > rhs else "equal_class"
+    return {
+        "q": q,
+        "eps": eps,
+        "stronger": stronger,
+        "conjecture1_holds_at_q": q * q < math.factorial(s),
+    }
+
+
+@given(
+    st.integers(min_value=2, max_value=3000),
+    st.sampled_from(
+        [Fraction(0), Fraction(1), Fraction(2)]
+        + [Fraction(1, 2), Fraction(2, 3), Fraction(7, 5)]
+    ),
+)
+def test_compare_bounds_matches_full_factorial_oracle(q, eps):
+    assert compare_bounds(q, eps) == compare_bounds_oracle(q, eps)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 12])
+def test_capped_factorial_at_the_cap(n):
+    fact = math.factorial(n)
+    assert measures._capped_factorial(n, fact) == fact
+    assert measures._capped_factorial(n, fact + 1) == fact
+    if fact > 1:  # 0! = 1! = 1 <= any cap >= 1
+        assert measures._capped_factorial(n, fact - 1) > fact - 1
+
+
+def test_capped_factorial_stops_at_the_first_product_above_the_cap():
+    # The remaining factors up to 10^6 are never multiplied in.
+    assert measures._capped_factorial(10**6, 100) == 120
+    assert measures._capped_factorial(10**6, 120) == 720  # 5! is not above 5!
+
+
+def test_compare_bounds_at_primes_too_large_for_their_factorial():
+    # (10^9 + 8)! could never be built; the comparisons need only ~15 factors.
+    result = compare_bounds(10**9 + 7)
+    assert result["stronger"] == "known"
+    assert result["conjecture1_holds_at_q"] is True
+    result = compare_bounds(10**9 + 7, Fraction(1, 3))
+    assert result["stronger"] == "known"
+
+
+def test_bound_factorial_memo_holds_one_entry():
+    q = 10006  # 2 * 5003: P(q) = S(q) = 5003
+    assert largest_prime_factor(q) == kempner_S(q) == 5003
+    f = floor_e_times(q)
+    calls = [
+        lambda: check_theorem1(f, q),
+        lambda: check_theorem1(f + 1, q),
+        lambda: check_prime_factor_bound(f, q),
+    ]
+    cold = []
+    for call in calls:
+        measures._factorial.cache_clear()
+        cold.append(call())
+    measures._factorial.cache_clear()
+    warm = [call() for call in calls]
+    info = measures._factorial.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    assert info.currsize <= 1
+    assert warm == cold
+    assert cold[0].bound == Fraction(1, math.factorial(5004))
+    theorem1_bound(10007)  # a new k evicts the old entry
+    assert measures._factorial.cache_info().currsize <= 1
+
+
+def test_conjecture1_agrees_with_density_scan():
+    x = 5000
+    fails = [
+        q for q in range(2, x + 1) if not compare_bounds(q)["conjecture1_holds_at_q"]
+    ]
+    report = density_report(x)
+    assert len(fails) == report.count_conjecture1_fail == 102
+    assert fails[:100] == report.exceptions_conjecture1
 
 
 def test_factorial_square_boundary():
