@@ -4,7 +4,7 @@ Subcommands: kempner, interval, distance, measure, convergents,
 partial-sums, cantor, density, verify-paper. All JSON output renders big
 integers and rationals as decimal strings so results survive 64-bit
 consumers. Exit codes: 0 success, 1 domain error (bad input), 2 resource
-error (sieve budget, enclosure depth cap).
+error (scan budget, enclosure depth cap).
 """
 
 from __future__ import annotations

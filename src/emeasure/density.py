@@ -1,5 +1,5 @@
-"""Range scans of S(q) and P(q) via a smallest-prime-factor sieve, and the
-counting functions behind the almost-all claims.
+"""Segmented range scans of S(q) and P(q), and the counting functions behind
+the almost-all claims.
 
 Two exception counters over q in [2, x]:
 
@@ -8,8 +8,9 @@ Two exception counters over q in [2, x]:
                          P(q)! variant is counted alongside for comparison)
 
 Counts are exact and bit-identical regardless of worker count: the range is
-cut into fixed blocks, each block is scanned independently, and partial
-results merge in block order.
+cut into fixed blocks, each block is scanned independently from the prime
+powers of the primes up to isqrt(x), and partial results merge in block
+order.
 """
 
 from __future__ import annotations
@@ -22,18 +23,18 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress, islice, repeat
-from operator import gt, ne
+from operator import floordiv, gt, ne
 
 from .kempner import kempner_prime_power
 from .rationals import truncate_decimal
 
 BLOCK_SIZE = 1 << 16
-DEFAULT_MAX_SIEVE_ENTRIES = 10**8
+DEFAULT_MAX_SCAN_ENTRIES = 10**8
 EXCEPTIONS_CAP = 100
 
 
 class ResourceError(RuntimeError):
-    """Requested sieve exceeds the configured memory budget."""
+    """Requested scan exceeds the configured budget."""
 
 
 @dataclass(frozen=True)
@@ -48,57 +49,69 @@ class DensityReport:
     exceptions_conjecture1: list[int]
 
 
-def sieve_smallest_prime_factor(
-    x: int, max_entries: int = DEFAULT_MAX_SIEVE_ENTRIES
-) -> list[int]:
-    """spf[q] = least prime dividing q, for 0 <= q <= x (spf[0] = spf[1] = 0)."""
+@dataclass(frozen=True)
+class KempnerPlan:
+    """What kempner_range needs to scan any q in [2, x]: every prime power
+    p^a <= x with p <= isqrt(x), as (S(p^a), p^a, p), sorted by S(p^a).
+
+    Its size is O(sqrt(x)); no table of x entries is ever built.
+    """
+
+    x: int
+    powers: tuple[tuple[int, int, int], ...]
+
+
+def kempner_plan(x: int) -> KempnerPlan:
+    """The base primes p <= isqrt(x), from a bytearray sieve, and the S
+    value of each of their powers up to x."""
     if x < 2:
-        raise ValueError("sieve requires x >= 2")
-    if x + 1 > max_entries:
-        raise ResourceError(
-            f"sieve of {x + 1} entries exceeds budget of {max_entries}"
-        )
-    spf = list(range(x + 1))
-    spf[0] = spf[1] = 0
-    spf[4::2] = [2] * len(range(4, x + 1, 2))
-    for p in range(3, math.isqrt(x) + 1, 2):
-        if spf[p] == p:
-            for multiple in range(p * p, x + 1, p):
-                if spf[multiple] == multiple:
-                    spf[multiple] = p
-    return spf
+        raise ValueError("kempner_plan requires x >= 2")
+    root = math.isqrt(x)
+    flags = bytearray([1]) * (root + 1)
+    flags[:2] = b"\0\0"
+    for p in range(2, math.isqrt(root) + 1):
+        if flags[p]:
+            flags[p * p :: p] = bytes(len(range(p * p, root + 1, p)))
+    powers = []
+    for p in compress(range(root + 1), flags):
+        power, a = p, 1
+        while power <= x:
+            powers.append((kempner_prime_power(p, a), power, p))
+            power, a = power * p, a + 1
+    powers.sort()
+    return KempnerPlan(x, tuple(powers))
 
 
-def kempner_range(lo: int, hi: int, spf: list[int]) -> tuple[list[int], list[int]]:
-    """Lists of S(q) and of P(q) for q = lo .. hi, by walking the spf table.
+def kempner_range(lo: int, hi: int, plan: KempnerPlan) -> tuple[list[int], list[int]]:
+    """Lists of S(q) and of P(q) for q = lo .. hi, from the plan's prime
+    powers alone.
 
     The one kernel behind every range scan; its values agree with the
-    pointwise kempner_S and largest_prime_factor.
+    pointwise kempner_S and largest_prime_factor. S(q) is the largest
+    S(p^a) over the prime powers dividing q, because S(p^a) is
+    nondecreasing in a; the powers are written in ascending S order, so
+    the last write is that maximum. The a = 1 entries come in ascending p,
+    so the last write to P is the largest base prime dividing q. Dividing
+    q by p once per p^a | q leaves 1 or the one prime factor of q above
+    isqrt(x).
     """
-    if lo < 2 or hi >= len(spf):
-        raise ValueError("kempner_range requires 2 <= lo and hi within the sieve")
-    S: list[int] = []
-    P: list[int] = []
-    cache: dict[tuple[int, int], int] = {}
-    for q in range(lo, hi + 1):
-        s = 0
-        while q > 1:
-            p = spf[q]
-            q //= p
-            if q % p:
-                k = p
-            else:
-                e = 1
-                while q % p == 0:
-                    e += 1
-                    q //= p
-                k = cache.get((p, e))
-                if k is None:
-                    k = cache[(p, e)] = kempner_prime_power(p, e)
-            if k > s:
-                s = k
-        S.append(s)
-        P.append(p)
+    if lo < 2 or hi > plan.x:
+        raise ValueError("kempner_range requires 2 <= lo and hi <= the plan's x")
+    n = hi - lo + 1
+    S = [0] * n
+    P = [0] * n
+    rest = list(range(lo, hi + 1))
+    for s, power, p in plan.powers:
+        start = -lo % power
+        if start >= n:
+            continue
+        fill = [s] * len(range(start, n, power))
+        S[start::power] = fill
+        if power == p:
+            P[start::p] = fill
+        rest[start::power] = map(floordiv, rest[start::power], repeat(p))
+    S = [r if r > s else s for r, s in zip(rest, S)]
+    P = [r if r > 1 else p for r, p in zip(rest, P)]
     return S, P
 
 
@@ -116,11 +129,11 @@ def _factorial_threshold(x: int) -> tuple[int, list[int]]:
 
 
 def _scan_block(
-    lo: int, hi: int, spf: list[int], threshold: int, facts: list[int], writer=None
+    lo: int, hi: int, plan: KempnerPlan, threshold: int, facts: list[int], writer=None
 ):
     """Counts and capped offender lists for q in [lo, hi]; with a csv writer,
     also one row per q."""
-    S, P = kempner_range(lo, hi, spf)
+    S, P = kempner_range(lo, hi, plan)
     qs = range(lo, hi + 1)
     neq = list(map(ne, S, P))
     # q^2 >= P(q)! needs P(q) < threshold, and so does q^2 >= S(q)! since
@@ -148,29 +161,30 @@ _WORKER_STATE: dict = {}
 
 
 def _init_worker(x: int) -> None:
-    _WORKER_STATE["spf"] = sieve_smallest_prime_factor(x)
+    _WORKER_STATE["plan"] = kempner_plan(x)
     _WORKER_STATE["threshold"], _WORKER_STATE["facts"] = _factorial_threshold(x)
 
 
 def _scan_block_worker(bounds: tuple[int, int]):
     lo, hi = bounds
-    return _scan_block(
-        lo, hi, _WORKER_STATE["spf"], _WORKER_STATE["threshold"], _WORKER_STATE["facts"]
-    )
+    state = _WORKER_STATE
+    return _scan_block(lo, hi, state["plan"], state["threshold"], state["facts"])
 
 
 def density_report(
     x: int,
     workers: int = 1,
-    max_entries: int = DEFAULT_MAX_SIEVE_ENTRIES,
+    max_entries: int = DEFAULT_MAX_SCAN_ENTRIES,
     csv_path: str | None = None,
 ) -> DensityReport:
     """Exact exception counts over q in [2, x].
 
-    With workers > 1 the blocks run in separate processes; each builds its
-    own sieve, so max_entries bounds the sum of their entries. The merged
-    result is byte-identical to the serial one. The pool starts every worker
-    at once, so workers is clamped to the number of blocks and of CPUs.
+    max_entries bounds the scan size x + 1, whatever the worker count: a
+    block holds BLOCK_SIZE entries and the plan O(sqrt(x)), so no process
+    holds a table of x entries. With workers > 1 the blocks run in separate
+    processes, each with its own plan. The merged result is byte-identical
+    to the serial one. The pool starts every worker at once, so workers is
+    clamped to the number of blocks and of CPUs.
     csv_path, if given, receives one row per q with its S/P values and flags,
     written as each block is scanned; CSV runs use one process.
     """
@@ -178,21 +192,20 @@ def density_report(
         raise ValueError("density_report requires x >= 2")
     if workers < 1:
         raise ValueError("workers must be >= 1")
+    if x + 1 > max_entries:
+        raise ResourceError(f"scan of {x + 1} entries exceeds budget of {max_entries}")
     blocks = [
         (lo, min(lo + BLOCK_SIZE - 1, x)) for lo in range(2, x + 1, BLOCK_SIZE)
     ]
     workers = min(workers, len(blocks), os.cpu_count() or 1)
     pooled = workers > 1 and csv_path is None
-    sieves = workers if pooled else 1  # each pool worker builds its own sieve
-    if (x + 1) * sieves > max_entries:
-        raise ResourceError(f"{sieves} x {x + 1} sieve entries exceed {max_entries}")
     if pooled:
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_init_worker, initargs=(x,)
         ) as pool:
             results = list(pool.map(_scan_block_worker, blocks))
     else:
-        spf = sieve_smallest_prime_factor(x, max_entries=max_entries)
+        plan = kempner_plan(x)
         threshold, facts = _factorial_threshold(x)
         sink = nullcontext() if csv_path is None else open(csv_path, "w", newline="")
         with sink as handle:
@@ -200,7 +213,7 @@ def density_report(
             if writer is not None:
                 writer.writerow(["q", "S", "P", "S_neq_P", "conj1_fail"])
             results = [
-                _scan_block(lo, hi, spf, threshold, facts, writer) for lo, hi in blocks
+                _scan_block(lo, hi, plan, threshold, facts, writer) for lo, hi in blocks
             ]
 
     sp, c1, c1p, sample_sp, sample_c1 = zip(*results)

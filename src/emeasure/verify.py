@@ -177,8 +177,7 @@ def check_cantor() -> tuple[bool, str]:
 
 @_check("range scan: batch agrees pointwise; exception ratios shrink", budget=60.0)
 def check_density(x_large: int = 10**6) -> tuple[bool, str]:
-    spf = density.sieve_smallest_prime_factor(10_000)
-    S, P = density.kempner_range(2, 10_000, spf)
+    S, P = density.kempner_range(2, 10_000, density.kempner_plan(10_000))
     agree = all(
         s == kempner.kempner_S(q) and p == kempner.largest_prime_factor(q)
         for q, s, p in zip(range(2, 10_001), S, P)

@@ -1,57 +1,108 @@
 import csv
 import math
 import random
+import tracemalloc
 
 import pytest
+from hypothesis import given, strategies as st
 
 from emeasure import density
-from emeasure.density import (
-    ResourceError,
-    density_report,
-    kempner_range,
-    sieve_smallest_prime_factor,
-)
-from emeasure.kempner import kempner_S, largest_prime_factor
+from emeasure.density import ResourceError, density_report, kempner_plan, kempner_range
+from emeasure.kempner import kempner_prime_power, kempner_S, largest_prime_factor
 
 
-def test_spf_small_table():
-    spf = sieve_smallest_prime_factor(10)
-    assert spf[2:] == [2, 3, 2, 5, 2, 7, 2, 3, 2]
-    assert spf[0] == spf[1] == 0
+def spf_table(x: int) -> list[int]:
+    """Oracle: spf[q] = least prime dividing q, for 0 <= q <= x."""
+    spf = list(range(x + 1))
+    spf[0] = spf[1] = 0
+    for p in range(2, math.isqrt(x) + 1):
+        if spf[p] == p:
+            for multiple in range(p * p, x + 1, p):
+                if spf[multiple] == multiple:
+                    spf[multiple] = p
+    return spf
 
 
-def test_spf_spot_values():
-    spf = sieve_smallest_prime_factor(5000)
-    assert spf[97] == 97
-    assert spf[4000] == 2
-    assert spf[4999] == 4999  # prime
-
-
-def test_spf_budget():
-    with pytest.raises(ResourceError):
-        sieve_smallest_prime_factor(10**6, max_entries=1000)
+def spf_walk(lo: int, hi: int, spf: list[int]) -> tuple[list[int], list[int]]:
+    """Oracle: S(q) and P(q) for q = lo .. hi by factoring each q with the
+    spf table, an algorithm that shares nothing with the segmented kernel."""
+    S, P = [], []
+    for q in range(lo, hi + 1):
+        s = 0
+        while q > 1:
+            p, e = spf[q], 0
+            while q % p == 0:
+                q //= p
+                e += 1
+            s = max(s, kempner_prime_power(p, e))
+        S.append(s)
+        P.append(p)
+    return S, P
 
 
 def test_batch_agrees_with_pointwise():
-    spf = sieve_smallest_prime_factor(20_000)
-    S, P = kempner_range(2, 10_000, spf)
+    plan = kempner_plan(20_000)
+    S, P = kempner_range(2, 10_000, plan)
     for q, s, p in zip(range(2, 10_001), S, P):
         assert s == kempner_S(q)
         assert p == largest_prime_factor(q)
-    # A range that starts mid-table, as every block after the first does.
+    # A range that starts mid-plan, as every block after the first does.
     rng = random.Random(7)
     lo = rng.randrange(10_001, 19_000)
-    S, P = kempner_range(lo, 20_000, spf)
+    S, P = kempner_range(lo, 20_000, plan)
     assert S == [kempner_S(q) for q in range(lo, 20_001)]
     assert P == [largest_prime_factor(q) for q in range(lo, 20_001)]
 
 
 def test_batch_first_values():
-    S, P = kempner_range(2, 10, sieve_smallest_prime_factor(10))
+    S, P = kempner_range(2, 10, kempner_plan(10))
     assert S == [2, 3, 4, 5, 3, 7, 4, 6, 5]
     assert P == [2, 3, 2, 5, 3, 7, 2, 3, 5]
+
+
+@pytest.mark.parametrize("lo, hi", [(2, 11), (1, 10), (9, 11)])
+def test_range_outside_plan_rejected(lo, hi):
     with pytest.raises(ValueError):
-        kempner_range(2, 11, sieve_smallest_prime_factor(10))
+        kempner_range(lo, hi, kempner_plan(10))
+
+
+@given(st.data())
+def test_kernel_agrees_with_pointwise(data):
+    x = data.draw(st.integers(min_value=2, max_value=2 * 10**5))
+    lo = data.draw(st.integers(min_value=2, max_value=x))
+    hi = data.draw(st.integers(min_value=lo, max_value=min(x, lo + 300)))
+    S, P = kempner_range(lo, hi, kempner_plan(x))
+    assert S == [kempner_S(q) for q in range(lo, hi + 1)]
+    assert P == [largest_prime_factor(q) for q in range(lo, hi + 1)]
+
+
+@pytest.mark.parametrize(
+    "x",
+    [113**2, 113**2 - 1, 113 * 127, 2 * density.BLOCK_SIZE + 100],
+    ids=["square", "square-minus-one", "largest-base-prime-times-next", "three-blocks"],
+)
+def test_kernel_agrees_with_spf_oracle(x):
+    # 113 is a base prime of 113^2 but not of 113^2 - 1, whose multiples of
+    # 113 then carry it as their one factor above isqrt(x).
+    plan, spf = kempner_plan(x), spf_table(x)
+    for lo in range(2, x + 1, density.BLOCK_SIZE):
+        hi = min(lo + density.BLOCK_SIZE - 1, x)
+        assert kempner_range(lo, hi, plan) == spf_walk(lo, hi, spf)
+
+
+def test_largest_base_prime_and_next_prime():
+    # isqrt(113 * 127) = 119: 113 is the largest base prime and 127 the
+    # smallest prime above isqrt(x).
+    plan = kempner_plan(113 * 127)
+    assert kempner_range(113**2, 113**2, plan) == ([226], [113])
+    assert kempner_range(113 * 127, 113 * 127, plan) == ([127], [127])
+
+
+def test_range_across_block_boundary():
+    lo, hi = density.BLOCK_SIZE - 40, density.BLOCK_SIZE + 40
+    S, P = kempner_range(lo, hi, kempner_plan(2 * density.BLOCK_SIZE))
+    assert S == [kempner_S(q) for q in range(lo, hi + 1)]
+    assert P == [largest_prime_factor(q) for q in range(lo, hi + 1)]
 
 
 def test_smallest_exceptions():
@@ -127,30 +178,40 @@ def test_worker_count_clamped(monkeypatch, workers, cpus, expected):
     assert _InProcessPool.requested == expected
 
 
-@pytest.mark.parametrize(
-    "workers, budget, fits",
-    [
-        (2, lambda x: 2 * (x + 1) - 1, False),
-        (2, lambda x: 2 * (x + 1), True),
-        (1, lambda x: x + 1, True),
-    ],
-    ids=["two-sieves-short-by-one", "two-sieves", "one-sieve"],
-)
-def test_sieve_budget_counts_every_worker(monkeypatch, workers, budget, fits):
-    # Each pool worker builds its own (x + 1)-entry sieve. No process is
-    # started: the pool runs its blocks in this process.
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("over", [0, 1], ids=["fits", "one-over"])
+def test_scan_budget_counted_once(monkeypatch, workers, over):
+    # No process holds a table of x entries, so the budget bounds the scan
+    # size x + 1 once, whatever the worker count. No process is started:
+    # the pool runs its blocks in this process.
     monkeypatch.setattr(density, "ProcessPoolExecutor", _InProcessPool)
     monkeypatch.setattr(density, "_WORKER_STATE", {})
     monkeypatch.setattr(density.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(_InProcessPool, "requested", [])
     x = density.BLOCK_SIZE + 300
-    if fits:
-        report = density_report(x, workers=workers, max_entries=budget(x))
-        assert report == density_report(x)
-    else:
+    if over:
         with pytest.raises(ResourceError):
-            density_report(x, workers=workers, max_entries=budget(x))
-    assert _InProcessPool.requested == ([2] if workers == 2 and fits else [])
+            density_report(x, workers=workers, max_entries=x)
+    else:
+        report = density_report(x, workers=workers, max_entries=x + 1)
+        assert report == density_report(x)
+    assert _InProcessPool.requested == ([2] if workers == 2 and not over else [])
+
+
+def test_scan_memory_independent_of_x():
+    # Each block is scanned from an O(sqrt(x)) plan, so the peak memory of a
+    # report is set by BLOCK_SIZE, not by x. A warm-up call first fills the
+    # module caches, whose size does not depend on x either.
+    def peak(x: int) -> int:
+        tracemalloc.start()
+        try:
+            density_report(x)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    density_report(2 * density.BLOCK_SIZE)
+    assert peak(8 * density.BLOCK_SIZE) <= 1.5 * peak(2 * density.BLOCK_SIZE)
 
 
 def test_csv_export(tmp_path):
