@@ -1,10 +1,11 @@
 """Command-line interface.
 
 Subcommands: kempner, interval, distance, measure, convergents,
-partial-sums, cantor, density, verify-paper. All JSON output renders big
-integers and rationals as decimal strings so results survive 64-bit
-consumers. Exit codes: 0 success, 1 domain error (bad input), 2 resource
-error (scan budget, enclosure depth cap).
+partial-sums, cantor, density, verify-paper. JSON output follows one rule
+(`_emit_json`): every integer is a decimal string and every rational is
+{"num", "den"}, so results survive 64-bit consumers. Exit codes: 0 success,
+1 domain error (bad input or usage), 2 resource error (scan budget,
+enclosure depth cap).
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
 import datetime
 import json
 import os
@@ -19,7 +21,6 @@ import sys
 from fractions import Fraction
 
 from . import cantor, cfrac, density, enclosure, kempner, measures, verify
-from .rationals import parse_rational, to_json
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -55,13 +56,37 @@ def _full_digits():
         sys.set_int_max_str_digits(previous)
 
 
+def _jsonable(obj):
+    """obj under the CLI's JSON rule: an int (not a bool) becomes its decimal
+    string, a Fraction {"num", "den"}, a dataclass the dict of its fields;
+    dicts, lists and tuples are converted item by item, anything else is
+    kept. Dataclass fields are read one level at a time, not copied deep
+    first as dataclasses.asdict does."""
+    if isinstance(obj, int) and not isinstance(obj, bool):
+        return str(obj)
+    if isinstance(obj, Fraction):
+        return {"num": str(obj.numerator), "den": str(obj.denominator)}
+    if isinstance(obj, dict):
+        return {key: _jsonable(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(item) for item in obj]
+    if dataclasses.is_dataclass(obj):
+        return {f.name: _jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    return obj
+
+
 def _emit_json(obj) -> None:
-    json.dump(obj, sys.stdout, indent=2)
-    sys.stdout.write("\n")
-
-
-def _frac_str(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    """Write obj to stdout as one JSON document, in one write, only once it
+    has been rendered in full; a failure while rendering writes nothing."""
+    with _full_digits():
+        chunks = list(json.JSONEncoder(indent=2).iterencode(_jsonable(obj)))
+    chunks.append("\n")
+    text = "".join(chunks)
+    # The converted document, its chunks and the text are each about as large
+    # as the output. json.dumps holds all three at once; here at most two are
+    # alive, as with a streaming json.dump.
+    del chunks
+    sys.stdout.write(text)
 
 
 # ---------------------------------------------------------------- subcommands
@@ -76,17 +101,15 @@ def cmd_kempner(args) -> int:
             for q in range(1, args.max + 1)
             if kempner.kempner_S(q) != kempner.kempner_S_naive(q)
         ]
-        _emit_json(
-            {"checked_max": args.max, "mismatches": [str(q) for q in mismatches]}
-        )
+        _emit_json({"checked_max": args.max, "mismatches": mismatches})
         return EXIT_OK if not mismatches else EXIT_DOMAIN
     result = kempner.kempner_result(args.q)
     _emit_json(
         {
-            "q": str(result.q),
-            "S": str(result.s),
-            "P": str(result.p),
-            "factorization": [[str(p), e] for p, e in result.factorization],
+            "q": result.q,
+            "S": result.s,
+            "P": result.p,
+            "factorization": result.factorization,
         }
     )
     return EXIT_OK
@@ -94,8 +117,7 @@ def cmd_kempner(args) -> int:
 
 def cmd_interval(args) -> int:
     box = enclosure.interval(args.n)
-    with _full_digits():
-        _emit_json({"n": args.n, "left": to_json(box.left), "right": to_json(box.right)})
+    _emit_json({"n": args.n, "left": box.left, "right": box.right})
     return EXIT_OK
 
 
@@ -105,15 +127,15 @@ def cmd_distance(args) -> int:
     if cap is None:
         cap = _env_int("EMEASURE_DEPTH_CAP", enclosure.DEFAULT_DEPTH_CAP)
     out = {
-        "r": _frac_str(r),
+        "r": r,
         "digits": enclosure.render_distance(r, args.digits, depth_cap=cap),
         "bounds": [],
     }
     for text in args.bound or []:
-        bound = parse_rational(text)
+        bound = Fraction(text)
         out["bounds"].append(
             {
-                "bound": _frac_str(bound),
+                "bound": bound,
                 "distance_is": enclosure.compare_distance_to_e(r, bound, depth_cap=cap),
             }
         )
@@ -121,35 +143,15 @@ def cmd_distance(args) -> int:
     return EXIT_OK
 
 
-def _verdict_json(v: measures.MeasureVerdict) -> dict:
-    return {
-        "p": str(v.p),
-        "q": str(v.q),
-        "bound_name": v.bound_name,
-        "bound": to_json(v.bound),
-        "holds": v.holds,
-        "margin_digits": v.margin_digits,
-    }
-
-
 def cmd_measure(args) -> int:
-    eps = parse_rational(args.eps)
+    eps = Fraction(args.eps)
     if args.corollary2 is not None:
-        scan = measures.corollary2_scan(args.corollary2)
-        with _full_digits():
-            scan["witness"] = (
-                [str(scan["witness"][0]), str(scan["witness"][1])]
-                if scan["witness"]
-                else None
-            )
-            _emit_json(scan)
+        _emit_json(measures.corollary2_scan(args.corollary2))
         return EXIT_OK
     if args.compare:
         if args.q is None:
             raise ValueError("--compare requires --q")
-        result = measures.compare_bounds(args.q, eps)
-        result["eps"] = _frac_str(eps)
-        _emit_json(result)
+        _emit_json(measures.compare_bounds(args.q, eps))
         return EXIT_OK
     if args.p is None or args.q is None:
         raise ValueError("measure requires --p and --q")
@@ -161,15 +163,12 @@ def cmd_measure(args) -> int:
         verdict = measures.check_weak_prime(args.p, args.q)
     else:  # known
         verdict = measures.check_known(args.p, args.q, eps)
-    with _full_digits():
-        _emit_json(_verdict_json(verdict))
+    _emit_json(verdict)
     return EXIT_OK
 
 
 def cmd_convergents(args) -> int:
-    values = cfrac.convergents(args.count)
-    with _full_digits():
-        _emit_json([{"index": c.index, "value": to_json(c.value)} for c in values])
+    _emit_json(cfrac.convergents(args.count))
     return EXIT_OK
 
 
@@ -179,18 +178,18 @@ def cmd_partial_sums(args) -> int:
     if args.check_convergent:
         header.append("is_convergent")
     writer.writerow(header)
-    for n in range(0, args.max_n + 1):
-        record = cfrac.partial_sum_record(n)
-        row = [
-            n,
-            record.s_n.numerator,
-            record.s_n.denominator,
-            record.q_n,
-            int(record.full_factorial),
-        ]
-        if args.check_convergent:
-            row.append(int(cfrac.is_convergent(record.s_n)))
-        with _full_digits():
+    with _full_digits():
+        for n in range(0, args.max_n + 1):
+            record = cfrac.partial_sum_record(n)
+            row = [
+                n,
+                record.s_n.numerator,
+                record.s_n.denominator,
+                record.q_n,
+                int(record.full_factorial),
+            ]
+            if args.check_convergent:
+                row.append(int(cfrac.is_convergent(record.s_n)))
             writer.writerow(row)
     return EXIT_OK
 
@@ -226,21 +225,18 @@ def _spec_from_args(args) -> cantor.CantorSpec:
 
 def cmd_cantor(args) -> int:
     spec = _spec_from_args(args)
-    total = cantor.cantor_partial_sum(spec, args.N)
-    verdict = cantor.classify(spec) if args.classify else None
-    with _full_digits():
-        out: dict = {"family": spec.family, "a0": spec.a0}
-        out["partial_sum"] = to_json(total)
-        out["N"] = args.N
-        if verdict is not None:
-            out["classification"] = verdict.classification
-            out["rational_value"] = (
-                to_json(verdict.rational_value)
-                if verdict.rational_value is not None
-                else None
-            )
-            out["conditions_used"] = verdict.conditions_used
-        _emit_json(out)
+    out = {
+        "family": spec.family,
+        "a0": spec.a0,
+        "partial_sum": cantor.cantor_partial_sum(spec, args.N),
+        "N": args.N,
+    }
+    if args.classify:
+        verdict = cantor.classify(spec)
+        out["classification"] = verdict.classification
+        out["rational_value"] = verdict.rational_value
+        out["conditions_used"] = verdict.conditions_used
+    _emit_json(out)
     return EXIT_OK
 
 
@@ -248,19 +244,7 @@ def cmd_density(args) -> int:
     workers = args.workers
     if workers is None:
         workers = _env_int("EMEASURE_WORKERS", 1)
-    report = density.density_report(args.x, workers=workers, csv_path=args.csv)
-    _emit_json(
-        {
-            "x": str(report.x),
-            "count_S_neq_P": str(report.count_S_neq_P),
-            "count_conjecture1_fail": str(report.count_conjecture1_fail),
-            "count_conjecture1_fail_P": str(report.count_conjecture1_fail_P),
-            "ratio_S_neq_P": report.ratio_S_neq_P,
-            "ratio_conjecture1_fail": report.ratio_conjecture1_fail,
-            "exceptions_S_neq_P": [str(q) for q in report.exceptions_S_neq_P],
-            "exceptions_conjecture1": [str(q) for q in report.exceptions_conjecture1],
-        }
-    )
+    _emit_json(density.density_report(args.x, workers=workers, csv_path=args.csv))
     return EXIT_OK
 
 
@@ -360,10 +344,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse exits 0 after --help, 2 on a usage error
+        return EXIT_OK if exc.code == 0 else EXIT_DOMAIN
     try:
         return args.fn(args)
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except (density.ResourceError, enclosure.DepthCapExceeded, MemoryError) as exc:

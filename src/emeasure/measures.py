@@ -27,8 +27,6 @@ from .enclosure import (
 from .kempner import is_prime, kempner_S, largest_prime_factor
 from .rationals import LESS
 
-BOUND_NAMES = ("theorem1", "weak_prime", "prime_factor", "known_eps")
-
 MARGIN_DIGITS = 6
 
 # The bound factorials, memoised one entry deep. The nearest-numerator sweeps
@@ -213,6 +211,8 @@ def compare_bounds(q: int, eps: Fraction = Fraction(0)) -> dict:
     """
     if q < 2:
         raise ValueError("compare_bounds requires q >= 2")
+    if eps < 0:
+        raise ValueError("eps must be >= 0")
     s = kempner_S(q)
     c, d = eps.numerator, eps.denominator
     rhs = q ** (2 * d + c)

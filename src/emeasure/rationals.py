@@ -2,8 +2,8 @@
 
 Everything downstream works with ``fractions.Fraction``, which already
 guarantees the two invariants we need: denominators are positive and values
-are stored in lowest terms. This module adds the comparison verdicts,
-decimal rendering, and JSON serialization the rest of the toolkit uses.
+are stored in lowest terms. This module adds the comparison verdicts
+and the decimal rendering the rest of the toolkit uses.
 """
 
 from __future__ import annotations
@@ -31,14 +31,3 @@ def truncate_ratio(num: int, den: int, digits: int) -> str:
     scaled = (abs(num) * 10**digits) // den
     int_part, frac_part = divmod(scaled, 10**digits)
     return f"{sign}{int_part}.{frac_part:0{digits}d}"
-
-
-def to_json(x: Fraction) -> dict:
-    """JSON form {"num": str, "den": str}; decimal strings because values
-    routinely exceed 64-bit range (e.g. 19!)."""
-    return {"num": str(x.numerator), "den": str(x.denominator)}
-
-
-def parse_rational(text: str) -> Fraction:
-    """Parse 'p/q' or 'p' into an exact Fraction."""
-    return Fraction(text)

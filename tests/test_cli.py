@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -6,6 +7,7 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from emeasure import cli
 from emeasure.enclosure import partial_sum
@@ -24,7 +26,7 @@ def test_kempner_subcommand(capsys):
         "q": "6",
         "S": "3",
         "P": "3",
-        "factorization": [["2", 1], ["3", 1]],
+        "factorization": [["2", "1"], ["3", "1"]],
     }
 
 
@@ -54,9 +56,16 @@ def test_distance_with_bounds(capsys):
          "--bound", "1/120", "--bound", "1/24"],
     )
     assert code == 0
+    assert doc["r"] == {"num": "65", "den": "24"}
     assert doc["digits"] == "0.00994"
-    assert doc["bounds"][0] == {"bound": "1/120", "distance_is": "greater"}
-    assert doc["bounds"][1] == {"bound": "1/24", "distance_is": "less"}
+    assert doc["bounds"][0] == {
+        "bound": {"num": "1", "den": "120"},
+        "distance_is": "greater",
+    }
+    assert doc["bounds"][1] == {
+        "bound": {"num": "1", "den": "24"},
+        "distance_is": "less",
+    }
 
 
 def test_measure_verdict(capsys):
@@ -245,6 +254,161 @@ def test_partial_sums_print_big_rows(run_big):
     assert Fraction(num, den) == partial_sum(n) and den == q_n
 
 
-def test_unknown_flag_rejected():
-    with pytest.raises(SystemExit):
-        cli.run(["interval", "--bogus", "1"])
+def test_json_round_trip_big_values(capsys):
+    q19 = Fraction(1, math.factorial(19) // 4000)
+    cli._emit_json({"q19": q19, "n": 19, "holds": True, "witness": (65, 24)})
+    doc = json.loads(capsys.readouterr().out)
+    assert doc == {
+        "q19": {"num": "1", "den": str(math.factorial(19) // 4000)},
+        "n": "19",
+        "holds": True,
+        "witness": ["65", "24"],
+    }
+    assert fraction(doc["q19"]) == q19
+
+
+def test_emit_writes_nothing_when_rendering_fails(capsys):
+    with pytest.raises(TypeError):
+        cli._emit_json({"n": 1, "bad": object()})
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["distance", "--p", "1", "--q", "0"],
+        ["distance", "--p", "1", "--q", "2", "--bound", "1/0"],
+        ["measure", "--p", "1", "--q", "5", "--bound", "known", "--eps", "1/0"],
+        ["measure", "--compare", "--q", "5", "--eps", "-3"],
+    ],
+)
+def test_bad_rational_is_domain_error(capsys, argv):
+    assert cli.run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [["interval"], ["interval", "--n", "x"]])
+def test_usage_error_is_domain_error(capsys, argv):
+    assert cli.run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: ")
+
+
+def test_unknown_flag_rejected(capsys):
+    assert cli.run(["interval", "--n", "4", "--bogus", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --bogus 1" in captured.err
+
+
+def test_help_exits_0(capsys):
+    assert cli.run(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: ")
+
+
+# ------------------------------------------------ properties at the boundary
+
+MALFORMED = st.sampled_from(["", "x", "1.5", "1/0", "-1/0", "0x10", "2/-4"])
+
+
+def integers(lo, hi):
+    """A decimal string in [lo, hi], or about one time in four a malformed value."""
+    valid = st.integers(lo, hi).map(str)
+    return st.integers(0, 3).flatmap(lambda k: MALFORMED if k == 0 else valid)
+
+
+def rationals(max_den):
+    return st.one_of(
+        st.builds("{}/{}".format, st.integers(-5, 5), st.integers(0, max_den)),
+        integers(-5, 5),
+    )
+
+
+def option(name, values):
+    """[] or [name, value]; a flag when values is None."""
+    present = st.just([name]) if values is None else values.map(lambda v: [name, v])
+    return st.one_of(st.just([]), present)
+
+
+def given_option(name, values):
+    return values.map(lambda v: [name, v])
+
+
+def command(name, *options):
+    return st.tuples(*options).map(lambda parts: [name] + sum(parts, []))
+
+
+MEASURE_OPTIONS = (
+    option(
+        "--bound",
+        st.sampled_from(["theorem1", "prime-factor", "weak-prime", "known", "x"]),
+    ),
+    # Small eps denominators: known_measure_bound(q, c/d) builds 10^(30 d),
+    # and no budget bounds d yet (ROADMAP item 6).
+    option("--eps", rationals(12)),
+)
+
+ARGV = st.one_of(
+    command(
+        "kempner",
+        option("--q", integers(-3, 10**4)),
+        option("--oracle-check", None),
+        option("--max", integers(-3, 300)),
+    ),
+    command("interval", option("--n", integers(-3, 60))),
+    command(
+        "distance",
+        given_option("--p", integers(-50, 200)),
+        given_option("--q", integers(-3, 100)),
+        option("--digits", integers(-1, 20)),
+        option("--bound", rationals(10**6)),
+        option("--bound", rationals(10**6)),
+        option("--depth-cap", integers(-2, 64)),
+    ),
+    command(
+        "measure",
+        option("--p", integers(-5, 300)),
+        given_option("--q", integers(-3, 200)),
+        option("--compare", None),
+        *MEASURE_OPTIONS,
+    ),
+    command("measure", given_option("--corollary2", integers(-2, 8)), *MEASURE_OPTIONS),
+    command("convergents", option("--count", integers(-2, 40))),
+    command(
+        "cantor",
+        option(
+            "--family",
+            st.sampled_from(["unit", "complement", "mask:10", "mask:", "mask:12", "x"]),
+        ),
+        option("--a0", integers(-3, 10)),
+        option("--N", integers(-3, 40)),
+        option("--classify", None),
+    ),
+    # One worker, so that no process is started.
+    command("density", option("--x", integers(-3, 2000)), st.just(["--workers", "1"])),
+)
+
+
+def no_json_number(text):
+    raise AssertionError(f"integer {text} is not a string")
+
+
+@settings(max_examples=300, deadline=None)
+@given(ARGV)
+def test_cli_boundary(argv):
+    # Any argv: an exit code, never a traceback or SystemExit; JSON with
+    # string integers on success, and nothing on stdout otherwise.
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = cli.run(argv)
+        except SystemExit as exc:
+            pytest.fail(f"SystemExit({exc.code}) escaped from {argv}")
+    assert code in (0, 1, 2)
+    if code == 0:
+        json.loads(out.getvalue(), parse_int=no_json_number)
+    else:
+        assert out.getvalue() == ""

@@ -121,6 +121,15 @@ def test_compare_bounds_examples():
     assert result["stronger"] == "theorem1"  # 7! = 5040 < 720^2
 
 
+@pytest.mark.parametrize("eps", [Fraction(-3), Fraction(-1, 2)])
+def test_negative_eps_rejected(eps):
+    # As in known_measure_bound: 1/q^(2+eps) with eps < 0 is no measure.
+    with pytest.raises(ValueError, match="eps must be >= 0"):
+        compare_bounds(5, eps)
+    with pytest.raises(ValueError, match="eps must be >= 0"):
+        known_measure_bound(5, eps)
+
+
 def compare_bounds_oracle(q, eps):
     """compare_bounds with both factorials built in full."""
     s = kempner_S(q)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 from hypothesis import given, strategies as st
 
-from emeasure.rationals import to_json, truncate_decimal
+from emeasure.rationals import truncate_decimal
 
 
 def test_truncate_decimal_truncates_not_rounds():
@@ -12,13 +12,6 @@ def test_truncate_decimal_truncates_not_rounds():
     assert truncate_decimal(Fraction(2, 3), 3) == "0.666"
     assert truncate_decimal(Fraction(-2, 3), 3) == "-0.666"
     assert truncate_decimal(Fraction(5, 2), 2) == "2.50"
-
-
-def test_json_round_trip_big_values():
-    q19 = Fraction(1, math.factorial(19) // 4000)
-    doc = to_json(q19)
-    assert doc == {"num": "1", "den": str(math.factorial(19) // 4000)}
-    assert Fraction(int(doc["num"]), int(doc["den"])) == q19
 
 
 @given(
