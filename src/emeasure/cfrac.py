@@ -65,16 +65,17 @@ class _ConvergentTable:
         a = _partial_quotient(self._k)
         p = a * self._p[1] + self._p[0]
         q = a * self._q[1] + self._q[0]
-        self._p = [self._p[1], p]
-        self._q = [self._q[1], q]
         value = Fraction(p, q)
         assert value.denominator == q, "recurrence must give lowest terms"
-        # Validate against the enclosure instead of trusting the pattern.
-        check = compare_distance_to_e(value, Fraction(1, q * q), depth_cap=None)
+        # Validate against the enclosure instead of trusting the pattern. It
+        # may raise DepthCapExceeded, so the recurrence advances only after.
+        check = compare_distance_to_e(value, Fraction(1, q * q))
         if check != LESS:
             raise AssertionError(
                 f"generated convergent {p}/{q} fails |e - p/q| < 1/q^2"
             )
+        self._p = [self._p[1], p]
+        self._q = [self._q[1], q]
         self.values.append(value)
         self.by_denominator.setdefault(q, []).append(value)
         conv = Convergent(index=self._k, value=value)

@@ -4,8 +4,9 @@ Subcommands: kempner, interval, distance, measure, convergents,
 partial-sums, cantor, density, verify-paper. JSON output follows one rule
 (`_emit_json`): every integer is a decimal string and every rational is
 {"num", "den"}, so results survive 64-bit consumers. Exit codes: 0 success,
-1 domain error (bad input or usage), 2 resource error (scan budget,
-enclosure depth cap).
+1 domain error (bad input or usage, or a file that cannot be read or
+written), 2 resource error (a depth, size or work budget; see
+rationals.ResourceError).
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import sys
 from fractions import Fraction
 
 from . import cantor, cfrac, density, enclosure, kempner, measures, verify
+from .rationals import ResourceError
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -44,9 +46,7 @@ def _full_digits():
     """Let str() print integers of any length while a result is serialized.
 
     Exact results pass Python's int-to-str digit limit (5000! has 16326
-    digits). The limit is lifted only here and restored afterwards, so a
-    computation that names a value in an error message still gets the
-    ValueError that makes it use the value's bit size instead.
+    digits). The limit is lifted only here and restored afterwards.
     """
     previous = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
@@ -123,20 +123,13 @@ def cmd_interval(args) -> int:
 
 def cmd_distance(args) -> int:
     r = Fraction(args.p, args.q)
-    cap = args.depth_cap
-    if cap is None:
-        cap = _env_int("EMEASURE_DEPTH_CAP", enclosure.DEFAULT_DEPTH_CAP)
-    out = {
-        "r": r,
-        "digits": enclosure.render_distance(r, args.digits, depth_cap=cap),
-        "bounds": [],
-    }
+    out = {"r": r, "digits": enclosure.render_distance(r, args.digits), "bounds": []}
     for text in args.bound or []:
         bound = Fraction(text)
         out["bounds"].append(
             {
                 "bound": bound,
-                "distance_is": enclosure.compare_distance_to_e(r, bound, depth_cap=cap),
+                "distance_is": enclosure.compare_distance_to_e(r, bound),
             }
         )
     _emit_json(out)
@@ -173,6 +166,7 @@ def cmd_convergents(args) -> int:
 
 
 def cmd_partial_sums(args) -> int:
+    enclosure.check_depth(args.max_n)  # before the header is written
     writer = csv.writer(sys.stdout)
     header = ["n", "s_n_num", "s_n_den", "q_n", "full_factorial"]
     if args.check_convergent:
@@ -194,15 +188,31 @@ def cmd_partial_sums(args) -> int:
     return EXIT_OK
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _int_table(doc: dict, key: str) -> tuple[int, ...]:
+    table = doc[key]
+    if not isinstance(table, list) or not all(map(_is_int, table)):
+        raise ValueError(f"{key} must be a list of integers")
+    return tuple(table)
+
+
 def _spec_from_args(args) -> cantor.CantorSpec:
     if args.spec_json:
         with open(args.spec_json) as handle:
             doc = json.load(handle)
+        if not isinstance(doc, dict):
+            raise ValueError("the spec must be a JSON object")
+        a0 = doc.get("a0", 0)
+        if not _is_int(a0):
+            raise ValueError("a0 must be an integer")
         return cantor.CantorSpec(
-            a0=doc.get("a0", 0),
+            a0=a0,
             family="custom",
-            a_table=tuple(doc["a_table"]),
-            b_table=tuple(doc["b_table"]),
+            a_table=_int_table(doc, "a_table"),
+            b_table=_int_table(doc, "b_table"),
             tail_mode=doc.get("tail_mode", "repeat-last-block"),
             all_primes_divide_infinitely_many_b=doc.get(
                 "all_primes_divide_infinitely_many_b"
@@ -296,7 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--digits", type=int, default=5)
     p.add_argument("--bound", action="append", metavar="P/Q")
-    p.add_argument("--depth-cap", type=int, default=None)
     p.set_defaults(fn=cmd_distance)
 
     p = sub.add_parser("measure", help="irrationality-measure verdicts")
@@ -350,10 +359,10 @@ def run(argv: list[str] | None = None) -> int:
         return EXIT_OK if exc.code == 0 else EXIT_DOMAIN
     try:
         return args.fn(args)
-    except (ValueError, KeyError, ZeroDivisionError) as exc:
+    except (ValueError, KeyError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except (density.ResourceError, enclosure.DepthCapExceeded, MemoryError) as exc:
+    except (ResourceError, MemoryError) as exc:
         print(f"resource error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
 

@@ -26,15 +26,11 @@ from itertools import chain, compress, islice, repeat
 from operator import floordiv, gt, ne
 
 from .kempner import kempner_prime_power
-from .rationals import truncate_decimal
+from .rationals import ResourceError, truncate_decimal
 
 BLOCK_SIZE = 1 << 16
 DEFAULT_MAX_SCAN_ENTRIES = 10**8
 EXCEPTIONS_CAP = 100
-
-
-class ResourceError(RuntimeError):
-    """Requested scan exceeds the configured budget."""
 
 
 @dataclass(frozen=True)

@@ -14,9 +14,12 @@ import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .rationals import GREATER, LESS, truncate_ratio
+from .rationals import GREATER, LESS, ResourceError, truncate_ratio
 
-DEFAULT_DEPTH_CAP = 500
+# The deepest level of the endpoint cache, and so of every enclosure. The
+# cache keeps every level below it: at 10^4 that is about 133 MiB of
+# integers, built in about 0.2 s.
+MAX_DEPTH = 10_000
 
 # compare_distance_to_e starts refining where 1/n! is below 2^-8 of the
 # bound's size. Convergent validation compares |e - p/q| with 1/q^2, and the
@@ -26,8 +29,8 @@ DEFAULT_DEPTH_CAP = 500
 _START_SLACK_BITS = 8
 
 
-class DepthCapExceeded(RuntimeError):
-    """Raised when a comparison is still undecided at the configured depth."""
+class DepthCapExceeded(ResourceError):
+    """Raised when an answer needs a depth past MAX_DEPTH."""
 
 
 @dataclass(frozen=True)
@@ -54,8 +57,15 @@ _NUMS: list[int] = [1]
 _FACTS: list[int] = [1]
 
 
+def check_depth(n: int) -> None:
+    """Raise DepthCapExceeded if n is past MAX_DEPTH."""
+    if n > MAX_DEPTH:
+        raise DepthCapExceeded(f"depth {n} exceeds MAX_DEPTH = {MAX_DEPTH}")
+
+
 def _grow(n: int) -> None:
-    """Extend the endpoint cache to depth n."""
+    """Extend the endpoint cache to depth n <= MAX_DEPTH."""
+    check_depth(n)
     while len(_NUMS) <= n:
         k = len(_NUMS)
         _NUMS.append(k * _NUMS[-1] + 1)
@@ -104,40 +114,26 @@ def distance_bracket(r: Fraction, n: int) -> tuple[Fraction, Fraction]:
     return Fraction(0), max(r - box.left, box.right - r)
 
 
-def _name(x: Fraction | int) -> str:
-    """str(x), or x's size when str() would pass the int-to-str digit limit."""
-    try:
-        return str(x)
-    except ValueError:
-        return f"<{x.numerator.bit_length()}/{x.denominator.bit_length()}-bit rational>"
-
-
-def refine(decide, what, depth_cap: int | None = DEFAULT_DEPTH_CAP, start: int = 4):
+def refine(decide, start: int = 4):
     """First answer other than None of decide(n), for n = start, 2 start,
-    4 start, ... clipped to depth_cap (None: no cap).
+    4 start, ... clipped to MAX_DEPTH.
 
-    Raises DepthCapExceeded if the cap is reached undecided. `what()` names
-    the question in that message and is called only then.
+    Raises DepthCapExceeded if MAX_DEPTH is reached undecided.
     """
-    n = start
-    while True:
-        answer = decide(n)
-        if answer is not None:
-            return answer
-        if depth_cap is not None and n >= depth_cap:
-            raise DepthCapExceeded(f"{what()} undecided at depth {depth_cap}")
-        n *= 2
-        if depth_cap is not None:
-            n = min(n, depth_cap)
+    n = min(start, MAX_DEPTH)
+    while (answer := decide(n)) is None:
+        if n >= MAX_DEPTH:
+            raise DepthCapExceeded(f"undecided at MAX_DEPTH = {MAX_DEPTH}")
+        n = min(2 * n, MAX_DEPTH)
+    return answer
 
 
-def _start_depth(bits: int, depth_cap: int | None) -> int:
+def _start_depth(bits: int) -> int:
     """Smallest n >= 1 whose n! has at least `bits` bits, clipped to
-    depth_cap. The cache grows no deeper than the answer."""
-    cap = None if depth_cap is None else max(depth_cap, 1)
-    while _FACTS[-1].bit_length() < bits and (cap is None or len(_FACTS) <= cap):
+    MAX_DEPTH. The cache grows no deeper than the answer."""
+    while _FACTS[-1].bit_length() < bits and len(_FACTS) <= MAX_DEPTH:
         _grow(len(_FACTS))
-    top = len(_FACTS) - 1 if cap is None else min(len(_FACTS) - 1, cap)
+    top = min(len(_FACTS) - 1, MAX_DEPTH)
     return bisect.bisect_left(_FACTS, bits, 1, top, key=int.bit_length)
 
 
@@ -153,15 +149,12 @@ def _scaled_bracket(a: int, b: int, n: int) -> tuple[int, int, int]:
     return 0, max(-d, d + b), den
 
 
-def compare_distance_to_e(
-    r: Fraction, bound: Fraction, depth_cap: int | None = DEFAULT_DEPTH_CAP
-) -> str:
+def compare_distance_to_e(r: Fraction, bound: Fraction) -> str:
     """Exact truth of |e - r| vs bound: 'greater' or 'less'.
 
     Never 'equal': r and bound are rational, so |e - r| = bound would make e
     rational. bound = 0 is answered 'greater' immediately for the same
-    reason. depth_cap=None removes the safety cap (termination is still
-    guaranteed mathematically).
+    reason.
 
     Refinement starts where n! has a few more bits than the smaller of
     the bound's denominator v and the square of r's denominator b.
@@ -188,20 +181,11 @@ def compare_distance_to_e(
 
     return refine(
         decide,
-        lambda: f"comparison of |e - {_name(r)}| against {_name(bound)}",
-        depth_cap,
-        start=_start_depth(
-            min(v.bit_length(), 2 * b.bit_length()) + _START_SLACK_BITS, depth_cap
-        ),
+        start=_start_depth(min(v.bit_length(), 2 * b.bit_length()) + _START_SLACK_BITS),
     )
 
 
-def render_distance(
-    r: Fraction,
-    digits: int,
-    depth_cap: int | None = DEFAULT_DEPTH_CAP,
-    bound: Fraction = Fraction(0),
-) -> str:
+def render_distance(r: Fraction, digits: int, bound: Fraction = Fraction(0)) -> str:
     """Truncated decimal of |e - r| - bound, with sign, correct to `digits`
     places.
 
@@ -222,14 +206,10 @@ def render_distance(
         lo_text = truncate_ratio(lo, den, digits)
         return lo_text if lo_text == truncate_ratio(hi, den, digits) else None
 
-    return refine(
-        decide,
-        lambda: f"decimal rendering of |e - {_name(r)}| - {_name(bound)}",
-        depth_cap,
-    )
+    return refine(decide)
 
 
-def floor_e_times(q: int, depth_cap: int | None = DEFAULT_DEPTH_CAP) -> int:
+def floor_e_times(q: int) -> int:
     """floor(e * q) for a positive integer q, decided exactly.
 
     e*q is irrational for q >= 1, so the two endpoint floors agree once the
@@ -243,4 +223,4 @@ def floor_e_times(q: int, depth_cap: int | None = DEFAULT_DEPTH_CAP) -> int:
         lo = num * q // fact
         return lo if lo == (num * q + q) // fact else None
 
-    return refine(decide, lambda: f"floor(e * {_name(q)})", depth_cap)
+    return refine(decide)

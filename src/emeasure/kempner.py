@@ -12,8 +12,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .rationals import ResourceError
+
 # (prime, exponent) pairs, primes strictly increasing.
 Factorization = list[tuple[int, int]]
+
+# factorize tries divisors up to this; every q below its square factors.
+TRIAL_DIVISION_LIMIT = 10**6
 
 
 @dataclass(frozen=True)
@@ -40,13 +45,22 @@ def is_prime(n: int) -> bool:
 
 
 def factorize(q: int) -> Factorization:
-    """Prime factorization of q >= 2 by deterministic trial division."""
+    """Prime factorization of q >= 2 by deterministic trial division.
+
+    Raises ResourceError if the divisors up to TRIAL_DIVISION_LIMIT leave a
+    cofactor that may still be composite (it is then >= 10^12).
+    """
     if q < 2:
         raise ValueError("factorize requires q >= 2")
     factors: Factorization = []
     rest = q
     d = 2
     while d * d <= rest:
+        if d > TRIAL_DIVISION_LIMIT:
+            raise ResourceError(
+                f"trial division up to {TRIAL_DIVISION_LIMIT} leaves a"
+                f" {rest.bit_length()}-bit cofactor"
+            )
         if rest % d == 0:
             e = 0
             while rest % d == 0:

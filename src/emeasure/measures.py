@@ -19,21 +19,40 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .enclosure import (
+    check_depth,
     compare_distance_to_e,
     floor_e_times,
     interval,
     render_distance,
 )
 from .kempner import is_prime, kempner_S, largest_prime_factor
-from .rationals import LESS
+from .rationals import LESS, ResourceError
 
 MARGIN_DIGITS = 6
+
+# The most bits a bound, or an integer built to compare bounds, may have.
+# Each is checked against a small-int upper bound on its size before it is
+# built: k! has fewer than k * k.bit_length() bits.
+MAX_BOUND_BITS = 1 << 20
 
 # The bound factorials, memoised one entry deep. The nearest-numerator sweeps
 # check p = f and f + 1 against 1/(S(q)+1)!, then 1/(P(q)+1)! where P(q) =
 # S(q) (every prime q and most others), so consecutive calls share one k!;
 # holding more entries would keep every past factorial alive.
 _factorial = functools.lru_cache(maxsize=1)(math.factorial)
+
+
+def _check_bits(bits: int, what: str) -> None:
+    """Raise ResourceError if `bits`, an upper bound on the size of what is
+    about to be built, is past MAX_BOUND_BITS."""
+    if bits > MAX_BOUND_BITS:
+        raise ResourceError(f"{what} exceeds MAX_BOUND_BITS = {MAX_BOUND_BITS} bits")
+
+
+def _inverse_factorial(k: int) -> Fraction:
+    """1/k!, within the bit budget."""
+    _check_bits(k * k.bit_length(), "the bound 1/k!")
+    return Fraction(1, _factorial(k))
 
 
 @dataclass(frozen=True)
@@ -50,21 +69,21 @@ def theorem1_bound(q: int) -> Fraction:
     """1/(S(q)+1)!, the lower bound of the new measure; requires q >= 2."""
     if q < 2:
         raise ValueError("theorem1_bound requires q >= 2")
-    return Fraction(1, _factorial(kempner_S(q) + 1))
+    return _inverse_factorial(kempner_S(q) + 1)
 
 
 def weak_prime_bound(q: int) -> Fraction:
     """1/(q+1)!, the weakening obtained from S(q) <= q."""
     if q < 2:
         raise ValueError("weak_prime_bound requires q >= 2")
-    return Fraction(1, _factorial(q + 1))
+    return _inverse_factorial(q + 1)
 
 
 def prime_factor_bound(q: int) -> Fraction:
     """1/(P(q)+1)!; valid for almost all q, not for every q."""
     if q < 2:
         raise ValueError("prime_factor_bound requires q >= 2")
-    return Fraction(1, _factorial(largest_prime_factor(q) + 1))
+    return _inverse_factorial(largest_prime_factor(q) + 1)
 
 
 def _verdict(p: int, q: int, bound_name: str, bound: Fraction) -> MeasureVerdict:
@@ -130,6 +149,7 @@ def corollary2_scan(n: int) -> dict:
     """
     if n < 2:
         raise ValueError("corollary2_scan requires n >= 2")
+    check_depth(n)
     q = math.factorial(n)
     box = interval(n)
     candidates = sorted(
@@ -158,13 +178,19 @@ def _nth_root_ceil(value: int, d: int) -> int:
     if d == 2:
         root = math.isqrt(value)
     else:
-        # Integer Newton iteration for the floor d-th root.
-        root = 1 << -(-value.bit_length() // d)
+        # Integer Newton iteration for the floor d-th root. From a power of
+        # two above the root each step shrinks it only by about (d - 1)/d,
+        # so start from a float estimate of its top 50 bits instead. Any
+        # first step lands on or above the floor root (AM-GM); from there
+        # the steps decrease to it, quadratically.
+        shift = max(value.bit_length() // d - 50, 0)
+        root = (int(2 ** (math.log2(value >> (shift * d)) / d)) + 1) << shift
+        step = ((d - 1) * root + value // root ** (d - 1)) // d
         while True:
+            root = step
             step = ((d - 1) * root + value // root ** (d - 1)) // d
             if step >= root:
                 break
-            root = step
     return root if root**d >= value else root + 1
 
 
@@ -180,6 +206,8 @@ def known_measure_bound(q: int, eps: Fraction = Fraction(0)) -> Fraction:
     if eps < 0:
         raise ValueError("eps must be >= 0")
     c, d = eps.numerator, eps.denominator
+    # q^(2+c) when d = 1, else q^c * 10^(30 d) and its d-th root.
+    _check_bits((2 + c) * q.bit_length() + 100 * d, "the bound 1/q^(2+eps)")
     if d == 1:
         return Fraction(1, q ** (2 + c))
     scale = 10**30
@@ -213,13 +241,17 @@ def compare_bounds(q: int, eps: Fraction = Fraction(0)) -> dict:
         raise ValueError("compare_bounds requires q >= 2")
     if eps < 0:
         raise ValueError("eps must be >= 0")
-    s = kempner_S(q)
     c, d = eps.numerator, eps.denominator
+    _check_bits((2 * d + c) * q.bit_length(), "q^(2+eps) raised to eps's denominator")
+    s = kempner_S(q)
     rhs = q ** (2 * d + c)
-    # (S+1)! > rhs already decides (S+1)!^d > rhs, since d >= 1.
+    # (S+1)! > rhs already decides (S+1)!^d > rhs, since d >= 1. Otherwise
+    # lhs^d >= 2^(d (L - 1)) with L = lhs.bit_length() decides it when
+    # d (L - 1) >= rhs.bit_length(); when it does not, lhs^d has fewer than
+    # rhs.bit_length() + d bits.
     lhs = _capped_factorial(s + 1, rhs)
     if lhs <= rhs:
-        lhs **= d
+        lhs = rhs + 1 if d * (lhs.bit_length() - 1) >= rhs.bit_length() else lhs**d
     if lhs < rhs:
         stronger = "theorem1"
     elif lhs > rhs:

@@ -2,8 +2,8 @@
 
 Everything downstream works with ``fractions.Fraction``, which already
 guarantees the two invariants we need: denominators are positive and values
-are stored in lowest terms. This module adds the comparison verdicts
-and the decimal rendering the rest of the toolkit uses.
+are stored in lowest terms. This module adds the comparison verdicts,
+the decimal rendering and the resource error the rest of the toolkit uses.
 """
 
 from __future__ import annotations
@@ -12,6 +12,10 @@ from fractions import Fraction
 
 LESS = "less"
 GREATER = "greater"
+
+
+class ResourceError(RuntimeError):
+    """A request exceeds one of the package's size or work budgets."""
 
 
 def truncate_decimal(x: Fraction, digits: int) -> str:

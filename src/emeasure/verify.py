@@ -120,9 +120,8 @@ def check_convergents() -> tuple[bool, str]:
     outside = []
     for conv in cfrac.convergents(50):
         value = conv.value
-        quality = enclosure.compare_distance_to_e(
-            value, Fraction(1, value.denominator**2), depth_cap=None
-        )
+        bound = Fraction(1, value.denominator**2)
+        quality = enclosure.compare_distance_to_e(value, bound)
         if quality != LESS:
             bad_quality.append(conv.index)
         # Containment in interval(12) kicks in once q_k exceeds 12!: below

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from emeasure import cfrac, enclosure
 from emeasure.cfrac import (
     conjecture2_scan,
     convergents,
@@ -11,7 +12,12 @@ from emeasure.cfrac import (
     is_convergent,
     partial_sum_record,
 )
-from emeasure.enclosure import compare_distance_to_e, interval, partial_sum
+from emeasure.enclosure import (
+    DepthCapExceeded,
+    compare_distance_to_e,
+    interval,
+    partial_sum,
+)
 from emeasure.rationals import LESS
 
 
@@ -43,9 +49,10 @@ def _quotients_by_blocks(count):
     return quotients[:count]
 
 
-def test_convergents_from_recurrence_oracle():
-    # Rebuild the recurrence independently from the block encoding.
-    quotients = _quotients_by_blocks(30)
+def _recurrence_oracle(count):
+    """The first `count` convergents, by the recurrence over the block
+    encoding, rebuilt independently of cfrac."""
+    quotients = _quotients_by_blocks(count)
     p_prev, p = 1, quotients[0]
     q_prev, q = 0, 1
     expected = [Fraction(p, q)]
@@ -53,7 +60,22 @@ def test_convergents_from_recurrence_oracle():
         p_prev, p = p, a * p + p_prev
         q_prev, q = q, a * q + q_prev
         expected.append(Fraction(p, q))
-    assert [c.value for c in convergents(30)] == expected
+    return expected
+
+
+def test_convergents_from_recurrence_oracle():
+    assert [c.value for c in convergents(30)] == _recurrence_oracle(30)
+
+
+def test_failed_validation_leaves_the_table_as_it_was(monkeypatch):
+    # Validation past MAX_DEPTH raises. Had the recurrence advanced first,
+    # every later convergent would be wrong.
+    monkeypatch.setattr(cfrac, "_TABLE", cfrac._ConvergentTable())
+    with monkeypatch.context() as patch:
+        patch.setattr(enclosure, "MAX_DEPTH", 20)
+        with pytest.raises(DepthCapExceeded):
+            convergents(40)
+    assert [c.value for c in convergents(40)] == _recurrence_oracle(40)
 
 
 def test_denominators_strictly_increase_from_index_2():
@@ -66,7 +88,7 @@ def test_convergent_quality_first_50():
     for conv in convergents(50):
         q = conv.value.denominator
         assert (
-            compare_distance_to_e(conv.value, Fraction(1, q * q), depth_cap=None)
+            compare_distance_to_e(conv.value, Fraction(1, q * q))
             == LESS
         )
 

@@ -9,8 +9,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from emeasure import cli
+from emeasure import cli, density, enclosure, measures
 from emeasure.enclosure import partial_sum
+from emeasure.rationals import ResourceError
 
 
 def run_json(capsys, argv):
@@ -177,6 +178,42 @@ def test_bad_cantor_spec_is_domain_error(capsys, tmp_path):
     assert code == 1
 
 
+SPEC = {"a_table": [1], "b_table": [2]}
+
+
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        ("missing.json", None),
+        ("dir", "directory"),
+        ("list.json", json.dumps([1, 2])),
+        ("string_entry.json", json.dumps({**SPEC, "a_table": ["1"]})),
+        ("bool_entry.json", json.dumps({**SPEC, "a_table": [True]})),
+        ("float_entry.json", json.dumps({**SPEC, "b_table": [2.0]})),
+        ("float_a0.json", json.dumps({**SPEC, "a0": 0.5})),
+        ("table_not_list.json", json.dumps({**SPEC, "a_table": 1})),
+    ],
+)
+def test_unreadable_cantor_spec_is_domain_error(capsys, tmp_path, name, text):
+    path = tmp_path / name
+    if text == "directory":
+        path.mkdir()
+    elif text is not None:
+        path.write_text(text)
+    assert cli.run(["cantor", "--spec-json", str(path), "--N", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def test_unwritable_density_csv_is_domain_error(capsys, tmp_path):
+    path = tmp_path / "missing" / "x.csv"
+    assert cli.run(["density", "--x", "100", "--csv", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_resource_error_exit_code(capsys, monkeypatch):
     from emeasure import density
 
@@ -196,7 +233,6 @@ def test_resource_error_exit_code(capsys, monkeypatch):
     [
         ({"EMEASURE_WORKERS": "abc"}, ["kempner", "--q", "6"], 0),
         ({"EMEASURE_WORKERS": "abc"}, ["density", "--x", "1000"], 1),
-        ({"EMEASURE_DEPTH_CAP": "abc"}, ["distance", "--p", "65", "--q", "24"], 1),
         ({}, ["density", "--x", "1000", "--workers", "0"], 1),
     ],
 )
@@ -208,6 +244,67 @@ def test_bad_overrides(capsys, monkeypatch, env, argv, expected):
     err = capsys.readouterr().err
     if expected:
         assert err.startswith("error: ")
+
+
+def assert_resource_error(capsys, argv):
+    assert cli.run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("resource error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["interval", "--n", "10001"],
+        ["partial-sums", "--max-n", "10001"],
+        ["measure", "--corollary2", "10001"],
+    ],
+)
+def test_depth_past_max_depth_is_resource_error(capsys, argv):
+    # Refused before the endpoint cache grows, and before any output.
+    depth = len(enclosure._NUMS)
+    assert_resource_error(capsys, argv)
+    assert len(enclosure._NUMS) == depth
+
+
+def test_undecided_at_max_depth_is_resource_error(capsys, monkeypatch):
+    monkeypatch.setattr(enclosure, "MAX_DEPTH", 8)
+    assert_resource_error(capsys, ["distance", "--p", "65", "--q", "24", "--digits", "20"])
+
+
+def fail_to_build(*args):
+    raise AssertionError("built a number the budget should have refused")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["measure", "--p", "2718284", "--q", "1000003"],
+        ["measure", "--p", "2718284", "--q", "1000003", "--bound", "prime-factor"],
+        ["measure", "--p", "3", "--q", "1000003", "--bound", "weak-prime"],
+        ["measure", "--p", "3", "--q", "7", "--bound", "known", "--eps", "1/100000"],
+        ["measure", "--p", "3", "--q", "7", "--bound", "known", "--eps", "10000000"],
+        ["measure", "--compare", "--q", "1000003", "--eps", "1/100000"],
+        ["measure", "--compare", "--q", "7", "--eps", "1000000"],
+    ],
+)
+def test_bound_past_the_bit_budget_is_resource_error(capsys, monkeypatch, argv):
+    # Decided by arithmetic on sizes: no factorial or power is built.
+    monkeypatch.setattr(math, "factorial", fail_to_build)
+    monkeypatch.setattr(measures, "_factorial", fail_to_build)
+    monkeypatch.setattr(measures, "_capped_factorial", fail_to_build)
+    monkeypatch.setattr(measures, "_nth_root_ceil", fail_to_build)
+    assert_resource_error(capsys, argv)
+
+
+def test_one_resource_error_type():
+    assert density.ResourceError is ResourceError
+    assert issubclass(enclosure.DepthCapExceeded, ResourceError)
+
+
+def test_factorize_work_limit_is_resource_error(capsys):
+    assert_resource_error(capsys, ["kempner", "--q", "1000000000000000003"])
 
 
 @pytest.fixture
@@ -341,14 +438,15 @@ def command(name, *options):
     return st.tuples(*options).map(lambda parts: [name] + sum(parts, []))
 
 
+# eps denominators past the bound budget: a measure that uses eps exits 2.
+BIG_EPS = ["1/1000000", "3/2000000"]
+
 MEASURE_OPTIONS = (
     option(
         "--bound",
         st.sampled_from(["theorem1", "prime-factor", "weak-prime", "known", "x"]),
     ),
-    # Small eps denominators: known_measure_bound(q, c/d) builds 10^(30 d),
-    # and no budget bounds d yet (ROADMAP item 6).
-    option("--eps", rationals(12)),
+    option("--eps", st.one_of(rationals(12), st.sampled_from(BIG_EPS))),
 )
 
 ARGV = st.one_of(
@@ -366,7 +464,6 @@ ARGV = st.one_of(
         option("--digits", integers(-1, 20)),
         option("--bound", rationals(10**6)),
         option("--bound", rationals(10**6)),
-        option("--depth-cap", integers(-2, 64)),
     ),
     command(
         "measure",
@@ -408,6 +505,9 @@ def test_cli_boundary(argv):
         except SystemExit as exc:
             pytest.fail(f"SystemExit({exc.code}) escaped from {argv}")
     assert code in (0, 1, 2)
+    uses_eps = ("--compare" in argv or "known" in argv) and "--corollary2" not in argv
+    if uses_eps and any(eps in argv for eps in BIG_EPS):
+        assert code != 0
     if code == 0:
         json.loads(out.getvalue(), parse_int=no_json_number)
     else:

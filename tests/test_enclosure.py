@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, strategies as st
 
+from emeasure import enclosure
 from emeasure.enclosure import (
     DepthCapExceeded,
     Interval,
@@ -85,51 +86,52 @@ def test_negative_bound_rejected():
         compare_distance_to_e(Fraction(2), Fraction(-1))
 
 
-def test_depth_cap_raises_instead_of_looping():
+def test_depth_cap_raises_instead_of_looping(monkeypatch):
     # s_600 is far closer to e than anything a depth-8 enclosure can resolve.
-    with pytest.raises(DepthCapExceeded):
-        compare_distance_to_e(partial_sum(600), Fraction(1, 10**1000), depth_cap=8)
+    r = partial_sum(600)
+    monkeypatch.setattr(enclosure, "MAX_DEPTH", 8)
+    with pytest.raises(DepthCapExceeded, match="undecided at MAX_DEPTH = 8"):
+        compare_distance_to_e(r, Fraction(1, 10**1000))
 
 
-def test_depth_cap_with_unprintable_bound():
-    # str() of 1/2001! passes the int-to-str digit limit; the message names
-    # the bound by its size, so the resource error is not a ValueError.
-    with pytest.raises(DepthCapExceeded, match="-bit rational"):
-        compare_distance_to_e(
-            partial_sum(600), Fraction(1, math.factorial(2001)), depth_cap=8
-        )
+def test_close_query_past_the_old_default_cap():
+    # |e - s_600| is about 1/601!, below 10^-1400; a cap of depth 500 raised.
+    assert compare_distance_to_e(partial_sum(600), Fraction(1, 10**1400)) == LESS
 
 
-def _depths_seen(depth_cap, stop_after=None):
+def test_depth_past_max_depth_refused_before_the_cache_grows(monkeypatch):
+    depth = len(enclosure._NUMS)
+    monkeypatch.setattr(enclosure, "MAX_DEPTH", depth)
+    for entry in (interval, partial_sum):
+        with pytest.raises(DepthCapExceeded, match=f"depth {depth + 1} exceeds"):
+            entry(depth + 1)
+    assert len(enclosure._NUMS) == len(enclosure._FACTS) == depth
+
+
+def _depths_seen(monkeypatch, max_depth, stop_after=None):
     """Depths refine hands to an undecided `decide` (or one that answers
-    after `stop_after` calls), and how often it formatted its message."""
-    seen, formatted = [], []
+    after `stop_after` calls) under MAX_DEPTH = max_depth."""
+    seen = []
 
     def decide(n):
         seen.append(n)
         return "done" if len(seen) == stop_after else None
 
-    def what():
-        formatted.append(1)
-        return "test question"
-
+    monkeypatch.setattr(enclosure, "MAX_DEPTH", max_depth)
     try:
-        refine(decide, what, depth_cap)
+        refine(decide)
     except DepthCapExceeded as exc:
-        assert str(exc) == f"test question undecided at depth {depth_cap}"
-    return seen, len(formatted)
+        assert str(exc) == f"undecided at MAX_DEPTH = {max_depth}"
+    return seen
 
 
-def test_refine_depth_schedule():
-    assert _depths_seen(20)[0] == [4, 8, 16, 20]
-    assert _depths_seen(2)[0] == [4]
-    assert _depths_seen(None, stop_after=8)[0] == [4, 8, 16, 32, 64, 128, 256, 512]
-
-
-def test_refine_formats_message_only_when_raising():
-    assert _depths_seen(20) == ([4, 8, 16, 20], 1)
-    assert _depths_seen(20, stop_after=3) == ([4, 8, 16], 0)
-    assert _depths_seen(None, stop_after=8)[1] == 0
+def test_refine_depth_schedule(monkeypatch):
+    assert _depths_seen(monkeypatch, 20) == [4, 8, 16, 20]
+    assert _depths_seen(monkeypatch, 2) == [2]
+    assert _depths_seen(monkeypatch, 20, stop_after=3) == [4, 8, 16]
+    assert _depths_seen(monkeypatch, 10_000, stop_after=8) == [
+        4, 8, 16, 32, 64, 128, 256, 512
+    ]
 
 
 def test_nearest_multiples_of_inverse_factorial_keep_distance():
@@ -163,20 +165,23 @@ def test_floor_e_times():
     assert floor_e_times(10**6) == 2718281
 
 
-def test_far_query_with_huge_terms_answers_under_default_cap():
-    # The bit-length start depth is far past 500 here; clipped to the cap,
-    # the query is still answered.
+def test_far_query_with_huge_terms_answers_under_default_cap(monkeypatch):
+    # The bit-length start depth is far past 500 here; clipped to
+    # MAX_DEPTH = 500, the query is still answered.
+    monkeypatch.setattr(enclosure, "MAX_DEPTH", 500)
     r = 3 + Fraction(1, 10**2000)
     assert compare_distance_to_e(r, Fraction(1, 10**4000)) == GREATER
 
 
-def test_start_depth_is_smallest_factorial_with_enough_bits():
+def test_start_depth_is_smallest_factorial_with_enough_bits(monkeypatch):
     for bits in range(1, 3000, 37):
-        n = _start_depth(bits, None)
+        n = _start_depth(bits)
         assert math.factorial(n).bit_length() >= bits
         assert n == 1 or math.factorial(n - 1).bit_length() < bits
-    assert _start_depth(10**5, 8) == 8
-    assert _start_depth(10**5, 0) == 1
+    monkeypatch.setattr(enclosure, "MAX_DEPTH", 8)
+    assert _start_depth(10**5) == 8
+    monkeypatch.setattr(enclosure, "MAX_DEPTH", 1)
+    assert _start_depth(10**5) == 1
 
 
 # Oracle for the integer decisions: I_DEEP built by literal subdivision from

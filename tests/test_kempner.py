@@ -15,6 +15,7 @@ from emeasure.kempner import (
     legendre_valuation,
     rewrite_over_factorial,
 )
+from emeasure.rationals import ResourceError
 
 
 def test_factorize_anchors():
@@ -22,6 +23,16 @@ def test_factorize_anchors():
     assert factorize(6) == [(2, 1), (3, 1)]
     assert factorize(4000) == [(2, 5), (5, 3)]
     assert factorize(97) == [(97, 1)]
+
+
+def test_factorize_work_limit():
+    # Trial division stops at 10^6. Below 10^12 that is exact; a cofactor
+    # above it with no factor up to 10^6 may be composite and is refused.
+    assert factorize(999979 * 999983) == [(999979, 1), (999983, 1)]
+    assert factorize(999999999989) == [(999999999989, 1)]
+    for q in (1000003 * 1000033, 2 * 1000003 * 1000033, 10**18 + 3):
+        with pytest.raises(ResourceError, match="trial division up to 1000000"):
+            factorize(q)
 
 
 def test_factorize_rejects_small():

@@ -23,6 +23,7 @@ from emeasure.measures import (
     theorem1_bound,
     weak_prime_bound,
 )
+from emeasure.rationals import ResourceError
 
 
 def test_theorem1_bound_values():
@@ -202,6 +203,23 @@ def test_bound_factorial_memo_holds_one_entry():
     assert cold[0].bound == Fraction(1, math.factorial(5004))
     theorem1_bound(10007)  # a new k evicts the old entry
     assert measures._factorial.cache_info().currsize <= 1
+
+
+def test_bound_bit_budget_edge(monkeypatch):
+    # k! has fewer than k * k.bit_length() bits. Within 2^20 that allows
+    # k = 2^16 - 1 (16 bits each), but not k = 2^16 (17 bits each).
+    monkeypatch.setattr(measures, "_factorial", lambda k: k)
+    assert measures._inverse_factorial(2**16 - 1) == Fraction(1, 2**16 - 1)
+    with pytest.raises(ResourceError):
+        measures._inverse_factorial(2**16)
+
+
+@given(
+    st.integers(min_value=2, max_value=60),
+    st.fractions(min_value=0, max_value=3, max_denominator=400),
+)
+def test_compare_bounds_with_large_eps_denominators(q, eps):
+    assert compare_bounds(q, eps) == compare_bounds_oracle(q, eps)
 
 
 def test_conjecture1_agrees_with_density_scan():
