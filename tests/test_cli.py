@@ -233,6 +233,7 @@ def test_resource_error_exit_code(capsys, monkeypatch):
     [
         ({"EMEASURE_WORKERS": "abc"}, ["kempner", "--q", "6"], 0),
         ({"EMEASURE_WORKERS": "abc"}, ["density", "--x", "1000"], 1),
+        ({"EMEASURE_WORKERS": "0"}, ["density", "--x", "1000"], 1),
         ({}, ["density", "--x", "1000", "--workers", "0"], 1),
     ],
 )
