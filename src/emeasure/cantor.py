@@ -19,6 +19,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .enclosure import check_depth
+
 IRRATIONAL = "irrational"
 RATIONAL = "rational"
 CONDITIONAL = "conditional"
@@ -96,6 +98,9 @@ def cantor_partial_sum(spec: CantorSpec, upto: int) -> Fraction:
     """Exact sum of the first terms: a0 + sum_{n=1}^{upto} a_n/(b_1...b_n)."""
     if upto < 0:
         raise ValueError("upto must be >= 0")
+    # The product grows as (upto + 1)! for the built-in families, the growth
+    # MAX_DEPTH bounds for the enclosure.
+    check_depth(upto)
     # The head sum is numerator / product, kept unreduced: adding
     # a_n / (product * b_n) is numerator * b_n + a_n over product * b_n.
     numerator, product = 0, 1

@@ -2,18 +2,19 @@
 partial-sum vs convergent scans.
 
 The partial quotients of e follow the pattern 2; 1, 2k, 1 (k = 1, 2, ...).
-That pattern is used as a generator but never trusted: every convergent it
-produces is validated against the interval enclosure via the standard
-convergent inequality |e - p/q| < 1/q^2 before being handed out.
+That pattern is used as a generator but never trusted: the convergents it
+produces are proved by Legendre's criterion, once per growth of the table,
+against the interval enclosure before being handed out.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .enclosure import compare_distance_to_e, partial_sum
+from .enclosure import check_depth, compare_distance_to_e, partial_sum
 from .rationals import LESS
 
 
@@ -45,68 +46,62 @@ def e_partial_quotients(count: int) -> list[int]:
     return [_partial_quotient(k) for k in range(count)]
 
 
-class _ConvergentTable:
-    """Growing, validated table of convergents of e.
+# The proved convergents p_k/q_k = _P[k + 2]/_Q[k + 2], in lowest terms. The
+# first two entries seed the recurrence p_k = a_k p_(k-1) + p_(k-2).
+_P: list[int] = [0, 1]
+_Q: list[int] = [1, 0]
 
-    Maintains the p/q recurrence and a denominator -> value index (values
-    are in lowest terms, so a rational can only match a convergent with the
-    exact same denominator).
+
+def _grow(count: int, denominator: int = 0) -> None:
+    """Extend the table to at least `count` convergents, the last with
+    q_k > denominator, proved by one comparison.
+
+    The recurrence runs to the first K = 1 (mod 3) with K >= count + 1 and
+    q_(K-2) > denominator. If |e - p_K/q_K| < 1/(2 q_K^2), p_K/q_K is a
+    convergent of e (Legendre; Hardy & Wright, Thm 184). As a_K = 1, it is
+    [a_0; ..., a_(K-1), 1] = [a_0; ..., a_(K-1) + 1], the K-th or (K-1)-th,
+    so e's quotients begin a_0, ..., a_(K-2): those convergents are stored,
+    only once the check passes. It should pass: a_(K+1) >= 2 gives
+    q_(K+1) > 2 q_K.
     """
-
-    def __init__(self) -> None:
-        self.values: list[Fraction] = []
-        # Denominators collide only at indices 0 and 1 (both 1), hence lists.
-        self.by_denominator: dict[int, list[Fraction]] = {}
-        self._p = [0, 1]  # p_{k-2}, p_{k-1}
-        self._q = [1, 0]
-        self._k = 0
-
-    def grow(self) -> Convergent:
-        a = _partial_quotient(self._k)
-        p = a * self._p[1] + self._p[0]
-        q = a * self._q[1] + self._q[0]
-        value = Fraction(p, q)
-        assert value.denominator == q, "recurrence must give lowest terms"
-        # Validate against the enclosure instead of trusting the pattern. It
-        # may raise DepthCapExceeded, so the recurrence advances only after.
-        check = compare_distance_to_e(value, Fraction(1, q * q))
-        if check != LESS:
-            raise AssertionError(
-                f"generated convergent {p}/{q} fails |e - p/q| < 1/q^2"
-            )
-        self._p = [self._p[1], p]
-        self._q = [self._q[1], q]
-        self.values.append(value)
-        self.by_denominator.setdefault(q, []).append(value)
-        conv = Convergent(index=self._k, value=value)
-        self._k += 1
-        return conv
-
-    def ensure_count(self, count: int) -> None:
-        while len(self.values) < count:
-            self.grow()
-
-    def ensure_denominator_above(self, denominator: int) -> None:
-        # q_k is strictly increasing from index 2 on, so this terminates.
-        while len(self.values) < 3 or self.values[-1].denominator <= denominator:
-            self.grow()
-
-
-_TABLE = _ConvergentTable()
+    # 2 q_(2D)^2 >= D! for every D <= 1.2 10^4, so no proof at K past
+    # 2 MAX_DEPTH + 1 is decided within MAX_DEPTH: refuse such a count before
+    # the recurrence runs, and a denominator once the recurrence gets there.
+    check_depth((count + 1) // 2)
+    ps, qs = _P[-2:], _Q[-2:]
+    # k indexes the last entry of ps/qs. The table ends at k = 2 (mod 3),
+    # or -1 when empty, so qs[-3] is read only after two steps.
+    k = len(_P) - 3
+    while k % 3 != 1 or k < count + 1 or qs[-3] <= denominator:
+        k += 1
+        check_depth(k // 2)
+        a = _partial_quotient(k)
+        ps.append(a * ps[-1] + ps[-2])
+        qs.append(a * qs[-1] + qs[-2])
+    p, q = ps.pop(), qs.pop()  # p_K / q_K
+    if compare_distance_to_e(Fraction(p, q), Fraction(1, 2 * q * q)) != LESS:
+        raise AssertionError(f"generated {p}/{q} fails |e - p/q| < 1/(2 q^2)")
+    _P.extend(ps[2:-1])
+    _Q.extend(qs[2:-1])
 
 
 def convergents(count: int) -> list[Convergent]:
     """First `count` convergents of e (2, 3, 8/3, 11/4, 19/7, ...)."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    _TABLE.ensure_count(count)
-    return [Convergent(i, v) for i, v in enumerate(_TABLE.values[:count])]
+    if len(_P) < count + 2:
+        _grow(count)
+    return [Convergent(k, Fraction(_P[k + 2], _Q[k + 2])) for k in range(count)]
 
 
 def is_convergent(r: Fraction) -> bool:
     """True iff r equals some convergent of e."""
-    _TABLE.ensure_denominator_above(r.denominator)
-    return r in _TABLE.by_denominator.get(r.denominator, [])
+    if _Q[-1] <= r.denominator:
+        _grow(0, r.denominator)
+    # q_k increases strictly from k = 1 on; only q_0 = q_1 = 1 repeat.
+    lo = bisect.bisect_left(_Q, r.denominator, 2)
+    hi = bisect.bisect_right(_Q, r.denominator, 2)
+    return r.numerator in _P[lo:hi]
 
 
 def partial_sum_record(n: int) -> PartialSumRecord:

@@ -17,6 +17,7 @@ import csv
 import dataclasses
 import datetime
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -170,6 +171,10 @@ def cmd_partial_sums(args) -> int:
     writer = csv.writer(sys.stdout)
     header = ["n", "s_n_num", "s_n_den", "q_n", "full_factorial"]
     if args.check_convergent:
+        # No row's denominator exceeds max_n!, so this is all the growth
+        # the rows need, and a table MAX_DEPTH cannot prove is refused
+        # before any output.
+        cfrac.is_convergent(Fraction(1, math.factorial(args.max_n)))
         header.append("is_convergent")
     writer.writerow(header)
     with _full_digits():

@@ -29,7 +29,8 @@ from .kempner import kempner_prime_power
 from .rationals import ResourceError, truncate_decimal
 
 BLOCK_SIZE = 1 << 16
-DEFAULT_MAX_SCAN_ENTRIES = 10**8
+# The most entries one scan may cover (x + 1), read when a report runs.
+MAX_SCAN_ENTRIES = 10**8
 EXCEPTIONS_CAP = 100
 
 
@@ -170,12 +171,11 @@ def _scan_block_worker(bounds: tuple[int, int]):
 def density_report(
     x: int,
     workers: int = 1,
-    max_entries: int = DEFAULT_MAX_SCAN_ENTRIES,
     csv_path: str | None = None,
 ) -> DensityReport:
     """Exact exception counts over q in [2, x].
 
-    max_entries bounds the scan size x + 1, whatever the worker count: a
+    MAX_SCAN_ENTRIES bounds the scan size x + 1, whatever the worker count: a
     block holds BLOCK_SIZE entries and the plan O(sqrt(x)), so no process
     holds a table of x entries. With workers > 1 the blocks run in separate
     processes, each with its own plan. The merged result is byte-identical
@@ -188,8 +188,10 @@ def density_report(
         raise ValueError("density_report requires x >= 2")
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    if x + 1 > max_entries:
-        raise ResourceError(f"scan of {x + 1} entries exceeds budget of {max_entries}")
+    if x + 1 > MAX_SCAN_ENTRIES:
+        raise ResourceError(
+            f"scan of {x + 1} entries exceeds budget of {MAX_SCAN_ENTRIES}"
+        )
     blocks = [
         (lo, min(lo + BLOCK_SIZE - 1, x)) for lo in range(2, x + 1, BLOCK_SIZE)
     ]

@@ -67,10 +67,15 @@ def test_convergents_from_recurrence_oracle():
     assert [c.value for c in convergents(30)] == _recurrence_oracle(30)
 
 
+def _fresh_table(monkeypatch):
+    monkeypatch.setattr(cfrac, "_P", [0, 1])
+    monkeypatch.setattr(cfrac, "_Q", [1, 0])
+
+
 def test_failed_validation_leaves_the_table_as_it_was(monkeypatch):
     # Validation past MAX_DEPTH raises. Had the recurrence advanced first,
     # every later convergent would be wrong.
-    monkeypatch.setattr(cfrac, "_TABLE", cfrac._ConvergentTable())
+    _fresh_table(monkeypatch)
     with monkeypatch.context() as patch:
         patch.setattr(enclosure, "MAX_DEPTH", 20)
         with pytest.raises(DepthCapExceeded):
@@ -159,3 +164,51 @@ def test_scan_preconditions():
 def test_partial_sums_are_left_endpoints():
     for n in range(1, 30):
         assert partial_sum_record(n).s_n == partial_sum(n)
+
+
+def test_proved_table_matches_per_convergent_oracle(monkeypatch):
+    # One proof covers the whole growth; the old per-convergent check
+    # |e - p/q| < 1/q^2 stays here as an independent oracle.
+    _fresh_table(monkeypatch)
+    calls = []
+
+    def counted(r, bound):
+        calls.append(r)
+        return compare_distance_to_e(r, bound)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cfrac, "compare_distance_to_e", counted)
+        values = [c.value for c in convergents(1500)]
+    assert len(calls) == 1
+    assert values == _recurrence_oracle(1500)
+    for p, q in zip(cfrac._P[2:1502], cfrac._Q[2:1502]):
+        assert Fraction(p, q).denominator == q
+        assert compare_distance_to_e(Fraction(p, q), Fraction(1, q * q)) == LESS
+
+
+@pytest.mark.parametrize("j", [0, 1, 2, 5, 40, 299])
+def test_wrong_quotient_is_refused(monkeypatch, j):
+    _fresh_table(monkeypatch)
+    original = cfrac._partial_quotient
+    monkeypatch.setattr(
+        cfrac, "_partial_quotient", lambda k: original(k) + (k == j)
+    )
+    with pytest.raises(AssertionError):
+        convergents(j + 1)
+    assert cfrac._P == [0, 1] and cfrac._Q == [1, 0]
+
+
+def test_huge_denominator_refused_before_the_recurrence_runs_away(monkeypatch):
+    # q_k > 10^20000 needs k near 16500; the proof could not be decided past
+    # k = 2 MAX_DEPTH + 1, so the recurrence stops there.
+    _fresh_table(monkeypatch)
+    steps = []
+    original = cfrac._partial_quotient
+    monkeypatch.setattr(
+        cfrac, "_partial_quotient", lambda k: steps.append(k) or original(k)
+    )
+    monkeypatch.setattr(enclosure, "MAX_DEPTH", 300)
+    with pytest.raises(DepthCapExceeded):
+        is_convergent(Fraction(1, 10**20000))
+    assert len(steps) <= 2 * 300 + 2
+    assert cfrac._P == [0, 1] and cfrac._Q == [1, 0]

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from emeasure import cli, density, enclosure, measures
+from emeasure import cfrac, cli, density, enclosure, measures
 from emeasure.enclosure import partial_sum
 from emeasure.rationals import ResourceError
 
@@ -215,14 +215,7 @@ def test_unwritable_density_csv_is_domain_error(capsys, tmp_path):
 
 
 def test_resource_error_exit_code(capsys, monkeypatch):
-    from emeasure import density
-
-    original = density.density_report
-
-    def tiny_report(x, workers=1, csv_path=None):
-        return original(x, workers=workers, max_entries=10, csv_path=csv_path)
-
-    monkeypatch.setattr(density, "density_report", tiny_report)
+    monkeypatch.setattr(density, "MAX_SCAN_ENTRIES", 10)
     code = cli.run(["density", "--x", "1000"])
     assert code == 2
     assert "resource" in capsys.readouterr().err
@@ -260,6 +253,8 @@ def assert_resource_error(capsys, argv):
         ["interval", "--n", "10001"],
         ["partial-sums", "--max-n", "10001"],
         ["measure", "--corollary2", "10001"],
+        ["cantor", "--N", "10001"],
+        ["convergents", "--count", "20001"],
     ],
 )
 def test_depth_past_max_depth_is_resource_error(capsys, argv):
@@ -267,6 +262,16 @@ def test_depth_past_max_depth_is_resource_error(capsys, argv):
     depth = len(enclosure._NUMS)
     assert_resource_error(capsys, argv)
     assert len(enclosure._NUMS) == depth
+
+
+def test_partial_sums_convergent_table_refused_before_header(capsys, monkeypatch):
+    # The convergent table for max_n = 200 needs a proof near depth 400.
+    monkeypatch.setattr(cfrac, "_P", [0, 1])
+    monkeypatch.setattr(cfrac, "_Q", [1, 0])
+    monkeypatch.setattr(enclosure, "MAX_DEPTH", 300)
+    assert_resource_error(
+        capsys, ["partial-sums", "--max-n", "200", "--check-convergent"]
+    )
 
 
 def test_undecided_at_max_depth_is_resource_error(capsys, monkeypatch):

@@ -189,11 +189,12 @@ def test_scan_budget_counted_once(monkeypatch, workers, over):
     monkeypatch.setattr(density.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(_InProcessPool, "requested", [])
     x = density.BLOCK_SIZE + 300
+    monkeypatch.setattr(density, "MAX_SCAN_ENTRIES", x + 1 - over)
     if over:
         with pytest.raises(ResourceError):
-            density_report(x, workers=workers, max_entries=x)
+            density_report(x, workers=workers)
     else:
-        report = density_report(x, workers=workers, max_entries=x + 1)
+        report = density_report(x, workers=workers)
         assert report == density_report(x)
     assert _InProcessPool.requested == ([2] if workers == 2 and not over else [])
 
