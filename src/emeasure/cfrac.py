@@ -10,11 +10,11 @@ against the interval enclosure before being handed out.
 from __future__ import annotations
 
 import bisect
-import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .enclosure import check_depth, compare_distance_to_e, partial_sum
+from .enclosure import check_depth, compare_distance_to_e, endpoint
 from .rationals import LESS
 
 
@@ -64,6 +64,8 @@ def _grow(count: int, denominator: int = 0) -> None:
     only once the check passes. It should pass: a_(K+1) >= 2 gives
     q_(K+1) > 2 q_K.
     """
+    if len(_P) >= count + 2 and _Q[-1] > denominator:
+        return
     # 2 q_(2D)^2 >= D! for every D <= 1.2 10^4, so no proof at K past
     # 2 MAX_DEPTH + 1 is decided within MAX_DEPTH: refuse such a count before
     # the recurrence runs, and a denominator once the recurrence gets there.
@@ -89,15 +91,13 @@ def convergents(count: int) -> list[Convergent]:
     """First `count` convergents of e (2, 3, 8/3, 11/4, 19/7, ...)."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    if len(_P) < count + 2:
-        _grow(count)
+    _grow(count)
     return [Convergent(k, Fraction(_P[k + 2], _Q[k + 2])) for k in range(count)]
 
 
 def is_convergent(r: Fraction) -> bool:
     """True iff r equals some convergent of e."""
-    if _Q[-1] <= r.denominator:
-        _grow(0, r.denominator)
+    _grow(0, r.denominator)
     # q_k increases strictly from k = 1 on; only q_0 = q_1 = 1 repeat.
     lo = bisect.bisect_left(_Q, r.denominator, 2)
     hi = bisect.bisect_right(_Q, r.denominator, 2)
@@ -108,11 +108,26 @@ def partial_sum_record(n: int) -> PartialSumRecord:
     """Partial sum s_n with its reduced denominator q_n and whether q_n = n!."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    s_n = partial_sum(n)
+    num, fact = endpoint(n)
+    s_n = Fraction(num, fact)
     q_n = s_n.denominator
-    return PartialSumRecord(
-        n=n, s_n=s_n, q_n=q_n, full_factorial=(q_n == math.factorial(n))
-    )
+    return PartialSumRecord(n=n, s_n=s_n, q_n=q_n, full_factorial=(q_n == fact))
+
+
+def partial_sum_scan(
+    max_n: int, check_convergent: bool = False
+) -> Iterator[tuple[PartialSumRecord, bool | None]]:
+    """Rows (partial_sum_record(n), is_convergent(s_n) or None), n = 0..max_n,
+    computed as they are read. The depth, and with check_convergent one growth
+    of the table past max_n! (no s_n has a larger denominator), are checked
+    before this returns."""
+    if max_n < 0:
+        raise ValueError("max_n must be >= 0")
+    check_depth(max_n)
+    if check_convergent:
+        _grow(0, endpoint(max_n)[1])
+    records = map(partial_sum_record, range(max_n + 1))
+    return ((r, is_convergent(r.s_n) if check_convergent else None) for r in records)
 
 
 def corollary3_scan(max_n: int) -> list[dict]:
@@ -123,12 +138,11 @@ def corollary3_scan(max_n: int) -> list[dict]:
     """
     if max_n < 3:
         raise ValueError("max_n must be >= 3")
-    rows = []
-    for n in range(3, max_n + 1):
-        record = partial_sum_record(n)
-        if record.full_factorial:
-            rows.append({"n": n, "violated": is_convergent(record.s_n)})
-    return rows
+    return [
+        {"n": record.n, "violated": hit}
+        for record, hit in partial_sum_scan(max_n, check_convergent=True)
+        if record.n >= 3 and record.full_factorial
+    ]
 
 
 def conjecture2_scan(max_n: int) -> list[int]:
@@ -138,6 +152,5 @@ def conjecture2_scan(max_n: int) -> list[int]:
     """
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
-    return [
-        n for n in range(0, max_n + 1) if is_convergent(partial_sum(n))
-    ]
+    scan = partial_sum_scan(max_n, check_convergent=True)
+    return [record.n for record, hit in scan if hit]

@@ -17,7 +17,6 @@ import csv
 import dataclasses
 import datetime
 import json
-import math
 import os
 import sys
 from fractions import Fraction
@@ -44,10 +43,11 @@ def _env_int(name: str, default: int) -> int:
 
 @contextlib.contextmanager
 def _full_digits():
-    """Let str() print integers of any length while a result is serialized.
+    """Let integers of any length be printed while a result is rendered.
 
     Exact results pass Python's int-to-str digit limit (5000! has 16326
-    digits). The limit is lifted only here and restored afterwards.
+    digits, `distance --digits 5000` a 5000-digit fraction). The limit is
+    lifted only here and restored afterwards.
     """
     previous = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
@@ -97,6 +97,10 @@ def cmd_kempner(args) -> int:
     if args.q is None and not args.oracle_check:
         raise ValueError("kempner requires --q or --oracle-check")
     if args.oracle_check:
+        if args.max > kempner.MAX_ORACLE_Q:
+            raise ResourceError(
+                f"--max {args.max} exceeds MAX_ORACLE_Q = {kempner.MAX_ORACLE_Q}"
+            )
         mismatches = [
             q
             for q in range(1, args.max + 1)
@@ -124,7 +128,9 @@ def cmd_interval(args) -> int:
 
 def cmd_distance(args) -> int:
     r = Fraction(args.p, args.q)
-    out = {"r": r, "digits": enclosure.render_distance(r, args.digits), "bounds": []}
+    with _full_digits():
+        digits = enclosure.render_distance(r, args.digits)
+    out = {"r": r, "digits": digits, "bounds": []}
     for text in args.bound or []:
         bound = Fraction(text)
         out["bounds"].append(
@@ -167,28 +173,23 @@ def cmd_convergents(args) -> int:
 
 
 def cmd_partial_sums(args) -> int:
-    enclosure.check_depth(args.max_n)  # before the header is written
+    rows = cfrac.partial_sum_scan(args.max_n, args.check_convergent)
     writer = csv.writer(sys.stdout)
     header = ["n", "s_n_num", "s_n_den", "q_n", "full_factorial"]
     if args.check_convergent:
-        # No row's denominator exceeds max_n!, so this is all the growth
-        # the rows need, and a table MAX_DEPTH cannot prove is refused
-        # before any output.
-        cfrac.is_convergent(Fraction(1, math.factorial(args.max_n)))
         header.append("is_convergent")
     writer.writerow(header)
     with _full_digits():
-        for n in range(0, args.max_n + 1):
-            record = cfrac.partial_sum_record(n)
+        for record, hit in rows:
             row = [
-                n,
+                record.n,
                 record.s_n.numerator,
                 record.s_n.denominator,
                 record.q_n,
                 int(record.full_factorial),
             ]
             if args.check_convergent:
-                row.append(int(cfrac.is_convergent(record.s_n)))
+                row.append(int(hit))
             writer.writerow(row)
     return EXIT_OK
 
@@ -204,6 +205,13 @@ def _int_table(doc: dict, key: str) -> tuple[int, ...]:
     return tuple(table)
 
 
+_TAIL_FLAGS = (
+    "all_primes_divide_infinitely_many_b",
+    "a_positive_infinitely_often",
+    "a_below_b_minus_1_infinitely_often",
+)
+
+
 def _spec_from_args(args) -> cantor.CantorSpec:
     if args.spec_json:
         with open(args.spec_json) as handle:
@@ -213,19 +221,21 @@ def _spec_from_args(args) -> cantor.CantorSpec:
         a0 = doc.get("a0", 0)
         if not _is_int(a0):
             raise ValueError("a0 must be an integer")
+        tail_mode = doc.get("tail_mode", "repeat-last-block")
+        if not isinstance(tail_mode, str):
+            raise ValueError("tail_mode must be a string")
+        # A string such as "false" would be truthy: only JSON booleans count.
+        flags = {key: doc.get(key) for key in _TAIL_FLAGS}
+        for key, value in flags.items():
+            if value is not None and not isinstance(value, bool):
+                raise ValueError(f"{key} must be true, false or null")
         return cantor.CantorSpec(
             a0=a0,
             family="custom",
             a_table=_int_table(doc, "a_table"),
             b_table=_int_table(doc, "b_table"),
-            tail_mode=doc.get("tail_mode", "repeat-last-block"),
-            all_primes_divide_infinitely_many_b=doc.get(
-                "all_primes_divide_infinitely_many_b"
-            ),
-            a_positive_infinitely_often=doc.get("a_positive_infinitely_often"),
-            a_below_b_minus_1_infinitely_often=doc.get(
-                "a_below_b_minus_1_infinitely_often"
-            ),
+            tail_mode=tail_mode,
+            **flags,
         )
     family = args.family
     if family.startswith("mask:"):

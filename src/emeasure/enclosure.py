@@ -72,7 +72,7 @@ def _grow(n: int) -> None:
         _FACTS.append(k * _FACTS[-1])
 
 
-def _endpoint(n: int) -> tuple[int, int]:
+def endpoint(n: int) -> tuple[int, int]:
     """(N_n, n!): s_n = N_n / n! is the left endpoint of I_n."""
     _grow(n)
     return _NUMS[n], _FACTS[n]
@@ -82,14 +82,14 @@ def partial_sum(n: int) -> Fraction:
     """s_n = sum_{k=0}^{n} 1/k!, the left endpoint of I_n for n >= 1."""
     if n < 0:
         raise ValueError("partial_sum requires n >= 0")
-    return Fraction(*_endpoint(n))
+    return Fraction(*endpoint(n))
 
 
 def interval(n: int) -> Interval:
     """The n-th interval of the construction: [s_n, s_n + 1/n!]."""
     if n < 1:
         raise ValueError("interval requires n >= 1")
-    num, fact = _endpoint(n)
+    num, fact = endpoint(n)
     return Interval(left=Fraction(num, fact), right=Fraction(num + 1, fact), n=n)
 
 
@@ -139,7 +139,7 @@ def _start_depth(bits: int) -> int:
 
 def _scaled_bracket(a: int, b: int, n: int) -> tuple[int, int, int]:
     """(lo, hi, n! b) such that [lo, hi] / (n! b) is distance_bracket(a/b, n)."""
-    num, fact = _endpoint(n)
+    num, fact = endpoint(n)
     den = fact * b
     d = num * b - a * fact  # (s_n - a/b) n! b
     if d >= 0:
@@ -194,6 +194,13 @@ def render_distance(r: Fraction, digits: int, bound: Fraction = Fraction(0)) -> 
     """
     if digits < 1:
         raise ValueError("digits must be >= 1")
+    # The depth-n bracket is 1/n! wide, so it fixes `digits` places only if
+    # n! > 10^digits. With MAX_DEPTH <= 10^k, every n <= MAX_DEPTH has
+    # n! < n^n <= 10^(k MAX_DEPTH): past that, refuse before building 10^digits.
+    if digits >= MAX_DEPTH * len(str(MAX_DEPTH - 1)):
+        raise DepthCapExceeded(
+            f"{digits} digits need a depth past MAX_DEPTH = {MAX_DEPTH}"
+        )
     a, b = r.numerator, r.denominator
     u, v = bound.numerator, bound.denominator
 
@@ -219,7 +226,7 @@ def floor_e_times(q: int) -> int:
         raise ValueError("q must be >= 1")
 
     def decide(n: int) -> int | None:
-        num, fact = _endpoint(n)
+        num, fact = endpoint(n)
         lo = num * q // fact
         return lo if lo == (num * q + q) // fact else None
 

@@ -20,6 +20,10 @@ Factorization = list[tuple[int, int]]
 # factorize tries divisors up to this; every q below its square factors.
 TRIAL_DIVISION_LIMIT = 10**6
 
+# The largest q that a check against kempner_S_naive may reach: checking
+# every q up to x costs up to x^2/2 steps (1.2 s at 10^4, hours at 10^6).
+MAX_ORACLE_Q = 10**5
+
 
 @dataclass(frozen=True)
 class KempnerResult:
@@ -121,7 +125,7 @@ def kempner_S(q: int, factorization: Factorization | None = None) -> int:
 def kempner_S_naive(q: int) -> int:
     """Literal definition min {k > 0 : q | k!}, tracking k! mod q.
 
-    Independent oracle for kempner_S; intended for q up to ~1e5.
+    Independent oracle for kempner_S; intended for q up to MAX_ORACLE_Q.
     """
     if q < 1:
         raise ValueError("kempner_S_naive requires q >= 1")

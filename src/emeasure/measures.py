@@ -19,10 +19,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .enclosure import (
-    check_depth,
     compare_distance_to_e,
+    endpoint,
     floor_e_times,
-    interval,
     render_distance,
 )
 from .kempner import is_prime, kempner_S, largest_prime_factor
@@ -123,11 +122,10 @@ def check_sharpness(n: int) -> bool:
     depth-n interval satisfy |e - p/n!| < 1/S(n!)! = 1/n!."""
     if n < 3:
         raise ValueError("check_sharpness requires n >= 3")
-    box = interval(n)
-    bound = Fraction(1, math.factorial(n))
+    num, fact = endpoint(n)
+    bound = Fraction(1, fact)
     return all(
-        compare_distance_to_e(endpoint, bound) == LESS
-        for endpoint in (box.left, box.right)
+        compare_distance_to_e(Fraction(p, fact), bound) == LESS for p in (num, num + 1)
     )
 
 
@@ -149,13 +147,8 @@ def corollary2_scan(n: int) -> dict:
     """
     if n < 2:
         raise ValueError("corollary2_scan requires n >= 2")
-    check_depth(n)
-    q = math.factorial(n)
-    box = interval(n)
-    candidates = sorted(
-        set(nearest_p_candidates(q))
-        | {int(box.left * q), int(box.right * q)}
-    )
+    num, q = endpoint(n)
+    candidates = sorted(set(nearest_p_candidates(q)) | {num, num + 1})
     witness = None
     for p in candidates:
         if not check_prime_factor_bound(p, q).holds:

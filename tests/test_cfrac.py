@@ -11,6 +11,7 @@ from emeasure.cfrac import (
     e_partial_quotients,
     is_convergent,
     partial_sum_record,
+    partial_sum_scan,
 )
 from emeasure.enclosure import (
     DepthCapExceeded,
@@ -212,3 +213,39 @@ def test_huge_denominator_refused_before_the_recurrence_runs_away(monkeypatch):
         is_convergent(Fraction(1, 10**20000))
     assert len(steps) <= 2 * 300 + 2
     assert cfrac._P == [0, 1] and cfrac._Q == [1, 0]
+
+
+@pytest.mark.parametrize(
+    "scan, expected",
+    [
+        (conjecture2_scan, [1, 3]),
+        (lambda n: [row["n"] for row in corollary3_scan(n) if row["violated"]], []),
+    ],
+    ids=["conjecture2", "corollary3"],
+)
+def test_scan_proves_the_table_once(monkeypatch, scan, expected):
+    _fresh_table(monkeypatch)
+    calls = []
+
+    def counted(r, bound):
+        calls.append(r)
+        return compare_distance_to_e(r, bound)
+
+    monkeypatch.setattr(cfrac, "compare_distance_to_e", counted)
+    assert scan(300) == expected
+    assert len(calls) == 1
+
+
+def test_partial_sum_scan_checks_before_it_returns(monkeypatch):
+    # Both refusals come from the call, before any row is read.
+    _fresh_table(monkeypatch)
+    monkeypatch.setattr(enclosure, "MAX_DEPTH", 300)
+    with pytest.raises(DepthCapExceeded):
+        partial_sum_scan(301)
+    with pytest.raises(DepthCapExceeded):
+        partial_sum_scan(200, check_convergent=True)
+    with pytest.raises(ValueError):
+        partial_sum_scan(-1)
+    rows = list(partial_sum_scan(200))
+    assert [record for record, _ in rows] == [partial_sum_record(n) for n in range(201)]
+    assert {hit for _, hit in rows} == {None}

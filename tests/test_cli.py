@@ -4,12 +4,13 @@ import io
 import json
 import math
 import sys
+from decimal import ROUND_DOWN, Decimal, localcontext
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from emeasure import cfrac, cli, density, enclosure, measures
+from emeasure import cfrac, cli, density, enclosure, kempner, measures
 from emeasure.enclosure import partial_sum
 from emeasure.rationals import ResourceError
 
@@ -123,6 +124,23 @@ def test_partial_sums_csv(capsys):
     assert lines[5] == "4,65,24,24,1,0"
 
 
+def test_partial_sums_rows_match_the_recurrence(capsys):
+    # Oracle: N_n = n N_(n-1) + 1 over n!, reduced by Fraction; only s_1 and
+    # s_3 are convergents.
+    assert cli.run(["partial-sums", "--max-n", "300", "--check-convergent"]) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    expected = [["n", "s_n_num", "s_n_den", "q_n", "full_factorial", "is_convergent"]]
+    num, fact = 1, 1
+    for n in range(301):
+        if n:
+            num, fact = n * num + 1, n * fact
+        s_n = Fraction(num, fact)
+        q_n = s_n.denominator
+        row = (n, s_n.numerator, q_n, q_n, int(q_n == fact), int(n in (1, 3)))
+        expected.append([str(v) for v in row])
+    assert rows == expected
+
+
 def test_cantor_subcommand(capsys):
     code, doc = run_json(
         capsys, ["cantor", "--family", "unit", "--a0", "2", "--N", "3", "--classify"]
@@ -153,6 +171,23 @@ def test_cantor_mask_and_custom_json(capsys, tmp_path):
     assert code == 0
     assert doc["classification"] == "rational"
     assert doc["rational_value"] == {"num": "7", "den": "2"}
+
+
+@pytest.mark.parametrize(
+    "flag, expected", [(False, "rational"), (None, "rational"), (True, "conditional")]
+)
+def test_spec_tail_flags_are_json_booleans(capsys, tmp_path, flag, expected):
+    spec = {
+        "a_table": [1, 0],
+        "b_table": [2, 3],
+        "tail_mode": "all-zero",
+        "a_positive_infinitely_often": flag,
+    }
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, doc = run_json(capsys, ["cantor", "--spec-json", str(path), "--classify"])
+    assert code == 0
+    assert doc["classification"] == expected
 
 
 def test_density_subcommand(capsys):
@@ -192,6 +227,19 @@ SPEC = {"a_table": [1], "b_table": [2]}
         ("float_entry.json", json.dumps({**SPEC, "b_table": [2.0]})),
         ("float_a0.json", json.dumps({**SPEC, "a0": 0.5})),
         ("table_not_list.json", json.dumps({**SPEC, "a_table": 1})),
+        (
+            "string_flag.json",
+            json.dumps(
+                {
+                    "a_table": [1, 0],
+                    "b_table": [2, 3],
+                    "tail_mode": "all-zero",
+                    "a_positive_infinitely_often": "false",
+                }
+            ),
+        ),
+        ("int_flag.json", json.dumps({**SPEC, "all_primes_divide_infinitely_many_b": 1})),
+        ("list_tail_mode.json", json.dumps({**SPEC, "tail_mode": ["all-zero"]})),
     ],
 )
 def test_unreadable_cantor_spec_is_domain_error(capsys, tmp_path, name, text):
@@ -284,6 +332,26 @@ def fail_to_build(*args):
 
 
 @pytest.mark.parametrize(
+    "module, name, argv",
+    [
+        # 40000 digits need 10000! > 10^40000, which is false.
+        (
+            enclosure,
+            "truncate_ratio",
+            ["distance", "--p", "65", "--q", "24", "--digits", "40000"],
+        ),
+        (kempner, "kempner_S_naive", ["kempner", "--oracle-check", "--max", "1000000"]),
+    ],
+    ids=["distance-digits", "kempner-oracle"],
+)
+def test_work_past_its_budget_is_refused_before_it_starts(
+    capsys, monkeypatch, module, name, argv
+):
+    monkeypatch.setattr(module, name, fail_to_build)
+    assert_resource_error(capsys, argv)
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["measure", "--p", "2718284", "--q", "1000003"],
@@ -355,6 +423,21 @@ def test_partial_sums_print_big_rows(run_big):
     assert [row[0] for row in rows] == list(range(1701))
     n, num, den, q_n, _ = rows[-1]
     assert Fraction(num, den) == partial_sum(n) and den == q_n
+
+
+def test_distance_prints_digits_past_the_int_limit(run_big):
+    doc = json.loads(run_big(["distance", "--p", "65", "--q", "24", "--digits", "5000"]))
+    with localcontext() as ctx:
+        ctx.prec = 5100
+        e, term, k = Decimal(0), Decimal(1), 0
+        while term > Decimal(10) ** -5100:
+            e += term
+            k += 1
+            term /= k
+        distance = e - Decimal(65) / 24
+        expected = distance.quantize(Decimal(10) ** -5000, rounding=ROUND_DOWN)
+    assert doc["digits"] == str(expected)
+    assert doc["digits"].startswith("0.00994")
 
 
 def test_json_round_trip_big_values(capsys):
@@ -446,6 +529,11 @@ def command(name, *options):
 
 # eps denominators past the bound budget: a measure that uses eps exits 2.
 BIG_EPS = ["1/1000000", "3/2000000"]
+# 5000 digits pass the int-to-str limit; 40000 and more are past what
+# MAX_DEPTH can decide and exit 2.
+MANY_DIGITS = ["5000", "40000", str(10**8)]
+# Oracle ranges past kempner.MAX_ORACLE_Q: exit 2.
+BIG_MAX = [str(kempner.MAX_ORACLE_Q + 1), str(10**9)]
 
 MEASURE_OPTIONS = (
     option(
@@ -460,14 +548,14 @@ ARGV = st.one_of(
         "kempner",
         option("--q", integers(-3, 10**4)),
         option("--oracle-check", None),
-        option("--max", integers(-3, 300)),
+        option("--max", st.one_of(integers(-3, 300), st.sampled_from(BIG_MAX))),
     ),
     command("interval", option("--n", integers(-3, 60))),
     command(
         "distance",
         given_option("--p", integers(-50, 200)),
         given_option("--q", integers(-3, 100)),
-        option("--digits", integers(-1, 20)),
+        option("--digits", st.one_of(integers(-1, 20), st.sampled_from(MANY_DIGITS))),
         option("--bound", rationals(10**6)),
         option("--bound", rationals(10**6)),
     ),
@@ -513,6 +601,10 @@ def test_cli_boundary(argv):
     assert code in (0, 1, 2)
     uses_eps = ("--compare" in argv or "known" in argv) and "--corollary2" not in argv
     if uses_eps and any(eps in argv for eps in BIG_EPS):
+        assert code != 0
+    if "--digits" in argv and argv[argv.index("--digits") + 1] in MANY_DIGITS[1:]:
+        assert code != 0
+    if "--oracle-check" in argv and any(big in argv for big in BIG_MAX):
         assert code != 0
     if code == 0:
         json.loads(out.getvalue(), parse_int=no_json_number)
