@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .enclosure import check_depth
+from .rationals import split_sum
 
 IRRATIONAL = "irrational"
 RATIONAL = "rational"
@@ -94,22 +95,23 @@ def term(spec: CantorSpec, n: int) -> tuple[int, int]:
     return spec.a_table[(n - 1) % size], b
 
 
+def _head(spec: CantorSpec, upto: int) -> tuple[int, int]:
+    """split_sum of the terms 1..upto: sum a_n/(b_1...b_n) = num/prod."""
+    # The product grows as (upto + 1)! for the built-in families, the growth
+    # MAX_DEPTH bounds for the enclosure.
+    check_depth(upto)
+    terms = [term(spec, n) for n in range(1, upto + 1)]
+    for n, (a, b) in enumerate(terms, start=1):
+        _check_term(a, b, n)
+    return split_sum(terms)
+
+
 def cantor_partial_sum(spec: CantorSpec, upto: int) -> Fraction:
     """Exact sum of the first terms: a0 + sum_{n=1}^{upto} a_n/(b_1...b_n)."""
     if upto < 0:
         raise ValueError("upto must be >= 0")
-    # The product grows as (upto + 1)! for the built-in families, the growth
-    # MAX_DEPTH bounds for the enclosure.
-    check_depth(upto)
-    # The head sum is numerator / product, kept unreduced: adding
-    # a_n / (product * b_n) is numerator * b_n + a_n over product * b_n.
-    numerator, product = 0, 1
-    for n in range(1, upto + 1):
-        a, b = term(spec, n)
-        _check_term(a, b, n)
-        numerator = numerator * b + a
-        product *= b
-    return Fraction(spec.a0 * product + numerator, product)
+    num, prod = _head(spec, upto)
+    return Fraction(spec.a0 * prod + num, prod)
 
 
 def _tail_predicates(spec: CantorSpec) -> tuple[bool, bool, bool, list[str]]:
@@ -160,14 +162,10 @@ def rational_limit(spec: CantorSpec) -> Fraction:
     if spec.family == "complement":
         return Fraction(spec.a0 + 1)
     head = len(spec.a_table) if spec.family == "custom" else len(spec.mask)
-    base = cantor_partial_sum(spec, head)
-    if not a_pos:
-        return base  # tail contributes nothing
-    # Eventually-complement tail: sum_{n>T} (b_n - 1)/(b_1...b_n) = 1/(b_1...b_T).
-    product = 1
-    for n in range(1, head + 1):
-        product *= term(spec, n)[1]
-    return base + Fraction(1, product)
+    num, prod = _head(spec, head)
+    # An all-zero tail adds nothing, an eventually-complement one
+    # sum_{n>T} (b_n - 1)/(b_1...b_n) = 1/(b_1...b_T).
+    return Fraction(spec.a0 * prod + num + (1 if a_pos else 0), prod)
 
 
 def classify(spec: CantorSpec) -> CantorVerdict:

@@ -10,6 +10,8 @@ against the interval enclosure before being handed out.
 from __future__ import annotations
 
 import bisect
+import itertools
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -106,9 +108,11 @@ def is_convergent(r: Fraction) -> bool:
 
 def partial_sum_record(n: int) -> PartialSumRecord:
     """Partial sum s_n with its reduced denominator q_n and whether q_n = n!."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    num, fact = endpoint(n)
+    return _record(n, endpoint(n))
+
+
+def _record(n: int, pair: tuple[int, int]) -> PartialSumRecord:
+    num, fact = pair
     s_n = Fraction(num, fact)
     q_n = s_n.denominator
     return PartialSumRecord(n=n, s_n=s_n, q_n=q_n, full_factorial=(q_n == fact))
@@ -125,8 +129,12 @@ def partial_sum_scan(
         raise ValueError("max_n must be >= 0")
     check_depth(max_n)
     if check_convergent:
-        _grow(0, endpoint(max_n)[1])
-    records = map(partial_sum_record, range(max_n + 1))
+        _grow(0, math.factorial(max_n))
+    # One pass of N_n = n N_(n-1) + 1 beside n!: cheaper than a tree per row.
+    pairs = itertools.accumulate(
+        range(1, max_n + 1), lambda p, n: (n * p[0] + 1, n * p[1]), initial=(1, 1)
+    )
+    records = itertools.starmap(_record, enumerate(pairs))
     return ((r, is_convergent(r.s_n) if check_convergent else None) for r in records)
 
 

@@ -10,22 +10,21 @@ until the enclosure decides it; e itself is never materialized.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
-from .rationals import GREATER, LESS, ResourceError, truncate_ratio
+from .rationals import GREATER, LESS, ResourceError, split_sum, truncate_ratio
 
-# The deepest level of the endpoint cache, and so of every enclosure. The
-# cache keeps every level below it: at 10^4 that is about 133 MiB of
-# integers, built in about 0.2 s.
+# The deepest interval of every enclosure. Its endpoint pair is about 30 KB
+# of integers, built by one binary splitting in about 0.02 s.
 MAX_DEPTH = 10_000
 
 # compare_distance_to_e starts refining where 1/n! is below 2^-8 of the
 # bound's size. Convergent validation compares |e - p/q| with 1/q^2, and the
 # two can differ by a small fraction of 1/q^2: with no slack, 124 of the
 # first 1500 convergents were undecided at the start depth and doubled it
-# (to about 1800, where the endpoint cache then grew); with 8 bits, none.
+# (to about 1800, one more endpoint to build each); with 8 bits, none.
 _START_SLACK_BITS = 8
 
 
@@ -50,38 +49,33 @@ class Interval:
         return self.left < x < self.right
 
 
-# The endpoints of I_n are N_n/n! and (N_n + 1)/n!, with N_0 = 1 and
-# N_n = n N_(n-1) + 1. _NUMS[n] = N_n and _FACTS[n] = n!, built by the
-# recurrence and kept unreduced, so every decision below multiplies integers.
-_NUMS: list[int] = [1]
-_FACTS: list[int] = [1]
-
-
 def check_depth(n: int) -> None:
     """Raise DepthCapExceeded if n is past MAX_DEPTH."""
     if n > MAX_DEPTH:
         raise DepthCapExceeded(f"depth {n} exceeds MAX_DEPTH = {MAX_DEPTH}")
 
 
-def _grow(n: int) -> None:
-    """Extend the endpoint cache to depth n <= MAX_DEPTH."""
-    check_depth(n)
-    while len(_NUMS) <= n:
-        k = len(_NUMS)
-        _NUMS.append(k * _NUMS[-1] + 1)
-        _FACTS.append(k * _FACTS[-1])
-
-
 def endpoint(n: int) -> tuple[int, int]:
-    """(N_n, n!): s_n = N_n / n! is the left endpoint of I_n."""
-    _grow(n)
-    return _NUMS[n], _FACTS[n]
+    """(N_n, n!), unreduced: s_n = N_n / n! is the left endpoint of I_n, and
+    N_0 = 1, N_n = n N_(n-1) + 1. Every decision below multiplies integers."""
+    if n < 0:
+        raise ValueError("endpoint requires n >= 0")
+    check_depth(n)
+    return _endpoint(n)
+
+
+# Bounded: 128 pairs hold at most about 4 MB at MAX_DEPTH. It holds what one
+# run reuses: a perfbench decide job asks for 60 distinct depths 39 000 times,
+# verify-paper for 35 depths 12 000 times.
+@lru_cache(maxsize=128)
+def _endpoint(n: int) -> tuple[int, int]:
+    # s_n = 1 + sum_{k=1}^{n} 1/(1 * 2 * ... * k).
+    num, fact = split_sum([(1, k) for k in range(1, n + 1)])
+    return fact + num, fact
 
 
 def partial_sum(n: int) -> Fraction:
     """s_n = sum_{k=0}^{n} 1/k!, the left endpoint of I_n for n >= 1."""
-    if n < 0:
-        raise ValueError("partial_sum requires n >= 0")
     return Fraction(*endpoint(n))
 
 
@@ -130,11 +124,12 @@ def refine(decide, start: int = 4):
 
 def _start_depth(bits: int) -> int:
     """Smallest n >= 1 whose n! has at least `bits` bits, clipped to
-    MAX_DEPTH. The cache grows no deeper than the answer."""
-    while _FACTS[-1].bit_length() < bits and len(_FACTS) <= MAX_DEPTH:
-        _grow(len(_FACTS))
-    top = min(len(_FACTS) - 1, MAX_DEPTH)
-    return bisect.bisect_left(_FACTS, bits, 1, top, key=int.bit_length)
+    MAX_DEPTH."""
+    n, fact = 1, 1
+    while fact.bit_length() < bits and n < MAX_DEPTH:
+        n += 1
+        fact *= n
+    return n
 
 
 def _scaled_bracket(a: int, b: int, n: int) -> tuple[int, int, int]:

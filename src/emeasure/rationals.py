@@ -2,8 +2,8 @@
 
 Everything downstream works with ``fractions.Fraction``, which already
 guarantees the two invariants we need: denominators are positive and values
-are stored in lowest terms. This module adds the comparison verdicts,
-the decimal rendering and the resource error the rest of the toolkit uses.
+are stored in lowest terms. This module adds what the rest of the toolkit
+shares: verdicts, decimal rendering, the series kernel and ResourceError.
 """
 
 from __future__ import annotations
@@ -16,6 +16,25 @@ GREATER = "greater"
 
 class ResourceError(RuntimeError):
     """A request exceeds one of the package's size or work budgets."""
+
+
+def split_sum(terms: list[tuple[int, int]]) -> tuple[int, int]:
+    """(num, prod) for terms (a_1, b_1), ..., (a_n, b_n): num/prod is
+    sum_i a_i/(b_1...b_i), unreduced, and prod = b_1...b_n; (0, 1) for none.
+    Binary splitting (Haible & Papanikolaou, "Fast multiprecision evaluation
+    of series of rational numbers", 1998) keeps the products balanced."""
+    return _split(terms, 0, len(terms)) if terms else (0, 1)
+
+
+# Not a closure in split_sum: a recursive closure is a reference cycle, and it
+# would keep `terms` alive until the next garbage collection.
+def _split(terms: list[tuple[int, int]], lo: int, hi: int) -> tuple[int, int]:
+    if hi - lo == 1:
+        return terms[lo]
+    mid = (lo + hi) // 2
+    num_l, prod_l = _split(terms, lo, mid)
+    num_r, prod_r = _split(terms, mid, hi)
+    return num_l * prod_r + num_r, prod_l * prod_r
 
 
 def truncate_decimal(x: Fraction, digits: int) -> str:

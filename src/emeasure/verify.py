@@ -28,7 +28,7 @@ class CheckResult:
 
 def _check(name: str, budget: float):
     """Register fn as the check `name`, which must finish within `budget`
-    seconds once the enclosure and convergent caches are warm."""
+    seconds once the endpoint and convergent caches are warm."""
 
     def wrap(fn):
         fn.check_name = name

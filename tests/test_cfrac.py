@@ -246,6 +246,7 @@ def test_partial_sum_scan_checks_before_it_returns(monkeypatch):
         partial_sum_scan(200, check_convergent=True)
     with pytest.raises(ValueError):
         partial_sum_scan(-1)
-    rows = list(partial_sum_scan(200))
-    assert [record for record, _ in rows] == [partial_sum_record(n) for n in range(201)]
+    # The scan steps the recurrence; partial_sum_record reads the enclosure.
+    rows = list(partial_sum_scan(300))
+    assert [record for record, _ in rows] == [partial_sum_record(n) for n in range(301)]
     assert {hit for _, hit in rows} == {None}

@@ -306,10 +306,10 @@ def assert_resource_error(capsys, argv):
     ],
 )
 def test_depth_past_max_depth_is_resource_error(capsys, argv):
-    # Refused before the endpoint cache grows, and before any output.
-    depth = len(enclosure._NUMS)
+    # Refused before any endpoint is built, and before any output.
+    misses = enclosure._endpoint.cache_info().misses
     assert_resource_error(capsys, argv)
-    assert len(enclosure._NUMS) == depth
+    assert enclosure._endpoint.cache_info().misses == misses
 
 
 def test_partial_sums_convergent_table_refused_before_header(capsys, monkeypatch):

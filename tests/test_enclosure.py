@@ -1,17 +1,21 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, strategies as st
 
 from emeasure import enclosure
+from emeasure.cfrac import partial_sum_record
 from emeasure.enclosure import (
+    MAX_DEPTH,
     DepthCapExceeded,
     Interval,
     _scaled_bracket,
     _start_depth,
     compare_distance_to_e,
     distance_bracket,
+    endpoint,
     floor_e_times,
     interval,
     partial_sum,
@@ -100,12 +104,45 @@ def test_close_query_past_the_old_default_cap():
 
 
 def test_depth_past_max_depth_refused_before_the_cache_grows(monkeypatch):
-    depth = len(enclosure._NUMS)
+    depth = 50
     monkeypatch.setattr(enclosure, "MAX_DEPTH", depth)
+    misses = enclosure._endpoint.cache_info().misses
     for entry in (interval, partial_sum):
         with pytest.raises(DepthCapExceeded, match=f"depth {depth + 1} exceeds"):
             entry(depth + 1)
-    assert len(enclosure._NUMS) == len(enclosure._FACTS) == depth
+    assert enclosure._endpoint.cache_info().misses == misses
+
+
+def test_negative_depth_rejected_after_deeper_endpoints():
+    endpoint(30)
+    for entry in (endpoint, partial_sum, partial_sum_record):
+        with pytest.raises(ValueError):
+            entry(-1)
+
+
+def test_endpoint_matches_recurrence():
+    # N_0 = 1, N_n = n N_(n-1) + 1, beside n!; the uneven sizes split unevenly.
+    checked = set(range(301)) | {1023, 1025, 9999}
+    num, fact = 1, 1
+    for n in range(max(checked) + 1):
+        if n:
+            num, fact = n * num + 1, n * fact
+        if n in checked:
+            assert endpoint(n) == (num, fact)
+
+
+def test_endpoint_at_max_depth_keeps_memory_small():
+    # A table of every level up to MAX_DEPTH held about 142 MiB. The pair
+    # kept is about 30 KB; the terms of the tree are freed on return.
+    enclosure._endpoint.cache_clear()
+    tracemalloc.start()
+    try:
+        endpoint(MAX_DEPTH)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    assert kept < 2**19
 
 
 def _depths_seen(monkeypatch, max_depth, stop_after=None):
