@@ -4,7 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from emeasure import kempner
 from emeasure.kempner import (
+    MAX_ORACLE_Q,
     factorize,
     is_prime,
     kempner_S,
@@ -92,6 +94,39 @@ def test_naive_oracle_anchors():
     assert kempner_S_naive(1) == 1
     assert kempner_S_naive(6) == 3
     assert kempner_S_naive(120) == 5
+
+
+def one_step_oracle(q):
+    """The reference: k! mod q, one factor at a time, until it reaches 0."""
+    residue = 1 % q
+    k = 1
+    while True:
+        residue = residue * k % q
+        if residue == 0:
+            return k
+        k += 1
+
+
+def test_blocked_oracle_matches_one_step_loop():
+    # S(q) = q for a prime, so the primes next to multiples of 64 (127, 191,
+    # 193, ...) put the answer at either end of a block; q = 1 and 64 are in.
+    for q in range(1, 3001):
+        assert kempner_S_naive(q) == one_step_oracle(q), q
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(min_value=1, max_value=MAX_ORACLE_Q))
+def test_blocked_oracle_matches_one_step_loop_anywhere(q):
+    assert kempner_S_naive(q) == one_step_oracle(q)
+
+
+def test_oracle_past_its_cap_is_refused_before_any_block(monkeypatch):
+    def fail_to_build(*args):
+        raise AssertionError("built a block the cap should have refused")
+
+    monkeypatch.setattr(kempner.math, "prod", fail_to_build)
+    with pytest.raises(ResourceError, match="MAX_ORACLE_Q"):
+        kempner_S_naive(MAX_ORACLE_Q + 1)
 
 
 def test_fast_matches_naive_to_10k():
