@@ -1,5 +1,5 @@
-"""Segmented range scans of S(q) and P(q), and the counting functions behind
-the almost-all claims.
+"""Exact counts of the exceptions to the almost-all claims, and segmented
+range scans of S(q) and P(q).
 
 Two exception counters over q in [2, x]:
 
@@ -7,22 +7,24 @@ Two exception counters over q in [2, x]:
 * q^2 >= S(q)!        -- exceptions to the conjectured q^2 < S(q)! (and the
                          P(q)! variant is counted alongside for comparison)
 
-Counts are exact and bit-identical regardless of worker count: the range is
-cut into fixed blocks, each block is scanned independently from the prime
-powers of the primes up to isqrt(x), and partial results merge in block
-order.
+Both kinds of exception are rare smooth numbers, so density_report
+enumerates them from the O(sqrt(x)) prime powers of kempner_plan instead of
+scanning every q. kempner_range scans consecutive q from the same plan; it
+writes the one-row-per-q CSV and serves as the reference the counts are
+tested against.
 """
 
 from __future__ import annotations
 
 import csv
+import heapq
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
+from bisect import bisect_left
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, compress, islice, repeat
+from itertools import compress, count, repeat
 from operator import floordiv, gt, ne
 
 from .kempner import kempner_prime_power
@@ -58,19 +60,23 @@ class KempnerPlan:
     powers: tuple[tuple[int, int, int], ...]
 
 
+def _primes_upto(n: int) -> list[int]:
+    """The primes p <= n, from a bytearray sieve."""
+    flags = bytearray([1]) * (n + 1)
+    flags[:2] = b"\0\0"
+    for p in range(2, math.isqrt(n) + 1):
+        if flags[p]:
+            flags[p * p :: p] = bytes(len(range(p * p, n + 1, p)))
+    return list(compress(range(n + 1), flags))
+
+
 def kempner_plan(x: int) -> KempnerPlan:
-    """The base primes p <= isqrt(x), from a bytearray sieve, and the S
-    value of each of their powers up to x."""
+    """The base primes p <= isqrt(x) and the S value of each of their
+    powers up to x."""
     if x < 2:
         raise ValueError("kempner_plan requires x >= 2")
-    root = math.isqrt(x)
-    flags = bytearray([1]) * (root + 1)
-    flags[:2] = b"\0\0"
-    for p in range(2, math.isqrt(root) + 1):
-        if flags[p]:
-            flags[p * p :: p] = bytes(len(range(p * p, root + 1, p)))
     powers = []
-    for p in compress(range(root + 1), flags):
+    for p in _primes_upto(math.isqrt(x)):
         power, a = p, 1
         while power <= x:
             powers.append((kempner_prime_power(p, a), power, p))
@@ -83,7 +89,7 @@ def kempner_range(lo: int, hi: int, plan: KempnerPlan) -> tuple[list[int], list[
     """Lists of S(q) and of P(q) for q = lo .. hi, from the plan's prime
     powers alone.
 
-    The one kernel behind every range scan; its values agree with the
+    The kernel behind every scan of consecutive q; its values agree with the
     pointwise kempner_S and largest_prime_factor. S(q) is the largest
     S(p^a) over the prime powers dividing q, because S(p^a) is
     nondecreasing in a; the powers are written in ascending S order, so
@@ -125,47 +131,95 @@ def _factorial_threshold(x: int) -> tuple[int, list[int]]:
     return len(facts) - 1, facts
 
 
-def _scan_block(
-    lo: int, hi: int, plan: KempnerPlan, threshold: int, facts: list[int], writer=None
-):
-    """Counts and capped offender lists for q in [lo, hi]; with a csv writer,
-    also one row per q."""
-    S, P = kempner_range(lo, hi, plan)
-    qs = range(lo, hi + 1)
-    neq = list(map(ne, S, P))
-    # q^2 >= P(q)! needs P(q) < threshold, and so does q^2 >= S(q)! since
-    # P(q) <= S(q); few q per block have so small a P(q).
-    small = [
-        (q, S[q - lo], P[q - lo]) for q in compress(qs, map(gt, repeat(threshold), P))
-    ]
-    fail_c1 = [q for q, s, _ in small if s < threshold and q * q >= facts[s]]
-    count_c1p = sum(q * q >= facts[p] for q, _, p in small)
-    if writer is not None:
-        fails = set(fail_c1)
-        writer.writerows(
-            zip(qs, S, P, map(int, neq), map(int, map(fails.__contains__, qs)))
-        )
-    return (
-        neq.count(True),
-        len(fail_c1),
-        count_c1p,
-        list(islice(compress(qs, neq), EXCEPTIONS_CAP)),
-        fail_c1[:EXCEPTIONS_CAP],
-    )
+def _exceptions_S_neq_P(plan: KempnerPlan) -> Iterator[int]:
+    """Every q in [2, plan.x] with S(q) != P(q), each once, in no order.
+
+    S(q) is the largest S(r^b) over the r^b exactly dividing q. It exceeds
+    P(q) exactly when that largest value belongs to some b >= 2: S(r) = r is
+    at most P(q), and S(r^b) = k*r with k >= 2 is composite for b >= 2, so
+    it never ties with a prime. Such an r^b <= x has r <= isqrt(x), so it is
+    a plan entry. Each such q is yielded from one entry only, the (s, p^a)
+    latest in the plan's (S, power) order among the p^a exactly dividing q:
+    q = p^a * m, where p does not divide m, every prime of m is below s, and
+    every r^b exactly dividing m with b >= 2 comes earlier in the plan.
+    """
+    x, powers = plan.x, plan.powers
+    order = {power: i for i, (_, power, _) in enumerate(powers)}
+    squareful = [i for i, (_, power, p) in enumerate(powers) if power != p]
+    if not squareful:  # x < 4
+        return
+    primes = _primes_upto(powers[squareful[-1]][0])
+    for i in squareful:
+        s, power, p = powers[i]
+        stop = bisect_left(primes, s)
+        # (q, index of the smallest prime q may still take)
+        stack = [(power, 0)]
+        while stack:
+            q, j = stack.pop()
+            yield q
+            for k in range(j, stop):
+                r = primes[k]
+                if q * r > x:
+                    break
+                if r == p:
+                    continue
+                rb = r
+                while q * rb <= x and (rb == r or order[rb] < i):
+                    stack.append((q * rb, k + 1))
+                    rb *= r
 
 
-_WORKER_STATE: dict = {}
+def _smooth(x: int, primes: list[int]) -> Iterator[tuple[int, int, int]]:
+    """(q, S(q), P(q)) for every q in [2, x] whose primes all lie in the
+    ascending list primes, each once, in no order."""
+    stack = [(1, 1, 1, 0)]
+    while stack:
+        q, s, p, j = stack.pop()
+        if q > 1:
+            yield q, s, p
+        for k in range(j, len(primes)):
+            r = primes[k]
+            rb, b = r, 1
+            while q * rb <= x:
+                stack.append((q * rb, max(s, kempner_prime_power(r, b)), r, k + 1))
+                rb, b = rb * r, b + 1
 
 
-def _init_worker(x: int) -> None:
-    _WORKER_STATE["plan"] = kempner_plan(x)
-    _WORKER_STATE["threshold"], _WORKER_STATE["facts"] = _factorial_threshold(x)
+def _count_and_smallest(items: Iterable[int]) -> tuple[int, list[int]]:
+    """How many items there are, and the EXCEPTIONS_CAP smallest in
+    ascending order, holding at most EXCEPTIONS_CAP of them at once."""
+    tally = count()
+    # zip draws from items before tally, so tally advances once per item.
+    smallest = heapq.nsmallest(EXCEPTIONS_CAP, zip(items, tally))
+    return next(tally), [q for q, _ in smallest]
 
 
-def _scan_block_worker(bounds: tuple[int, int]):
-    lo, hi = bounds
-    state = _WORKER_STATE
-    return _scan_block(lo, hi, state["plan"], state["threshold"], state["facts"])
+def _write_csv(path: str, plan: KempnerPlan, threshold: int, facts: list[int]) -> None:
+    """One row per q in [2, plan.x] with S(q), P(q) and both flags.
+
+    The rows go to a temporary file beside path, which then replaces path
+    whole; if anything fails, the temporary file is removed and an existing
+    path is left as it was.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    handle = open(tmp, "x", newline="")
+    try:
+        with handle:
+            writer = csv.writer(handle)
+            writer.writerow(["q", "S", "P", "S_neq_P", "conj1_fail"])
+            for lo in range(2, plan.x + 1, BLOCK_SIZE):
+                hi = min(lo + BLOCK_SIZE - 1, plan.x)
+                S, P = kempner_range(lo, hi, plan)
+                qs = range(lo, hi + 1)
+                # q^2 >= S(q)! needs S(q) < threshold; few q per block qualify.
+                small = compress(zip(qs, S), map(gt, repeat(threshold), S))
+                fails = {q for q, s in small if q * q >= facts[s]}
+                flags = map(int, map(fails.__contains__, qs))
+                writer.writerows(zip(qs, S, P, map(int, map(ne, S, P)), flags))
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def density_report(
@@ -175,14 +229,15 @@ def density_report(
 ) -> DensityReport:
     """Exact exception counts over q in [2, x].
 
-    MAX_SCAN_ENTRIES bounds the scan size x + 1, whatever the worker count: a
-    block holds BLOCK_SIZE entries and the plan O(sqrt(x)), so no process
-    holds a table of x entries. With workers > 1 the blocks run in separate
-    processes, each with its own plan. The merged result is byte-identical
-    to the serial one. The pool starts every worker at once, so workers is
-    clamped to the number of blocks and of CPUs.
+    The counts come from enumerating the exceptions themselves, so time and
+    memory grow with their number and with sqrt(x), not with x:
+    S(q) != P(q) from _exceptions_S_neq_P, and both q^2 >= S(q)! and
+    q^2 >= P(q)! from the q whose primes are all below t, the smallest t
+    with t! > x^2, since P(q) >= t gives q^2 < t! <= P(q)! <= S(q)!.
+    MAX_SCAN_ENTRIES bounds x + 1. workers is validated and otherwise
+    unused: the report runs in this process.
     csv_path, if given, receives one row per q with its S/P values and flags,
-    written as each block is scanned; CSV runs use one process.
+    from a block scan.
     """
     if x < 2:
         raise ValueError("density_report requires x >= 2")
@@ -192,37 +247,23 @@ def density_report(
         raise ResourceError(
             f"scan of {x + 1} entries exceeds budget of {MAX_SCAN_ENTRIES}"
         )
-    blocks = [
-        (lo, min(lo + BLOCK_SIZE - 1, x)) for lo in range(2, x + 1, BLOCK_SIZE)
-    ]
-    workers = min(workers, len(blocks), os.cpu_count() or 1)
-    pooled = workers > 1 and csv_path is None
-    if pooled:
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_init_worker, initargs=(x,)
-        ) as pool:
-            results = list(pool.map(_scan_block_worker, blocks))
-    else:
-        plan = kempner_plan(x)
-        threshold, facts = _factorial_threshold(x)
-        sink = nullcontext() if csv_path is None else open(csv_path, "w", newline="")
-        with sink as handle:
-            writer = None if handle is None else csv.writer(handle)
-            if writer is not None:
-                writer.writerow(["q", "S", "P", "S_neq_P", "conj1_fail"])
-            results = [
-                _scan_block(lo, hi, plan, threshold, facts, writer) for lo, hi in blocks
-            ]
-
-    sp, c1, c1p, sample_sp, sample_c1 = zip(*results)
-    count_sp, count_c1 = sum(sp), sum(c1)
+    plan = kempner_plan(x)
+    threshold, facts = _factorial_threshold(x)
+    count_sp, sample_sp = _count_and_smallest(_exceptions_S_neq_P(plan))
+    primes = _primes_upto(threshold - 1)
+    count_c1p = sum(q * q >= facts[p] for q, _, p in _smooth(x, primes))
+    count_c1, sample_c1 = _count_and_smallest(
+        q for q, s, _ in _smooth(x, primes) if s < threshold and q * q >= facts[s]
+    )
+    if csv_path is not None:
+        _write_csv(csv_path, plan, threshold, facts)
     return DensityReport(
         x=x,
         count_S_neq_P=count_sp,
         count_conjecture1_fail=count_c1,
-        count_conjecture1_fail_P=sum(c1p),
+        count_conjecture1_fail_P=count_c1p,
         ratio_S_neq_P=truncate_decimal(Fraction(count_sp, x), 8),
         ratio_conjecture1_fail=truncate_decimal(Fraction(count_c1, x), 8),
-        exceptions_S_neq_P=list(islice(chain(*sample_sp), EXCEPTIONS_CAP)),
-        exceptions_conjecture1=list(islice(chain(*sample_c1), EXCEPTIONS_CAP)),
+        exceptions_S_neq_P=sample_sp,
+        exceptions_conjecture1=sample_c1,
     )

@@ -174,7 +174,7 @@ def check_cantor() -> tuple[bool, str]:
     )
 
 
-@_check("range scan: batch agrees pointwise; exception ratios shrink", budget=60.0)
+@_check("range scan: batch agrees pointwise; exception ratios shrink", budget=0.5)
 def check_density(x_large: int = 10**6) -> tuple[bool, str]:
     S, P = density.kempner_range(2, 10_000, density.kempner_plan(10_000))
     agree = all(

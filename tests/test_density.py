@@ -1,14 +1,25 @@
+import concurrent.futures
 import csv
 import math
 import random
 import tracemalloc
+from fractions import Fraction
+from itertools import compress
+from operator import ne
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from emeasure import density
-from emeasure.density import ResourceError, density_report, kempner_plan, kempner_range
+from emeasure.density import (
+    DensityReport,
+    ResourceError,
+    density_report,
+    kempner_plan,
+    kempner_range,
+)
 from emeasure.kempner import kempner_prime_power, kempner_S, largest_prime_factor
+from emeasure.rationals import truncate_decimal
 
 
 def spf_table(x: int) -> list[int]:
@@ -38,6 +49,36 @@ def spf_walk(lo: int, hi: int, spf: list[int]) -> tuple[list[int], list[int]]:
         S.append(s)
         P.append(p)
     return S, P
+
+
+def block_tally(x: int) -> DensityReport:
+    """Oracle: the report from a scan of every q in [2, x], block by block
+    with kempner_range, instead of an enumeration of the exceptions."""
+    plan = kempner_plan(x)
+    facts = [1]  # up to the first factorial above x^2
+    while facts[-1] <= x * x:
+        facts.append(facts[-1] * len(facts))
+    neq, fail, count_fail_P = [], [], 0
+    for lo in range(2, x + 1, density.BLOCK_SIZE):
+        hi = min(lo + density.BLOCK_SIZE - 1, x)
+        S, P = kempner_range(lo, hi, plan)
+        qs = range(lo, hi + 1)
+        neq += compress(qs, map(ne, S, P))
+        for q, s, p in zip(qs, S, P):
+            if p < len(facts) and q * q >= facts[p]:
+                count_fail_P += 1
+                if s < len(facts) and q * q >= facts[s]:
+                    fail.append(q)
+    return DensityReport(
+        x=x,
+        count_S_neq_P=len(neq),
+        count_conjecture1_fail=len(fail),
+        count_conjecture1_fail_P=count_fail_P,
+        ratio_S_neq_P=truncate_decimal(Fraction(len(neq), x), 8),
+        ratio_conjecture1_fail=truncate_decimal(Fraction(len(fail), x), 8),
+        exceptions_S_neq_P=neq[: density.EXCEPTIONS_CAP],
+        exceptions_conjecture1=fail[: density.EXCEPTIONS_CAP],
+    )
 
 
 def test_batch_agrees_with_pointwise():
@@ -135,84 +176,75 @@ def test_ratios_shrink():
     assert large.count_conjecture1_fail * small.x < small.count_conjecture1_fail * large.x
 
 
-def test_worker_counts_identical():
-    for x, workers in ((200_000, 3), (10**6, 2)):
-        serial = density_report(x, workers=1)
-        parallel = density_report(x, workers=workers)
-        assert serial == parallel
+@pytest.mark.parametrize(
+    "x",
+    [2, 3, 4, 5, 8, 9, 100, 113**2 - 1, 113**2, 113 * 127]
+    + [2 * density.BLOCK_SIZE + 100, 10**6],
+)
+def test_report_agrees_with_block_tally(x):
+    # Below 4 the plan has no square prime power, so there is no S != P.
+    assert density_report(x) == block_tally(x)
 
 
-class _InProcessPool:
-    """Stand-in for ProcessPoolExecutor that records max_workers and runs
-    the blocks in this process, so no worker is ever started."""
-
-    requested: list[int] = []
-
-    def __init__(self, max_workers, initializer, initargs):
-        self.requested.append(max_workers)
-        initializer(*initargs)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items):
-        return map(fn, items)
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=2, max_value=2 * 10**5))
+def test_report_agrees_with_block_tally_drawn(x):
+    assert density_report(x) == block_tally(x)
 
 
 @pytest.mark.parametrize(
-    "workers, cpus, expected",
-    [(1000, 8, [3]), (2, 8, [2]), (1000, 2, [2]), (1000, None, [])],
+    "x, counts",
+    [(10**7, (67_252, 1_642, 7_546)), (99_999_999, (342_862, 3_284, 19_654))],
 )
-def test_worker_count_clamped(monkeypatch, workers, cpus, expected):
-    # x spans 3 blocks; the pool gets min(workers, blocks, CPUs) and is not
-    # used at all when that leaves one worker (os.cpu_count() may be None).
-    monkeypatch.setattr(density, "ProcessPoolExecutor", _InProcessPool)
-    monkeypatch.setattr(density, "_WORKER_STATE", {})
-    monkeypatch.setattr(density.os, "cpu_count", lambda: cpus)
-    monkeypatch.setattr(_InProcessPool, "requested", [])
-    x = 2 * density.BLOCK_SIZE + 100
-    assert density_report(x, workers=workers) == density_report(x)
-    assert _InProcessPool.requested == expected
+def test_pinned_counts(x, counts):
+    # Counts of a full block scan at these x, pinned since the scan takes
+    # seconds to minutes there.
+    report = density_report(x)
+    assert (
+        report.count_S_neq_P,
+        report.count_conjecture1_fail,
+        report.count_conjecture1_fail_P,
+    ) == counts
+
+
+def _no_pool(*args, **kwargs):
+    raise AssertionError("density_report started a process pool")
+
+
+def test_worker_counts_identical(monkeypatch):
+    # workers is accepted and validated, but the report starts no process.
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
+    for x in (2 * density.BLOCK_SIZE + 100, 10**6):
+        serial = density_report(x)
+        for workers in (1, 2, 1000):
+            assert density_report(x, workers=workers) == serial
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("over", [0, 1], ids=["fits", "one-over"])
 def test_scan_budget_counted_once(monkeypatch, workers, over):
-    # No process holds a table of x entries, so the budget bounds the scan
-    # size x + 1 once, whatever the worker count. No process is started:
-    # the pool runs its blocks in this process.
-    monkeypatch.setattr(density, "ProcessPoolExecutor", _InProcessPool)
-    monkeypatch.setattr(density, "_WORKER_STATE", {})
-    monkeypatch.setattr(density.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(_InProcessPool, "requested", [])
+    # The budget bounds the scan size x + 1 once, whatever the worker count.
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
     x = density.BLOCK_SIZE + 300
     monkeypatch.setattr(density, "MAX_SCAN_ENTRIES", x + 1 - over)
     if over:
         with pytest.raises(ResourceError):
             density_report(x, workers=workers)
     else:
-        report = density_report(x, workers=workers)
-        assert report == density_report(x)
-    assert _InProcessPool.requested == ([2] if workers == 2 and not over else [])
+        assert density_report(x, workers=workers) == density_report(x)
 
 
 def test_scan_memory_independent_of_x():
-    # Each block is scanned from an O(sqrt(x)) plan, so the peak memory of a
-    # report is set by BLOCK_SIZE, not by x. A warm-up call first fills the
-    # module caches, whose size does not depend on x either.
-    def peak(x: int) -> int:
-        tracemalloc.start()
-        try:
-            density_report(x)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    density_report(2 * density.BLOCK_SIZE)
-    assert peak(8 * density.BLOCK_SIZE) <= 1.5 * peak(2 * density.BLOCK_SIZE)
+    # The report holds an O(sqrt(x)) plan and at most EXCEPTIONS_CAP
+    # exceptions at once, never a table or a block of x entries: at x = 10^7
+    # its peak stays below 1 MiB, which one kempner_range block exceeds.
+    tracemalloc.start()
+    try:
+        density_report(10**7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_csv_export(tmp_path):
@@ -229,3 +261,30 @@ def test_csv_export(tmp_path):
     assert flagged[: len(report.exceptions_S_neq_P)] == report.exceptions_S_neq_P
     row6 = next(r for r in rows if r["q"] == "6")
     assert (row6["S"], row6["P"]) == ("3", "3")
+
+
+def test_csv_replaces_target_atomically(tmp_path, monkeypatch):
+    # A failure mid-write leaves the old file and no temporary file; a
+    # finished write replaces the file whole.
+    target = tmp_path / "exceptions.csv"
+    target.write_text("old\n")
+    x = density.BLOCK_SIZE + 300
+    blocks = []
+
+    def failing_range(lo, hi, plan):
+        blocks.append(lo)
+        if len(blocks) == 2:
+            raise RuntimeError("disk gone")
+        return kempner_range(lo, hi, plan)
+
+    monkeypatch.setattr(density, "kempner_range", failing_range)
+    with pytest.raises(RuntimeError):
+        density_report(x, csv_path=str(target))
+    assert target.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["exceptions.csv"]
+
+    monkeypatch.undo()
+    density_report(x, csv_path=str(target))
+    with open(target) as handle:
+        assert sum(1 for _ in handle) == x
+    assert [p.name for p in tmp_path.iterdir()] == ["exceptions.csv"]
