@@ -220,6 +220,29 @@ def test_worker_counts_identical(monkeypatch):
             assert density_report(x, workers=workers) == serial
 
 
+class _PoolRecorder:
+    requested: list = []
+
+    def __init__(self, max_workers=None, **kwargs):
+        _PoolRecorder.requested.append(max_workers)
+        raise AssertionError("density_report started a process pool")
+
+
+@pytest.mark.parametrize(
+    "workers, cpus, expected",
+    [(1000, 8, []), (2, 8, []), (1000, 2, []), (1000, None, [])],
+)
+def test_worker_count_clamped(monkeypatch, workers, cpus, expected):
+    # x spans 3 blocks. Whatever the worker and CPU counts (os.cpu_count()
+    # may be None), the report is the serial one and no pool is requested.
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _PoolRecorder)
+    monkeypatch.setattr(density.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(_PoolRecorder, "requested", [])
+    x = 2 * density.BLOCK_SIZE + 100
+    assert density_report(x, workers=workers) == density_report(x)
+    assert _PoolRecorder.requested == expected
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("over", [0, 1], ids=["fits", "one-over"])
 def test_scan_budget_counted_once(monkeypatch, workers, over):
