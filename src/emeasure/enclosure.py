@@ -45,9 +45,6 @@ class Interval:
     def contains(self, x: Fraction) -> bool:
         return self.left <= x <= self.right
 
-    def strictly_contains(self, x: Fraction) -> bool:
-        return self.left < x < self.right
-
 
 def check_depth(n: int) -> None:
     """Raise DepthCapExceeded if n is past MAX_DEPTH."""
@@ -87,27 +84,6 @@ def interval(n: int) -> Interval:
     return Interval(left=Fraction(num, fact), right=Fraction(num + 1, fact), n=n)
 
 
-def subdivide_second(prev: Interval) -> Interval:
-    """Inductive step: second of (prev.n + 1) equal parts of prev.
-
-    Equivalent to interval(prev.n + 1); used to test that the closed form
-    matches the literal construction.
-    """
-    n = prev.n + 1
-    step = prev.width / n
-    return Interval(left=prev.left + step, right=prev.left + 2 * step, n=n)
-
-
-def distance_bracket(r: Fraction, n: int) -> tuple[Fraction, Fraction]:
-    """Exact bracket [lo, hi] containing |e - r|, from the depth-n interval."""
-    box = interval(n)
-    if r <= box.left:
-        return box.left - r, box.right - r
-    if r >= box.right:
-        return r - box.right, r - box.left
-    return Fraction(0), max(r - box.left, box.right - r)
-
-
 def refine(decide, start: int = 4):
     """First answer other than None of decide(n), for n = start, 2 start,
     4 start, ... clipped to MAX_DEPTH.
@@ -122,18 +98,20 @@ def refine(decide, start: int = 4):
     return answer
 
 
-def _start_depth(bits: int) -> int:
-    """Smallest n >= 1 whose n! has at least `bits` bits, clipped to
-    MAX_DEPTH."""
+def _start_depth(floor: int) -> int:
+    """Smallest n >= 1 with n! >= floor, clipped to MAX_DEPTH."""
     n, fact = 1, 1
-    while fact.bit_length() < bits and n < MAX_DEPTH:
+    while fact < floor and n < MAX_DEPTH:
         n += 1
         fact *= n
     return n
 
 
 def _scaled_bracket(a: int, b: int, n: int) -> tuple[int, int, int]:
-    """(lo, hi, n! b) such that [lo, hi] / (n! b) is distance_bracket(a/b, n)."""
+    """(lo, hi, n! b) such that [lo, hi] / (n! b) is the exact bracket of
+    |e - a/b| that the depth-n interval gives: the distances from a/b to the
+    near and the far endpoint of I_n, or [0, the far distance] when a/b lies
+    inside I_n."""
     num, fact = endpoint(n)
     den = fact * b
     d = num * b - a * fact  # (s_n - a/b) n! b
@@ -176,7 +154,9 @@ def compare_distance_to_e(r: Fraction, bound: Fraction) -> str:
 
     return refine(
         decide,
-        start=_start_depth(min(v.bit_length(), 2 * b.bit_length()) + _START_SLACK_BITS),
+        start=_start_depth(
+            1 << (min(v.bit_length(), 2 * b.bit_length()) + _START_SLACK_BITS - 1)
+        ),
     )
 
 
@@ -185,7 +165,9 @@ def render_distance(r: Fraction, digits: int, bound: Fraction = Fraction(0)) -> 
     places.
 
     The value is irrational, so refining eventually fixes its sign and both
-    bracket endpoints truncate identically.
+    bracket endpoints truncate identically. Refinement starts at the smallest
+    n with n! >= 10^digits: shallower, I_n is wider than a unit in the last
+    place, and the bracket of an r outside it cannot decide.
     """
     if digits < 1:
         raise ValueError("digits must be >= 1")
@@ -201,14 +183,17 @@ def render_distance(r: Fraction, digits: int, bound: Fraction = Fraction(0)) -> 
 
     def decide(n: int) -> str | None:
         lo, hi, den = _scaled_bracket(a, b, n)
-        # Over the common denominator n! b v.
-        lo, hi, den = lo * v - u * den, hi * v - u * den, den * v
+        # The bound lies in [k, k + 1] / den, and is k / den when rem = 0, so
+        # the margin lies in [lo - k - (rem != 0), hi - k] / den. This never
+        # multiplies by v, which for a bound 1/k! has up to 2^20 bits.
+        k, rem = divmod(u * den, v)
+        lo, hi = lo - k - (rem != 0), hi - k
         if lo <= 0 <= hi:  # sign still open
             return None
         lo_text = truncate_ratio(lo, den, digits)
         return lo_text if lo_text == truncate_ratio(hi, den, digits) else None
 
-    return refine(decide)
+    return refine(decide, start=_start_depth(10**digits))
 
 
 def floor_e_times(q: int) -> int:

@@ -34,11 +34,31 @@ MARGIN_DIGITS = 6
 # built: k! has fewer than k * k.bit_length() bits.
 MAX_BOUND_BITS = 1 << 20
 
-# The bound factorials, memoised one entry deep. The nearest-numerator sweeps
-# check p = f and f + 1 against 1/(S(q)+1)!, then 1/(P(q)+1)! where P(q) =
-# S(q) (every prime q and most others), so consecutive calls share one k!;
+# The bound factorials. Each k! is built as r! * k!/r!, where the rung r is k
+# with all but its top _RUNG_BITS bits cleared, so k!/r! = math.perm(k, k - r)
+# has fewer than k / 2^(_RUNG_BITS - 1) factors. A rung is built once, by
+# math.factorial, and kept in _RUNGS: a shuffled run of queries asks for a
+# few hundred distinct k, which share far fewer rungs. There are 8 rungs per
+# bit length above _RUNG_BITS, so the rungs for every k within
+# MAX_BOUND_BITS (k < 2^16) hold about 1.3 MB; evenly spaced rungs would keep
+# more of them alive (128 rungs, 7 MB, at a spacing of 512).
+#
+# k! itself is memoised one entry deep. The nearest-numerator sweeps check
+# p = f and f + 1 against 1/(S(q)+1)!, then 1/(P(q)+1)! where P(q) = S(q)
+# (every prime q and most others), so consecutive calls share one k!;
 # holding more entries would keep every past factorial alive.
-_factorial = functools.lru_cache(maxsize=1)(math.factorial)
+_RUNG_BITS = 4
+_RUNGS: dict[int, int] = {}
+
+
+@functools.lru_cache(maxsize=1)
+def _factorial(k: int) -> int:
+    shift = max(k.bit_length() - _RUNG_BITS, 0)
+    r = k >> shift << shift
+    rung = _RUNGS.get(r)
+    if rung is None:
+        rung = _RUNGS[r] = math.factorial(r)
+    return rung * math.perm(k, k - r)
 
 
 def _check_bits(bits: int, what: str) -> None:

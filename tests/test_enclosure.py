@@ -14,16 +14,40 @@ from emeasure.enclosure import (
     _scaled_bracket,
     _start_depth,
     compare_distance_to_e,
-    distance_bracket,
     endpoint,
     floor_e_times,
     interval,
     partial_sum,
     refine,
     render_distance,
-    subdivide_second,
 )
 from emeasure.rationals import GREATER, LESS, truncate_decimal
+
+
+# Oracles: the literal construction and the Fraction bracket that the
+# integer decisions must reproduce.
+
+
+def subdivide_second(prev: Interval) -> Interval:
+    """Inductive step: second of (prev.n + 1) equal parts of prev, in
+    Fractions; equal to interval(prev.n + 1) by the closed form."""
+    n = prev.n + 1
+    step = prev.width / n
+    return Interval(left=prev.left + step, right=prev.left + 2 * step, n=n)
+
+
+def strictly_contains(box: Interval, x: Fraction) -> bool:
+    return box.left < x < box.right
+
+
+def distance_bracket(r: Fraction, n: int) -> tuple[Fraction, Fraction]:
+    """Exact bracket [lo, hi] containing |e - r|, from the depth-n interval."""
+    box = interval(n)
+    if r <= box.left:
+        return box.left - r, box.right - r
+    if r >= box.right:
+        return r - box.right, r - box.left
+    return Fraction(0), max(r - box.left, box.right - r)
 
 
 def test_first_intervals_match_construction():
@@ -70,8 +94,8 @@ def test_endpoints_escape_deeper_intervals():
     # The irrationality witness: fractions over n! fall outside I_{n+2}.
     for n in range(1, 31):
         box, deeper = interval(n), interval(n + 2)
-        assert not deeper.strictly_contains(box.left)
-        assert not deeper.strictly_contains(box.right)
+        assert not strictly_contains(deeper, box.left)
+        assert not strictly_contains(deeper, box.right)
 
 
 def test_sandwich_comparisons():
@@ -212,7 +236,7 @@ def test_far_query_with_huge_terms_answers_under_default_cap(monkeypatch):
 
 def test_start_depth_is_smallest_factorial_with_enough_bits(monkeypatch):
     for bits in range(1, 3000, 37):
-        n = _start_depth(bits)
+        n = _start_depth(1 << (bits - 1))  # n! has at least `bits` bits
         assert math.factorial(n).bit_length() >= bits
         assert n == 1 or math.factorial(n - 1).bit_length() < bits
     monkeypatch.setattr(enclosure, "MAX_DEPTH", 8)
@@ -239,6 +263,17 @@ def _oracle_bracket(r):
     else:
         assert (lo, hi) == (0, max(r - box.left, box.right - r))
     return lo, hi
+
+
+def _oracle_render(r, bound, digits):
+    """Truncated |e - r| - bound from the deep Fraction bracket, or None if
+    that bracket leaves the digits or the sign open."""
+    lo, hi = _oracle_bracket(r)
+    lo, hi = lo - bound, hi - bound
+    if lo <= 0 <= hi:
+        return None
+    text = truncate_decimal(lo, digits)
+    return text if truncate_decimal(hi, digits) == text else None
 
 
 @st.composite
@@ -298,11 +333,8 @@ def test_compare_matches_fraction_oracle(data):
 def test_render_matches_fraction_oracle(data, digits):
     r = data.draw(rationals_near_e)
     bound = data.draw(bounds_near(r))
-    lo, hi = _oracle_bracket(r)
-    lo, hi = lo - bound, hi - bound
-    assume(not lo <= 0 <= hi)
-    expected = truncate_decimal(lo, digits)
-    assume(truncate_decimal(hi, digits) == expected)
+    expected = _oracle_render(r, bound, digits)
+    assume(expected is not None)
     if bound:
         assert render_distance(r, digits, bound=bound) == expected
     else:
@@ -314,3 +346,113 @@ def test_floor_e_times_matches_fraction_oracle(q):
     lo = math.floor(_DEEP_BOX.left * q)
     assume(lo == math.floor(_DEEP_BOX.right * q))
     assert floor_e_times(q) == lo
+
+
+def _first_depth(digits):
+    """Smallest n with n! >= 10^digits, by the literal factorials."""
+    n = 1
+    while math.factorial(n) < 10**digits:
+        n += 1
+    return n
+
+
+@pytest.fixture
+def brackets(monkeypatch):
+    """(n, b) of each _scaled_bracket the enclosure builds, in order."""
+    seen = []
+
+    def recording(a, b, n):
+        seen.append((n, b))
+        return _scaled_bracket(a, b, n)
+
+    monkeypatch.setattr(enclosure, "_scaled_bracket", recording)
+    return seen
+
+
+@pytest.mark.parametrize("digits", [1, 5, 6, 12, 30])
+def test_render_starts_at_the_first_depth_that_can_fix_the_digits(brackets, digits):
+    for r, bound in ((Fraction(65, 24), Fraction(0)), (Fraction(8, 3), Fraction(1, 120))):
+        brackets.clear()
+        render_distance(r, digits, bound=bound)
+        assert brackets[0][0] == _first_depth(digits)
+    assert {1: 4, 5: 9, 6: 10, 12: 15, 30: 29}[digits] == _first_depth(digits)
+
+
+@pytest.mark.parametrize("k", [100, 1000, 5004])
+@pytest.mark.parametrize("digits", [1, 6, 12, 30])
+def test_render_with_bound_far_past_the_deciding_depth(brackets, k, digits):
+    # 1/k! is below every bracket unit 1/(n! b) tried, so the bound's
+    # quotient over it is 0 and only the remainder moves the low end.
+    bound = Fraction(1, math.factorial(k))
+    for r in (Fraction(65, 24), Fraction(8, 3), Fraction(19, 7), Fraction(3, 2)):
+        expected = _oracle_render(r, bound, digits)
+        assert expected is not None
+        brackets.clear()
+        assert render_distance(r, digits, bound=bound) == expected
+        assert all(math.factorial(n) * b < math.factorial(k) for n, b in brackets)
+
+
+@given(st.data(), st.integers(min_value=1, max_value=30))
+def test_render_with_bound_on_the_bracket_denominator(data, digits):
+    # A bound m / (n0! b) is a whole number of units of every bracket from
+    # the start depth n0 on: the remainder is 0 at each depth tried.
+    r = data.draw(rationals_near_e)
+    n0 = _first_depth(digits)
+    unit = Fraction(1, math.factorial(n0) * r.denominator)
+    lo, hi = _oracle_bracket(r)
+    m = data.draw(
+        st.one_of(
+            st.integers(min_value=0, max_value=math.ceil(hi / unit) + 3),
+            st.integers(min_value=-3, max_value=3).map(lambda j: math.floor(lo / unit) + j),
+        ).filter(lambda m: m >= 0)
+    )
+    bound = m * unit
+    assert (bound.numerator * unit.denominator) % bound.denominator == 0
+    expected = _oracle_render(r, bound, digits)
+    assume(expected is not None)
+    assert render_distance(r, digits, bound=bound) == expected
+
+
+@given(
+    st.data(),
+    st.integers(min_value=1, max_value=30),
+    st.sampled_from([1, -1]),
+    st.integers(min_value=0, max_value=2),
+    st.fractions(min_value=-1, max_value=1, max_denominator=10**4),
+)
+def test_render_with_margin_next_to_a_truncation_boundary(data, digits, sign, steps, t):
+    # The margin is within 10^-(digits+3) of a multiple of 10^-digits, so
+    # the bracket must shrink well below a unit in the last place.
+    r = data.draw(rationals_near_e)
+    lo, _ = _oracle_bracket(r)
+    assume(lo > 0)
+    place = Fraction(1, 10**digits)
+    boundary = (math.floor(lo / place) - steps) * place
+    bound = lo - sign * (boundary + t * place / 1000)
+    assume(bound >= 0)
+    expected = _oracle_render(r, bound, digits)
+    assume(expected is not None)
+    assert render_distance(r, digits, bound=bound) == expected
+
+
+@pytest.mark.parametrize(
+    "r", [Fraction(2), Fraction(5, 2), Fraction(8, 3), Fraction(11, 4), Fraction(19, 7)]
+)
+@pytest.mark.parametrize("digits", [6, 12])
+def test_render_rounds_the_bound_up_between_bracket_units(r, digits):
+    # r = a/b with b <= n lies left of I_n, and |e - r| less than one unit
+    # 1/(n! b) above the bracket's low end. A bound 0.999 units past a whole
+    # number of units puts the margin just below a truncation boundary T
+    # that the low end reaches only if the bound's remainder is dropped.
+    n = _first_depth(digits)
+    num, fact = endpoint(n)
+    den = fact * r.denominator
+    lo = num * r.denominator - r.numerator * fact
+    place = 10**digits
+    start = lo * place // (2 * den)
+    for t in range(start, start + 10):  # T = t / 10^digits
+        k = lo - (t * den + place - 1) // place  # lo - ceil(T n! b)
+        bound = Fraction(1000 * k + 999, 1000 * den)
+        expected = _oracle_render(r, bound, digits)
+        assert expected is not None
+        assert render_distance(r, digits, bound=bound) == expected
