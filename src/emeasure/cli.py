@@ -22,7 +22,7 @@ import sys
 from fractions import Fraction
 
 from . import cantor, cfrac, density, enclosure, kempner, measures, verify
-from .rationals import ResourceError
+from .rationals import ResourceError, int_str
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -64,9 +64,9 @@ def _jsonable(obj):
     kept. Dataclass fields are read one level at a time, not copied deep
     first as dataclasses.asdict does."""
     if isinstance(obj, int) and not isinstance(obj, bool):
-        return str(obj)
+        return int_str(obj)
     if isinstance(obj, Fraction):
-        return {"num": str(obj.numerator), "den": str(obj.denominator)}
+        return {"num": int_str(obj.numerator), "den": int_str(obj.denominator)}
     if isinstance(obj, dict):
         return {key: _jsonable(value) for key, value in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -163,7 +163,13 @@ def cmd_measure(args) -> int:
         verdict = measures.check_weak_prime(args.p, args.q)
     else:  # known
         verdict = measures.check_known(args.p, args.q, eps)
-    _emit_json(verdict)
+    # .bound is read here, so a bound 1/k! is built only for the output.
+    _emit_json(
+        {
+            name: getattr(verdict, name)
+            for name in ("p", "q", "bound_name", "bound", "holds", "margin_digits")
+        }
+    )
     return EXIT_OK
 
 
@@ -183,9 +189,9 @@ def cmd_partial_sums(args) -> int:
         for record, hit in rows:
             row = [
                 record.n,
-                record.s_n.numerator,
-                record.s_n.denominator,
-                record.q_n,
+                int_str(record.s_n.numerator),
+                int_str(record.s_n.denominator),
+                int_str(record.q_n),
                 int(record.full_factorial),
             ]
             if args.check_convergent:

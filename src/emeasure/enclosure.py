@@ -10,6 +10,7 @@ until the enclosure decides it; e itself is never materialized.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -160,20 +161,55 @@ def compare_distance_to_e(r: Fraction, bound: Fraction) -> str:
     )
 
 
-def render_distance(r: Fraction, digits: int, bound: Fraction = Fraction(0)) -> str:
-    """Truncated decimal of |e - r| - bound, with sign, correct to `digits`
-    places.
+def _scaled_bound(ub: int, v: int, n: int, m: int) -> tuple[int, bool]:
+    """(floor(x), x is a whole number) for x = ub n! / (v m!).
+
+    For m <= n, n!/m! is math.perm(n, n - m). For m > n, the product
+    (n + 1) ... m stops once it passes ub, since then x < 1, and no
+    factorial is built.
+    """
+    if m <= n:
+        k, rem = divmod(ub * math.perm(n, n - m), v)
+        return k, rem == 0
+    product = 1
+    for factor in range(n + 1, m + 1):
+        product *= factor
+        if product > ub:
+            return 0, ub == 0
+    k, rem = divmod(ub, v * product)
+    return k, rem == 0
+
+
+@lru_cache(maxsize=64)
+def _render_start(digits: int) -> int:
+    """Smallest n with n! >= 10^digits: the depth-n bracket is 1/n! wide,
+    so it fixes `digits` places only if n! > 10^digits. Not clipped to
+    MAX_DEPTH, which refine does, so the cached value holds under any cap."""
+    n, fact, floor = 1, 1, 10**digits
+    while fact < floor:
+        n += 1
+        fact *= n
+    return n
+
+
+def render_distance(
+    r: Fraction, digits: int, bound: Fraction = Fraction(0), m: int = 0
+) -> str:
+    """Truncated decimal of |e - r| - bound / m!, with sign, correct to
+    `digits` places.
 
     The value is irrational, so refining eventually fixes its sign and both
     bracket endpoints truncate identically. Refinement starts at the smallest
     n with n! >= 10^digits: shallower, I_n is wider than a unit in the last
-    place, and the bracket of an r outside it cannot decide.
+    place, and the bracket of an r outside it cannot decide. A bound 1/m! is
+    passed as bound = 1 and m, and m! is never built.
     """
     if digits < 1:
         raise ValueError("digits must be >= 1")
-    # The depth-n bracket is 1/n! wide, so it fixes `digits` places only if
-    # n! > 10^digits. With MAX_DEPTH <= 10^k, every n <= MAX_DEPTH has
-    # n! < n^n <= 10^(k MAX_DEPTH): past that, refuse before building 10^digits.
+    if m < 0:
+        raise ValueError("m must be >= 0")
+    # With MAX_DEPTH <= 10^k, every n <= MAX_DEPTH has n! < n^n <=
+    # 10^(k MAX_DEPTH): past that, refuse before building 10^digits.
     if digits >= MAX_DEPTH * len(str(MAX_DEPTH - 1)):
         raise DepthCapExceeded(
             f"{digits} digits need a depth past MAX_DEPTH = {MAX_DEPTH}"
@@ -183,17 +219,22 @@ def render_distance(r: Fraction, digits: int, bound: Fraction = Fraction(0)) -> 
 
     def decide(n: int) -> str | None:
         lo, hi, den = _scaled_bracket(a, b, n)
-        # The bound lies in [k, k + 1] / den, and is k / den when rem = 0, so
-        # the margin lies in [lo - k - (rem != 0), hi - k] / den. This never
-        # multiplies by v, which for a bound 1/k! has up to 2^20 bits.
-        k, rem = divmod(u * den, v)
-        lo, hi = lo - k - (rem != 0), hi - k
+        # The bound lies in [k, k + 1] / den, and is k / den when it is a
+        # whole number of units, so the margin lies in
+        # [lo - k - (not exact), hi - k] / den. This never multiplies by v or
+        # by m!, which for a bound 1/m! have up to 2^20 bits.
+        if m < 2:
+            k, rem = divmod(u * den, v)
+            exact = rem == 0
+        else:
+            k, exact = _scaled_bound(u * b, v, n, m)
+        lo, hi = lo - k - (not exact), hi - k
         if lo <= 0 <= hi:  # sign still open
             return None
         lo_text = truncate_ratio(lo, den, digits)
         return lo_text if lo_text == truncate_ratio(hi, den, digits) else None
 
-    return refine(decide, start=_start_depth(10**digits))
+    return refine(decide, start=_render_start(digits))
 
 
 def floor_e_times(q: int) -> int:

@@ -9,13 +9,18 @@ Four lower bounds on |e - p/q| are wired up:
 
 plus the sharpness check (the theorem1 factorial cannot be lowered) and a
 pointwise comparator of theorem1 vs the classical bound.
+
+A verdict against a bound 1/k! is decided without building k!: the
+enclosure scales the bound onto each bracket's denominator n! q, dividing by
+k! through the factors between n and k. MeasureVerdict.bound builds 1/k!
+only when it is first read.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .enclosure import (
@@ -34,18 +39,20 @@ MARGIN_DIGITS = 6
 # built: k! has fewer than k * k.bit_length() bits.
 MAX_BOUND_BITS = 1 << 20
 
-# The bound factorials. Each k! is built as r! * k!/r!, where the rung r is k
-# with all but its top _RUNG_BITS bits cleared, so k!/r! = math.perm(k, k - r)
-# has fewer than k / 2^(_RUNG_BITS - 1) factors. A rung is built once, by
-# math.factorial, and kept in _RUNGS: a shuffled run of queries asks for a
-# few hundred distinct k, which share far fewer rungs. There are 8 rungs per
-# bit length above _RUNG_BITS, so the rungs for every k within
-# MAX_BOUND_BITS (k < 2^16) hold about 1.3 MB; evenly spaced rungs would keep
-# more of them alive (128 rungs, 7 MB, at a spacing of 512).
+# The bound factorials. Only the public bound functions and
+# MeasureVerdict.bound build them; the verdicts never do. Each k! is built
+# as r! * k!/r!, where the rung r is k with all but its top _RUNG_BITS bits
+# cleared, so k!/r! = math.perm(k, k - r) has fewer than
+# k / 2^(_RUNG_BITS - 1) factors. A rung is built once, by math.factorial,
+# and kept in _RUNGS: a shuffled run of queries asks for a few hundred
+# distinct k, which share far fewer rungs. There are 8 rungs per bit length
+# above _RUNG_BITS, so the rungs for every k within MAX_BOUND_BITS
+# (k < 2^16) hold about 1.3 MB; evenly spaced rungs would keep more of them
+# alive (128 rungs, 7 MB, at a spacing of 512).
 #
-# k! itself is memoised one entry deep. The nearest-numerator sweeps check
-# p = f and f + 1 against 1/(S(q)+1)!, then 1/(P(q)+1)! where P(q) = S(q)
-# (every prime q and most others), so consecutive calls share one k!;
+# k! itself is memoised one entry deep. Reading the bounds of the verdicts
+# at p = f and f + 1, or 1/(S(q)+1)! and then 1/(P(q)+1)! where
+# P(q) = S(q) (every prime q and most others), asks for one k! in a row;
 # holding more entries would keep every past factorial alive.
 _RUNG_BITS = 4
 _RUNGS: dict[int, int] = {}
@@ -68,9 +75,13 @@ def _check_bits(bits: int, what: str) -> None:
         raise ResourceError(f"{what} exceeds MAX_BOUND_BITS = {MAX_BOUND_BITS} bits")
 
 
+def _check_factorial_bits(k: int) -> None:
+    _check_bits(k * k.bit_length(), "the bound 1/k!")
+
+
 def _inverse_factorial(k: int) -> Fraction:
     """1/k!, within the bit budget."""
-    _check_bits(k * k.bit_length(), "the bound 1/k!")
+    _check_factorial_bits(k)
     return Fraction(1, _factorial(k))
 
 
@@ -79,57 +90,84 @@ class MeasureVerdict:
     p: int
     q: int
     bound_name: str
-    bound: Fraction
     holds: bool
     margin_digits: str  # truncated decimal of |e - p/q| - bound, signed
+    # The bound itself, or the k of a bound 1/k!, which .bound builds.
+    bound_given: Fraction | int = field(repr=False)
+
+    @functools.cached_property
+    def bound(self) -> Fraction:
+        """The lower bound checked; a bound 1/k! is built on first read."""
+        given = self.bound_given
+        return given if isinstance(given, Fraction) else _inverse_factorial(given)
+
+
+def _require_q(q: int, what: str) -> None:
+    if q < 2:
+        raise ValueError(f"{what} requires q >= 2")
+
+
+def _theorem1_k(q: int) -> int:
+    _require_q(q, "theorem1_bound")
+    return kempner_S(q) + 1
+
+
+def _weak_prime_k(q: int) -> int:
+    _require_q(q, "weak_prime_bound")
+    return q + 1
+
+
+def _prime_factor_k(q: int) -> int:
+    _require_q(q, "prime_factor_bound")
+    return largest_prime_factor(q) + 1
 
 
 def theorem1_bound(q: int) -> Fraction:
     """1/(S(q)+1)!, the lower bound of the new measure; requires q >= 2."""
-    if q < 2:
-        raise ValueError("theorem1_bound requires q >= 2")
-    return _inverse_factorial(kempner_S(q) + 1)
+    return _inverse_factorial(_theorem1_k(q))
 
 
 def weak_prime_bound(q: int) -> Fraction:
     """1/(q+1)!, the weakening obtained from S(q) <= q."""
-    if q < 2:
-        raise ValueError("weak_prime_bound requires q >= 2")
-    return _inverse_factorial(q + 1)
+    return _inverse_factorial(_weak_prime_k(q))
 
 
 def prime_factor_bound(q: int) -> Fraction:
     """1/(P(q)+1)!; valid for almost all q, not for every q."""
-    if q < 2:
-        raise ValueError("prime_factor_bound requires q >= 2")
-    return _inverse_factorial(largest_prime_factor(q) + 1)
+    return _inverse_factorial(_prime_factor_k(q))
 
 
-def _verdict(p: int, q: int, bound_name: str, bound: Fraction) -> MeasureVerdict:
+def _verdict(p: int, q: int, bound_name: str, bound: Fraction | int) -> MeasureVerdict:
+    """The verdict on |e - p/q| > bound, for a Fraction bound or, given an
+    int k, the bound 1/k!, which is decided without building k!."""
     r = Fraction(p, q)
-    margin = render_distance(r, MARGIN_DIGITS, bound=bound)
+    if isinstance(bound, Fraction):
+        margin = render_distance(r, MARGIN_DIGITS, bound=bound)
+    else:
+        _check_factorial_bits(bound)
+        margin = render_distance(r, MARGIN_DIGITS, bound=Fraction(1), m=bound)
     return MeasureVerdict(
         p=p,
         q=q,
         bound_name=bound_name,
-        bound=bound,
         holds=not margin.startswith("-"),
         margin_digits=margin,
+        bound_given=bound,
     )
 
 
 def check_theorem1(p: int, q: int) -> MeasureVerdict:
     """|e - p/q| > 1/(S(q)+1)!; must hold for every q >= 2."""
-    return _verdict(p, q, "theorem1", theorem1_bound(q))
+    return _verdict(p, q, "theorem1", _theorem1_k(q))
 
 
 def check_prime_factor_bound(p: int, q: int) -> MeasureVerdict:
     """|e - p/q| > 1/(P(q)+1)!; may fail (only an almost-all statement)."""
-    return _verdict(p, q, "prime_factor", prime_factor_bound(q))
+    return _verdict(p, q, "prime_factor", _prime_factor_k(q))
 
 
 def check_weak_prime(p: int, q: int) -> MeasureVerdict:
-    return _verdict(p, q, "weak_prime", weak_prime_bound(q))
+    return _verdict(p, q, "weak_prime", _weak_prime_k(q))
 
 
 def check_known(p: int, q: int, eps: Fraction = Fraction(0)) -> MeasureVerdict:

@@ -8,6 +8,8 @@ shares: verdicts, decimal rendering, the series kernel and ResourceError.
 
 from __future__ import annotations
 
+import decimal
+import sys
 from fractions import Fraction
 
 LESS = "less"
@@ -54,3 +56,50 @@ def truncate_ratio(num: int, den: int, digits: int) -> str:
     scaled = (abs(num) * 10**digits) // den
     int_part, frac_part = divmod(scaled, 10**digits)
     return f"{sign}{int_part}.{frac_part:0{digits}d}"
+
+
+# Before Python 3.12, str() of an int takes time quadratic in its length:
+# 1.5 s for the 287 127 digits of 65522!. Past about 10^4 digits int_str
+# converts through decimal instead, whose multiplication is subquadratic
+# (0.12 s for 65522!). Python 3.12 and later do the same inside str().
+_SLOW_INT_STR = sys.version_info < (3, 12)
+_INT_STR_BITS = 33_000  # about 10^4 digits
+_DECIMAL_LEAF_BITS = 4096
+
+
+def int_str(n: int) -> str:
+    """str(n) for an int n, in subquadratic time past about 10^4 digits."""
+    if not _SLOW_INT_STR or abs(n).bit_length() <= _INT_STR_BITS:
+        return str(n)
+    if n < 0:
+        return "-" + int_str(-n)
+    with decimal.localcontext() as ctx:
+        ctx.prec = decimal.MAX_PREC
+        ctx.Emax = decimal.MAX_EMAX
+        ctx.traps[decimal.Inexact] = True
+        return str(_to_decimal(n, n.bit_length(), {}))
+
+
+# Recursive module functions, not closures in int_str: a recursive closure is
+# a reference cycle, and it would keep its cache of powers alive until the
+# next garbage collection.
+def _to_decimal(x: int, w: int, powers: dict) -> decimal.Decimal:
+    """Decimal(x) for 0 <= x < 2**w, joined from the two halves of its bits;
+    `powers` caches Decimal(2**h) by h."""
+    if w <= _DECIMAL_LEAF_BITS:
+        return decimal.Decimal(x)
+    half = w >> 1
+    high = x >> half
+    low = x - (high << half)
+    high_part = _to_decimal(high, w - half, powers) * _power_of_two(half, powers)
+    return high_part + _to_decimal(low, half, powers)
+
+
+def _power_of_two(w: int, powers: dict) -> decimal.Decimal:
+    """Decimal(2**w), each w computed once per conversion."""
+    if w not in powers:
+        if w <= _DECIMAL_LEAF_BITS:
+            powers[w] = decimal.Decimal(1 << w)
+        else:
+            powers[w] = _power_of_two(w >> 1, powers) * _power_of_two(w - (w >> 1), powers)
+    return powers[w]

@@ -178,8 +178,8 @@ def check_cantor() -> tuple[bool, str]:
 def check_density(x_large: int = 10**6) -> tuple[bool, str]:
     S, P = density.kempner_range(2, 10_000, density.kempner_plan(10_000))
     agree = all(
-        s == kempner.kempner_S(q) and p == kempner.largest_prime_factor(q)
-        for q, s, p in zip(range(2, 10_001), S, P)
+        (s, p) == (result.s, result.p)
+        for result, s, p in zip(map(kempner.kempner_result, range(2, 10_001)), S, P)
     )
     small = density.density_report(1000)
     large = density.density_report(x_large)

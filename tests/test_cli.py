@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
@@ -81,6 +82,98 @@ def test_measure_verdict(capsys):
     )
     assert code == 0
     assert doc["holds"] is False
+
+
+# `measure` output, byte for byte as when every verdict built its bound
+# 1/k!: .bound now builds it only when the output reads it.
+MEASURE_GOLDEN = [
+    (
+        ["measure", "--p", "65", "--q", "24", "--bound", "theorem1"],
+        '{\n'
+        '  "p": "65",\n'
+        '  "q": "24",\n'
+        '  "bound_name": "theorem1",\n'
+        '  "bound": {\n'
+        '    "num": "1",\n'
+        '    "den": "120"\n'
+        '  },\n'
+        '  "holds": true,\n'
+        '  "margin_digits": "0.001615"\n'
+        '}\n',
+    ),
+    (
+        ["measure", "--p", "65", "--q", "24", "--bound", "prime-factor"],
+        '{\n'
+        '  "p": "65",\n'
+        '  "q": "24",\n'
+        '  "bound_name": "prime_factor",\n'
+        '  "bound": {\n'
+        '    "num": "1",\n'
+        '    "den": "24"\n'
+        '  },\n'
+        '  "holds": false,\n'
+        '  "margin_digits": "-0.031718"\n'
+        '}\n',
+    ),
+    (
+        ["measure", "--p", "65", "--q", "24", "--bound", "weak-prime"],
+        '{\n'
+        '  "p": "65",\n'
+        '  "q": "24",\n'
+        '  "bound_name": "weak_prime",\n'
+        '  "bound": {\n'
+        '    "num": "1",\n'
+        '    "den": "15511210043330985984000000"\n'
+        '  },\n'
+        '  "holds": true,\n'
+        '  "margin_digits": "0.009948"\n'
+        '}\n',
+    ),
+    (
+        ["measure", "--p", "65", "--q", "24", "--bound", "known"],
+        '{\n'
+        '  "p": "65",\n'
+        '  "q": "24",\n'
+        '  "bound_name": "known_eps",\n'
+        '  "bound": {\n'
+        '    "num": "1",\n'
+        '    "den": "576"\n'
+        '  },\n'
+        '  "holds": true,\n'
+        '  "margin_digits": "0.008212"\n'
+        '}\n',
+    ),
+    (
+        ["measure", "--p", "65", "--q", "24", "--bound", "known", "--eps", "1/3"],
+        '{\n'
+        '  "p": "65",\n'
+        '  "q": "24",\n'
+        '  "bound_name": "known_eps",\n'
+        '  "bound": {\n'
+        '    "num": "15625000000000000000000000000",\n'
+        '    "den": "25960492265533350881789489594049"\n'
+        '  },\n'
+        '  "holds": true,\n'
+        '  "margin_digits": "0.009346"\n'
+        '}\n',
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, expected", MEASURE_GOLDEN)
+def test_measure_output_is_byte_identical(capsys, argv, expected):
+    assert cli.run(argv) == 0
+    assert capsys.readouterr().out == expected
+
+
+def test_measure_output_at_the_top_of_the_bit_budget(capsys):
+    # The bound 1/65522! has a 287 127-digit denominator.
+    assert cli.run(["measure", "--p", "178104", "--q", "65521"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert len(out) == 287287
+    assert hashlib.sha256(out).hexdigest() == (
+        "3d452c90d63393945ecf60886575ad047656980bd1cfa9ba2d231931dde4b325"
+    )
 
 
 def test_measure_corollary2(capsys):

@@ -3,7 +3,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from emeasure import enclosure
 from emeasure.cfrac import partial_sum_record
@@ -435,15 +435,12 @@ def test_render_with_margin_next_to_a_truncation_boundary(data, digits, sign, st
     assert render_distance(r, digits, bound=bound) == expected
 
 
-@pytest.mark.parametrize(
-    "r", [Fraction(2), Fraction(5, 2), Fraction(8, 3), Fraction(11, 4), Fraction(19, 7)]
-)
-@pytest.mark.parametrize("digits", [6, 12])
-def test_render_rounds_the_bound_up_between_bracket_units(r, digits):
-    # r = a/b with b <= n lies left of I_n, and |e - r| less than one unit
-    # 1/(n! b) above the bracket's low end. A bound 0.999 units past a whole
-    # number of units puts the margin just below a truncation boundary T
-    # that the low end reaches only if the bound's remainder is dropped.
+ROUNDING_CASES = [Fraction(2), Fraction(5, 2), Fraction(8, 3), Fraction(11, 4), Fraction(19, 7)]
+
+
+def _bounds_between_units(r, digits):
+    """(bound, oracle render) pairs for bounds 0.999 bracket units past a
+    whole number of units at the start depth, next to truncation boundaries."""
     n = _first_depth(digits)
     num, fact = endpoint(n)
     den = fact * r.denominator
@@ -455,4 +452,72 @@ def test_render_rounds_the_bound_up_between_bracket_units(r, digits):
         bound = Fraction(1000 * k + 999, 1000 * den)
         expected = _oracle_render(r, bound, digits)
         assert expected is not None
+        yield bound, expected
+
+
+@pytest.mark.parametrize("r", ROUNDING_CASES)
+@pytest.mark.parametrize("digits", [6, 12])
+def test_render_rounds_the_bound_up_between_bracket_units(r, digits):
+    # r = a/b with b <= n lies left of I_n, and |e - r| less than one unit
+    # 1/(n! b) above the bracket's low end. A bound 0.999 units past a whole
+    # number of units puts the margin just below a truncation boundary T
+    # that the low end reaches only if the bound's remainder is dropped.
+    for bound, expected in _bounds_between_units(r, digits):
         assert render_distance(r, digits, bound=bound) == expected
+
+
+@pytest.mark.parametrize("m", [3, 20])
+@pytest.mark.parametrize("r", ROUNDING_CASES)
+@pytest.mark.parametrize("digits", [6, 12])
+def test_render_rounds_a_factorial_scaled_bound_up(r, digits, m):
+    # The same bounds, passed as (bound m!) / m!: m = 3 is below the start
+    # depth, m = 20 above it, so the quotient comes from math.perm and from
+    # the product (n + 1) ... m in turn.
+    for bound, expected in _bounds_between_units(r, digits):
+        scaled = bound * math.factorial(m)
+        assert render_distance(r, digits, bound=scaled, m=m) == expected
+
+
+@st.composite
+def factorial_denominators(draw):
+    """p / N! next to I_N for N <= 40, the rationals of the sharpness checks.
+    For m past the start depth n, m! can divide n! N!: the bound 1/m! is
+    then a whole number of bracket units."""
+    num, fact = endpoint(draw(st.integers(min_value=3, max_value=40)))
+    return Fraction(num + draw(st.integers(min_value=-1, max_value=2)), fact)
+
+
+_S20 = Fraction(*endpoint(20))  # its denominator is 20!
+
+
+@settings(deadline=None)
+@given(
+    st.one_of(rationals_near_e, factorial_denominators()),
+    st.one_of(
+        st.integers(min_value=1, max_value=20), st.integers(min_value=1, max_value=3000)
+    ),
+    st.integers(min_value=1, max_value=12),
+)
+@example(Fraction(65, 24), 5, 6)  # m below the start depth 10
+@example(Fraction(65, 24), 3000, 12)  # m far past the deciding depth
+@example(_S20, 15, 6)  # 15! divides 10! 20!: no remainder
+@example(_S20, 21, 6)  # 1/21! is just below e - s_20
+def test_render_with_factorial_bound_matches_the_built_bound(r, m, digits):
+    built = render_distance(r, digits, bound=Fraction(1, math.factorial(m)))
+    assert render_distance(r, digits, bound=Fraction(1), m=m) == built
+
+
+def test_factorial_bound_whole_units_at_full_factorial_denominators():
+    # The quotient is exact, not rounded, when m! divides n! N!.
+    assert _S20.denominator == math.factorial(20)
+    for m in range(11, 21):
+        k, exact = enclosure._scaled_bound(_S20.denominator, 1, 10, m)
+        assert exact and k * math.factorial(m) == math.factorial(10) * math.factorial(20)
+    # 10! 20! / 23! = 10! / (21 22 23) = 341.5...; 11 ... 40 passes 20!.
+    assert enclosure._scaled_bound(_S20.denominator, 1, 10, 23) == (341, False)
+    assert enclosure._scaled_bound(_S20.denominator, 1, 10, 40) == (0, False)
+
+
+def test_render_distance_rejects_negative_m():
+    with pytest.raises(ValueError, match="m must be >= 0"):
+        render_distance(Fraction(65, 24), 6, bound=Fraction(1), m=-1)

@@ -182,27 +182,39 @@ def test_compare_bounds_at_primes_too_large_for_their_factorial():
     assert result["stronger"] == "known"
 
 
-def test_bound_factorial_memo_holds_one_entry():
-    q = 10006  # 2 * 5003: P(q) = S(q) = 5003
-    assert largest_prime_factor(q) == kempner_S(q) == 5003
-    f = floor_e_times(q)
-    calls = [
-        lambda: check_theorem1(f, q),
-        lambda: check_theorem1(f + 1, q),
-        lambda: check_prime_factor_bound(f, q),
-    ]
-    cold = []
-    for call in calls:
-        measures._factorial.cache_clear()
-        cold.append(call())
-    measures._factorial.cache_clear()
-    warm = [call() for call in calls]
-    info = measures._factorial.cache_info()
-    assert (info.misses, info.hits) == (1, 2)
-    assert info.currsize <= 1
-    assert warm == cold
-    assert cold[0].bound == Fraction(1, math.factorial(5004))
-    theorem1_bound(10007)  # a new k evicts the old entry
+def fail_to_build(*args):
+    raise AssertionError("built a factorial for a verdict")
+
+
+# floor(e q) and the margins of the verdicts at p = floor(e q) and p + 1,
+# the same under every factorial bound (as computed when each k! was built).
+# 10006 = 2 * 5003 and the prime 65521 have P(q) = S(q).
+FACTORIAL_BOUND_MARGINS = {
+    10006: (27199, ["0.000012", "0.000087"]),
+    65521: (178104, ["0.000008", "0.000006"]),
+}
+
+
+def test_factorial_bound_verdicts_build_no_factorial(monkeypatch):
+    checks = (check_theorem1, check_prime_factor_bound, check_weak_prime)
+    for q, (f, margins) in FACTORIAL_BOUND_MARGINS.items():
+        assert floor_e_times(q) == f
+        with monkeypatch.context() as patch:
+            patch.setattr(measures, "_factorial", fail_to_build)
+            patch.setattr(math, "factorial", fail_to_build)
+            patch.setattr(math, "perm", fail_to_build)
+            verdicts = [check(p, q) for check in checks for p in (f, f + 1)]
+        assert [(v.holds, v.margin_digits) for v in verdicts] == [
+            (True, margin) for _ in checks for margin in margins
+        ]
+        # .bound builds 1/k! when it is first read, and keeps it.
+        k = kempner_S(q) + 1
+        assert k == largest_prime_factor(q) + 1
+        assert verdicts[0].bound == Fraction(1, math.factorial(k))
+        assert verdicts[0].bound is verdicts[0].bound
+        assert verdicts[-1].bound == Fraction(1, math.factorial(q + 1))
+    assert check_theorem1(27199, 10006).bound == Fraction(1, math.factorial(5004))
+    theorem1_bound(10007)  # a new k evicts the old entry of the k! memo
     assert measures._factorial.cache_info().currsize <= 1
 
 
