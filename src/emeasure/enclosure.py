@@ -43,9 +43,6 @@ class Interval:
     def width(self) -> Fraction:
         return self.right - self.left
 
-    def contains(self, x: Fraction) -> bool:
-        return self.left <= x <= self.right
-
 
 def check_depth(n: int) -> None:
     """Raise DepthCapExceeded if n is past MAX_DEPTH."""

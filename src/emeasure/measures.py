@@ -39,35 +39,6 @@ MARGIN_DIGITS = 6
 # built: k! has fewer than k * k.bit_length() bits.
 MAX_BOUND_BITS = 1 << 20
 
-# The bound factorials. Only the public bound functions and
-# MeasureVerdict.bound build them; the verdicts never do. Each k! is built
-# as r! * k!/r!, where the rung r is k with all but its top _RUNG_BITS bits
-# cleared, so k!/r! = math.perm(k, k - r) has fewer than
-# k / 2^(_RUNG_BITS - 1) factors. A rung is built once, by math.factorial,
-# and kept in _RUNGS: a shuffled run of queries asks for a few hundred
-# distinct k, which share far fewer rungs. There are 8 rungs per bit length
-# above _RUNG_BITS, so the rungs for every k within MAX_BOUND_BITS
-# (k < 2^16) hold about 1.3 MB; evenly spaced rungs would keep more of them
-# alive (128 rungs, 7 MB, at a spacing of 512).
-#
-# k! itself is memoised one entry deep. Reading the bounds of the verdicts
-# at p = f and f + 1, or 1/(S(q)+1)! and then 1/(P(q)+1)! where
-# P(q) = S(q) (every prime q and most others), asks for one k! in a row;
-# holding more entries would keep every past factorial alive.
-_RUNG_BITS = 4
-_RUNGS: dict[int, int] = {}
-
-
-@functools.lru_cache(maxsize=1)
-def _factorial(k: int) -> int:
-    shift = max(k.bit_length() - _RUNG_BITS, 0)
-    r = k >> shift << shift
-    rung = _RUNGS.get(r)
-    if rung is None:
-        rung = _RUNGS[r] = math.factorial(r)
-    return rung * math.perm(k, k - r)
-
-
 def _check_bits(bits: int, what: str) -> None:
     """Raise ResourceError if `bits`, an upper bound on the size of what is
     about to be built, is past MAX_BOUND_BITS."""
@@ -82,7 +53,7 @@ def _check_factorial_bits(k: int) -> None:
 def _inverse_factorial(k: int) -> Fraction:
     """1/k!, within the bit budget."""
     _check_factorial_bits(k)
-    return Fraction(1, _factorial(k))
+    return Fraction(1, math.factorial(k))
 
 
 @dataclass(frozen=True)

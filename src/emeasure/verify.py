@@ -92,9 +92,16 @@ def check_kempner_oracle() -> tuple[bool, str]:
     budget=3.0,
 )
 def check_measure_sweep() -> tuple[bool, str]:
+    # The q are visited in order of S(q), so each bound factorial extends
+    # the last one: k! = k * (k - 1)! for k up to S(q) + 1.
+    S = [0, 0] + [kempner.kempner_S(q) for q in range(2, 2001)]
     failures = []
-    for q in range(2, 2001):
-        bound = measures.theorem1_bound(q)
+    k = fact = 1
+    for q in sorted(range(2, 2001), key=S.__getitem__):
+        while k <= S[q]:
+            k += 1
+            fact *= k
+        bound = Fraction(1, fact)
         f = enclosure.floor_e_times(q)
         for p in (f - 1, f, f + 1, f + 2):
             if enclosure.compare_distance_to_e(Fraction(p, q), bound) != GREATER:
@@ -126,7 +133,8 @@ def check_convergents() -> tuple[bool, str]:
             bad_quality.append(conv.index)
         # Containment in interval(12) kicks in once q_k exceeds 12!: below
         # that a convergent may legitimately sit outside the interval.
-        if value.denominator > math.factorial(12) and not box.contains(value):
+        inside = box.left <= value <= box.right
+        if value.denominator > math.factorial(12) and not inside:
             outside.append(conv.index)
     return not bad_quality and not outside, (
         f"quality failures={bad_quality}, outside interval(12)={outside}"

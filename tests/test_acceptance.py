@@ -11,7 +11,7 @@ import math
 
 import pytest
 
-from emeasure import cfrac, enclosure, verify
+from emeasure import cfrac, enclosure, kempner, verify
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -34,3 +34,13 @@ def test_claim(check):
     assert fastest < check.budget, (
         f"{result.name}: fastest of 3 runs took {fastest:.3f}s, budget {check.budget}s"
     )
+
+
+def test_measure_sweep_catches_a_bound_one_factorial_too_large(monkeypatch):
+    # With S(q) - 1 in place of S(q) the sweep checks 1/S(q)!, which fails
+    # at 5/2 (|e - 5/2| < 1/2!), 8/3 and 65/24, among others.
+    S = kempner.kempner_S
+    monkeypatch.setattr(kempner, "kempner_S", lambda q: S(q) - 1)
+    passed, detail = verify.check_measure_sweep()
+    assert not passed
+    assert detail.startswith("failures=[(5, 2), ")

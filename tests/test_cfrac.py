@@ -116,7 +116,7 @@ def test_convergents_enter_the_intervals():
         bound = math.factorial(n)
         for conv in convergents(60):
             if conv.value.denominator > bound:
-                assert box.contains(conv.value)
+                assert box.left <= conv.value <= box.right
 
 
 def test_partial_sum_record_anchors():

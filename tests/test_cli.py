@@ -460,7 +460,6 @@ def test_bound_past_the_bit_budget_is_resource_error(capsys, monkeypatch, argv):
     # Decided by arithmetic on sizes: no factorial or power is built.
     monkeypatch.setattr(math, "factorial", fail_to_build)
     monkeypatch.setattr(math, "perm", fail_to_build)
-    monkeypatch.setattr(measures, "_factorial", fail_to_build)
     monkeypatch.setattr(measures, "_capped_factorial", fail_to_build)
     monkeypatch.setattr(measures, "_nth_root_ceil", fail_to_build)
     assert_resource_error(capsys, argv)

@@ -1,14 +1,13 @@
 import math
-import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from emeasure import measures
 from emeasure.density import density_report
 from emeasure.enclosure import floor_e_times
-from emeasure.kempner import is_prime, kempner_S, largest_prime_factor
+from emeasure.kempner import is_prime, kempner_S, kempner_S_naive, largest_prime_factor
 from emeasure.measures import (
     check_known,
     check_prime_factor_bound,
@@ -31,6 +30,28 @@ def test_theorem1_bound_values():
     assert theorem1_bound(24) == Fraction(1, 120)
     assert theorem1_bound(6) == Fraction(1, 24)
     assert theorem1_bound(2) == Fraction(1, 6)
+
+
+def largest_prime_factor_by_trial_division(q):
+    largest, d = 1, 2
+    while d * d <= q:
+        while q % d == 0:
+            largest, q = d, q // d
+        d += 1
+    return max(largest, q)
+
+
+def test_factorial_bounds_match_oracles_up_to_3000():
+    # 1/(k+1)! for k = S(q) from the literal oracle, P(q) and q, against
+    # factorials built one factor at a time.
+    facts = [1]
+    for k in range(1, 3002):
+        facts.append(facts[-1] * k)
+    for q in range(2, 3001):
+        assert theorem1_bound(q) == Fraction(1, facts[kempner_S_naive(q) + 1]), q
+        p = largest_prime_factor_by_trial_division(q)
+        assert prime_factor_bound(q) == Fraction(1, facts[p + 1]), q
+        assert weak_prime_bound(q) == Fraction(1, facts[q + 1]), q
 
 
 def test_theorem1_bound_rejects_q1():
@@ -200,7 +221,6 @@ def test_factorial_bound_verdicts_build_no_factorial(monkeypatch):
     for q, (f, margins) in FACTORIAL_BOUND_MARGINS.items():
         assert floor_e_times(q) == f
         with monkeypatch.context() as patch:
-            patch.setattr(measures, "_factorial", fail_to_build)
             patch.setattr(math, "factorial", fail_to_build)
             patch.setattr(math, "perm", fail_to_build)
             verdicts = [check(p, q) for check in checks for p in (f, f + 1)]
@@ -213,83 +233,15 @@ def test_factorial_bound_verdicts_build_no_factorial(monkeypatch):
         assert verdicts[0].bound == Fraction(1, math.factorial(k))
         assert verdicts[0].bound is verdicts[0].bound
         assert verdicts[-1].bound == Fraction(1, math.factorial(q + 1))
-    assert check_theorem1(27199, 10006).bound == Fraction(1, math.factorial(5004))
-    theorem1_bound(10007)  # a new k evicts the old entry of the k! memo
-    assert measures._factorial.cache_info().currsize <= 1
 
 
 def test_bound_bit_budget_edge(monkeypatch):
     # k! has fewer than k * k.bit_length() bits. Within 2^20 that allows
     # k = 2^16 - 1 (16 bits each), but not k = 2^16 (17 bits each).
-    monkeypatch.setattr(measures, "_factorial", lambda k: k)
+    monkeypatch.setattr(math, "factorial", lambda k: k)
     assert measures._inverse_factorial(2**16 - 1) == Fraction(1, 2**16 - 1)
     with pytest.raises(ResourceError):
         measures._inverse_factorial(2**16)
-
-
-@pytest.fixture
-def no_rungs(monkeypatch):
-    """The bound-factorial builder with no rung built and no k! memoised."""
-    monkeypatch.setattr(measures, "_RUNGS", {})
-    measures._factorial.cache_clear()
-    yield measures._RUNGS
-    measures._factorial.cache_clear()
-
-
-# Every k up to 2^16 - 1, the largest k within MAX_BOUND_BITS, has as its rung
-# k with all but its top 4 bits cleared: each r < 16, and 8 << s to 15 << s
-# for each shift s from 1 to 12.
-RUNG_POSITIONS = list(range(16)) + [
-    top << shift for shift in range(1, 13) for top in range(8, 16)
-]
-
-
-def test_bound_factorial_matches_math_factorial_up_to_4096(no_rungs):
-    fact = 1
-    for k in range(4097):
-        fact *= max(k, 1)
-        assert measures._factorial(k) == fact
-
-
-def test_bound_factorial_next_to_every_rung(no_rungs):
-    assert max(RUNG_POSITIONS) + 1 < 2**16
-    for r in RUNG_POSITIONS[1:]:
-        fact = math.factorial(r - 1)
-        assert measures._factorial(r - 1) == fact
-        assert measures._factorial(r) == fact * r
-        assert measures._factorial(r + 1) == fact * r * (r + 1)
-
-
-@settings(max_examples=20, deadline=None)
-@given(st.integers(min_value=0, max_value=2**16 - 1))
-def test_bound_factorial_matches_math_factorial_drawn(k):
-    measures._factorial.cache_clear()
-    assert measures._factorial(k) == math.factorial(k)
-
-
-def test_bound_factorial_rungs_stay_small(no_rungs):
-    # The rungs a sweep of k up to 2^16 - 1 can build: all of them.
-    tracemalloc.start()
-    try:
-        for r in RUNG_POSITIONS:
-            measures._factorial(r)
-        measures._factorial.cache_clear()
-        kept, _ = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert sorted(no_rungs) == RUNG_POSITIONS
-    assert kept < 2 * 2**20
-
-
-def test_cold_bound_factorial_adds_at_most_one_rung(no_rungs):
-    for k in (0, 1, 15, 16, 17, 5004, 5005, 5003, 19232, 65522, 65535):
-        before = len(no_rungs)
-        measures._factorial.cache_clear()
-        measures._factorial(k)
-        assert len(no_rungs) - before <= 1
-    # 16 and 17 share the rung 16, 5003 to 5005 share 4608, and 65522 and
-    # 65535 share 61440.
-    assert sorted(no_rungs) == [0, 1, 15, 16, 4608, 18432, 61440]
 
 
 @given(
