@@ -12,12 +12,10 @@ rationals.ResourceError).
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import dataclasses
 import datetime
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -27,34 +25,6 @@ from .rationals import ResourceError, int_str
 EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_RESOURCE = 2
-
-
-def _env_int(name: str, default: int) -> int:
-    """Integer override from the environment. Read when a command runs, so
-    a bad value is a domain error of that command and nothing else."""
-    text = os.environ.get(name)
-    if text is None:
-        return default
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"{name} must be an integer, got {text!r}") from None
-
-
-@contextlib.contextmanager
-def _full_digits():
-    """Let integers of any length be printed while a result is rendered.
-
-    Exact results pass Python's int-to-str digit limit (5000! has 16326
-    digits, `distance --digits 5000` a 5000-digit fraction). The limit is
-    lifted only here and restored afterwards.
-    """
-    previous = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(previous)
 
 
 def _jsonable(obj):
@@ -79,8 +49,7 @@ def _jsonable(obj):
 def _emit_json(obj) -> None:
     """Write obj to stdout as one JSON document, in one write, only once it
     has been rendered in full; a failure while rendering writes nothing."""
-    with _full_digits():
-        chunks = list(json.JSONEncoder(indent=2).iterencode(_jsonable(obj)))
+    chunks = list(json.JSONEncoder(indent=2).iterencode(_jsonable(obj)))
     chunks.append("\n")
     text = "".join(chunks)
     # The converted document, its chunks and the text are each about as large
@@ -97,6 +66,8 @@ def cmd_kempner(args) -> int:
     if args.q is None and not args.oracle_check:
         raise ValueError("kempner requires --q or --oracle-check")
     if args.oracle_check:
+        if args.max < 1:
+            raise ValueError("--max must be >= 1")
         if args.max > kempner.MAX_ORACLE_Q:
             raise ResourceError(
                 f"--max {args.max} exceeds MAX_ORACLE_Q = {kempner.MAX_ORACLE_Q}"
@@ -128,9 +99,7 @@ def cmd_interval(args) -> int:
 
 def cmd_distance(args) -> int:
     r = Fraction(args.p, args.q)
-    with _full_digits():
-        digits = enclosure.render_distance(r, args.digits)
-    out = {"r": r, "digits": digits, "bounds": []}
+    out = {"r": r, "digits": enclosure.render_distance(r, args.digits), "bounds": []}
     for text in args.bound or []:
         bound = Fraction(text)
         out["bounds"].append(
@@ -185,18 +154,17 @@ def cmd_partial_sums(args) -> int:
     if args.check_convergent:
         header.append("is_convergent")
     writer.writerow(header)
-    with _full_digits():
-        for record, hit in rows:
-            row = [
-                record.n,
-                int_str(record.s_n.numerator),
-                int_str(record.s_n.denominator),
-                int_str(record.q_n),
-                int(record.full_factorial),
-            ]
-            if args.check_convergent:
-                row.append(int(hit))
-            writer.writerow(row)
+    for record, hit in rows:
+        row = [
+            record.n,
+            int_str(record.s_n.numerator),
+            int_str(record.s_n.denominator),
+            int_str(record.q_n),
+            int(record.full_factorial),
+        ]
+        if args.check_convergent:
+            row.append(int(hit))
+        writer.writerow(row)
     return EXIT_OK
 
 
@@ -272,10 +240,11 @@ def cmd_cantor(args) -> int:
 
 
 def cmd_density(args) -> int:
-    workers = args.workers
-    if workers is None:
-        workers = _env_int("EMEASURE_WORKERS", 1)
-    _emit_json(density.density_report(args.x, workers=workers, csv_path=args.csv))
+    # --workers is accepted for compatibility and has no effect: the report
+    # runs in this process.
+    if args.workers < 1:
+        raise ValueError("--workers must be >= 1")
+    _emit_json(density.density_report(args.x, csv_path=args.csv))
     return EXIT_OK
 
 
@@ -362,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("density", help="range scan of S/P exception counts")
     p.add_argument("--x", type=int, required=True)
     p.add_argument("--csv", metavar="FILE")
-    p.add_argument("--workers", type=int)
+    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(fn=cmd_density)
 
     p = sub.add_parser("verify-paper", help="run the full verification suite")

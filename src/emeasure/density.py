@@ -222,11 +222,7 @@ def _write_csv(path: str, plan: KempnerPlan, threshold: int, facts: list[int]) -
         raise
 
 
-def density_report(
-    x: int,
-    workers: int = 1,
-    csv_path: str | None = None,
-) -> DensityReport:
+def density_report(x: int, csv_path: str | None = None) -> DensityReport:
     """Exact exception counts over q in [2, x].
 
     The counts come from enumerating the exceptions themselves, so time and
@@ -234,15 +230,12 @@ def density_report(
     S(q) != P(q) from _exceptions_S_neq_P, and both q^2 >= S(q)! and
     q^2 >= P(q)! from the q whose primes are all below t, the smallest t
     with t! > x^2, since P(q) >= t gives q^2 < t! <= P(q)! <= S(q)!.
-    MAX_SCAN_ENTRIES bounds x + 1. workers is validated and otherwise
-    unused: the report runs in this process.
+    MAX_SCAN_ENTRIES bounds x + 1.
     csv_path, if given, receives one row per q with its S/P values and flags,
     from a block scan.
     """
     if x < 2:
         raise ValueError("density_report requires x >= 2")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
     if x + 1 > MAX_SCAN_ENTRIES:
         raise ResourceError(
             f"scan of {x + 1} entries exceeds budget of {MAX_SCAN_ENTRIES}"

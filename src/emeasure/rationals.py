@@ -55,29 +55,36 @@ def truncate_ratio(num: int, den: int, digits: int) -> str:
     sign = "-" if num < 0 else ""
     scaled = (abs(num) * 10**digits) // den
     int_part, frac_part = divmod(scaled, 10**digits)
-    return f"{sign}{int_part}.{frac_part:0{digits}d}"
+    return f"{sign}{int_str(int_part)}.{int_str(frac_part).zfill(digits)}"
 
 
-# Before Python 3.12, str() of an int takes time quadratic in its length:
-# 1.5 s for the 287 127 digits of 65522!. Past about 10^4 digits int_str
-# converts through decimal instead, whose multiplication is subquadratic
-# (0.12 s for 65522!). Python 3.12 and later do the same inside str().
-_SLOW_INT_STR = sys.version_info < (3, 12)
+# str() of an int is refused past the interpreter's int-to-str digit limit
+# (sys.get_int_max_str_digits(), 4300 by default, at least 640 unless 0), and
+# before Python 3.12 it takes time quadratic in the int's length: 1.5 s for the
+# 287 127 digits of 65522!. int_str keeps str() only for ints of at most
+# _INT_STR_BITS bits whose digits fit the limit: a b-bit int has at most
+# 0.302 b + 1 digits, so 10 b <= 33 * limit keeps it within any limit of at
+# least 152. Every other int is converted through decimal, which has no digit
+# limit and multiplies in subquadratic time (0.12 s for 65522!).
 _INT_STR_BITS = 33_000  # about 10^4 digits
 _DECIMAL_LEAF_BITS = 4096
 
 
 def int_str(n: int) -> str:
-    """str(n) for an int n, in subquadratic time past about 10^4 digits."""
-    if not _SLOW_INT_STR or abs(n).bit_length() <= _INT_STR_BITS:
-        return str(n)
+    """str(n) for an int n, whatever the int-to-str digit limit, in
+    subquadratic time past about 10^4 digits."""
+    bits = abs(n).bit_length()
+    if bits <= _INT_STR_BITS:
+        limit = sys.get_int_max_str_digits()
+        if not limit or 10 * bits <= 33 * limit:
+            return str(n)
     if n < 0:
         return "-" + int_str(-n)
     with decimal.localcontext() as ctx:
         ctx.prec = decimal.MAX_PREC
         ctx.Emax = decimal.MAX_EMAX
         ctx.traps[decimal.Inexact] = True
-        return str(_to_decimal(n, n.bit_length(), {}))
+        return str(_to_decimal(n, bits, {}))
 
 
 # Recursive module functions, not closures in int_str: a recursive closure is

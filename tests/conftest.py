@@ -1,0 +1,12 @@
+import sys
+
+import pytest
+
+
+@pytest.fixture
+def digit_limit():
+    """sys.set_int_max_str_digits, with the int-to-str digit limit in force
+    before the test restored when it ends."""
+    limit = sys.get_int_max_str_digits()
+    yield sys.set_int_max_str_digits
+    sys.set_int_max_str_digits(limit)

@@ -1,3 +1,4 @@
+import concurrent.futures
 import contextlib
 import csv
 import hashlib
@@ -13,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from emeasure import cfrac, cli, density, enclosure, kempner, measures
 from emeasure.enclosure import partial_sum
-from emeasure.rationals import ResourceError
+from emeasure.rationals import ResourceError, int_str
 
 
 def run_json(capsys, argv):
@@ -366,19 +367,35 @@ def test_resource_error_exit_code(capsys, monkeypatch):
     "env, argv, expected",
     [
         ({"EMEASURE_WORKERS": "abc"}, ["kempner", "--q", "6"], 0),
-        ({"EMEASURE_WORKERS": "abc"}, ["density", "--x", "1000"], 1),
-        ({"EMEASURE_WORKERS": "0"}, ["density", "--x", "1000"], 1),
+        ({"EMEASURE_WORKERS": "abc"}, ["density", "--x", "1000"], 0),
+        ({"EMEASURE_WORKERS": "0"}, ["density", "--x", "1000"], 0),
         ({}, ["density", "--x", "1000", "--workers", "0"], 1),
     ],
 )
 def test_bad_overrides(capsys, monkeypatch, env, argv, expected):
-    # A bad override fails only the command that reads it, with a message.
+    # A bad --workers fails its command, with a message. EMEASURE_WORKERS is
+    # not read.
     for name, value in env.items():
         monkeypatch.setenv(name, value)
     assert cli.run(argv) == expected
     err = capsys.readouterr().err
     if expected:
         assert err.startswith("error: ")
+
+
+def _no_pool(*args, **kwargs):
+    raise AssertionError("density started a process pool")
+
+
+def test_worker_counts_identical(capsys, monkeypatch):
+    # --workers is accepted and has no effect: the report starts no process.
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
+    for x in (2 * density.BLOCK_SIZE + 100, 10**6):
+        outputs = set()
+        for workers in ("1", "2", "1000"):
+            assert cli.run(["density", "--x", str(x), "--workers", workers]) == 0
+            outputs.add(capsys.readouterr().out)
+        assert len(outputs) == 1
 
 
 def assert_resource_error(capsys, argv):
@@ -478,9 +495,9 @@ def test_factorize_work_limit_is_resource_error(capsys):
 def run_big(capsys):
     """stdout of a command whose result passes the int-to-str digit limit.
 
-    The command runs under the limit and must restore it; the limit is then
-    lifted until the test ends, because int() parsing the output back has
-    the same limit.
+    The command runs under the limit and must leave it unchanged; the limit
+    is then lifted until the test ends, because int() parsing the output back
+    has the same limit.
     """
     limit = sys.get_int_max_str_digits()
 
@@ -516,6 +533,32 @@ def test_partial_sums_print_big_rows(run_big):
     assert [row[0] for row in rows] == list(range(1701))
     n, num, den, q_n, _ = rows[-1]
     assert Fraction(num, den) == partial_sum(n) and den == q_n
+
+
+def test_big_output_leaves_the_digit_limit_alone(capsys, monkeypatch):
+    # Results past the int-to-str digit limit print in full without the limit
+    # being changed. The expected texts come from int_str, which
+    # tests/test_rationals.py checks against str().
+    def refuse(limit):
+        raise AssertionError("the int-to-str digit limit was changed")
+
+    monkeypatch.setattr(sys, "set_int_max_str_digits", refuse)
+    code, doc = run_json(capsys, ["interval", "--n", "1600"])
+    assert code == 0
+    left = partial_sum(1600)
+    assert doc["left"]["num"] == int_str(left.numerator)
+    assert doc["left"]["den"] == int_str(left.denominator)
+
+    code, doc = run_json(
+        capsys, ["distance", "--p", "65", "--q", "24", "--digits", "5000"]
+    )
+    assert code == 0
+    assert len(doc["digits"]) == 5002 and doc["digits"].startswith("0.00994")
+
+    assert cli.run(["partial-sums", "--max-n", "1700"]) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    s_n = partial_sum(1700)
+    assert rows[-1][:3] == ["1700", int_str(s_n.numerator), int_str(s_n.denominator)]
 
 
 def test_distance_prints_digits_past_the_int_limit(run_big):
@@ -559,6 +602,7 @@ def test_emit_writes_nothing_when_rendering_fails(capsys):
         ["distance", "--p", "1", "--q", "2", "--bound", "1/0"],
         ["measure", "--p", "1", "--q", "5", "--bound", "known", "--eps", "1/0"],
         ["measure", "--compare", "--q", "5", "--eps", "-3"],
+        ["kempner", "--oracle-check", "--max", "-5"],
     ],
 )
 def test_bad_rational_is_domain_error(capsys, argv):
@@ -671,7 +715,6 @@ ARGV = st.one_of(
         option("--N", integers(-3, 40)),
         option("--classify", None),
     ),
-    # One worker, so that no process is started.
     command("density", option("--x", integers(-3, 2000)), st.just(["--workers", "1"])),
 )
 

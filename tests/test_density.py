@@ -211,50 +211,17 @@ def _no_pool(*args, **kwargs):
     raise AssertionError("density_report started a process pool")
 
 
-def test_worker_counts_identical(monkeypatch):
-    # workers is accepted and validated, but the report starts no process.
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
-    for x in (2 * density.BLOCK_SIZE + 100, 10**6):
-        serial = density_report(x)
-        for workers in (1, 2, 1000):
-            assert density_report(x, workers=workers) == serial
-
-
-class _PoolRecorder:
-    requested: list = []
-
-    def __init__(self, max_workers=None, **kwargs):
-        _PoolRecorder.requested.append(max_workers)
-        raise AssertionError("density_report started a process pool")
-
-
-@pytest.mark.parametrize(
-    "workers, cpus, expected",
-    [(1000, 8, []), (2, 8, []), (1000, 2, []), (1000, None, [])],
-)
-def test_worker_count_clamped(monkeypatch, workers, cpus, expected):
-    # x spans 3 blocks. Whatever the worker and CPU counts (os.cpu_count()
-    # may be None), the report is the serial one and no pool is requested.
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _PoolRecorder)
-    monkeypatch.setattr(density.os, "cpu_count", lambda: cpus)
-    monkeypatch.setattr(_PoolRecorder, "requested", [])
-    x = 2 * density.BLOCK_SIZE + 100
-    assert density_report(x, workers=workers) == density_report(x)
-    assert _PoolRecorder.requested == expected
-
-
-@pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("over", [0, 1], ids=["fits", "one-over"])
-def test_scan_budget_counted_once(monkeypatch, workers, over):
-    # The budget bounds the scan size x + 1 once, whatever the worker count.
+def test_scan_budget_counted_once(monkeypatch, over):
+    # The budget bounds the scan size x + 1, and the report starts no process.
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
     x = density.BLOCK_SIZE + 300
     monkeypatch.setattr(density, "MAX_SCAN_ENTRIES", x + 1 - over)
     if over:
         with pytest.raises(ResourceError):
-            density_report(x, workers=workers)
+            density_report(x)
     else:
-        assert density_report(x, workers=workers) == density_report(x)
+        assert density_report(x).x == x
 
 
 def test_scan_memory_independent_of_x():

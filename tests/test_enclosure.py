@@ -220,6 +220,18 @@ def test_render_distance_matches_deep_enclosure():
         assert render_distance(r, 8) == expected
 
 
+def test_render_distance_past_the_default_digit_limit(digit_limit):
+    # 5000 digits, outside the CLI, under the default limit of 4300 digits;
+    # the oracle truncates the bracket at depth 2000, where 1/2000! < 10^-5700.
+    digit_limit(4300)
+    text = render_distance(Fraction(65, 24), 5000)
+    lo, hi = distance_bracket(Fraction(65, 24), 2000)
+    scaled = lo.numerator * 10**5000 // lo.denominator
+    assert scaled == hi.numerator * 10**5000 // hi.denominator
+    digit_limit(0)
+    assert text == f"0.{scaled:05000d}"
+
+
 def test_floor_e_times():
     assert floor_e_times(1) == 2
     assert floor_e_times(24) == 65

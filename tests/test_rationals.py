@@ -3,7 +3,6 @@ import random
 import sys
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, strategies as st
 
 from emeasure import rationals
@@ -38,20 +37,11 @@ def test_truncation_error_below_ulp(x, digits):
         assert 0 <= x - value < Fraction(1, 10**digits)
 
 
-@pytest.fixture
-def decimal_int_str(monkeypatch):
-    """int_str on its decimal path on every Python version, with the
-    int-to-str digit limit lifted for the str() it is compared with."""
-    monkeypatch.setattr(rationals, "_SLOW_INT_STR", True)
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    yield rationals.int_str
-    sys.set_int_max_str_digits(limit)
-
-
-def test_int_str_matches_str(decimal_int_str):
-    # Below and above the crossover, for both signs.
-    for n in (
+def test_int_str_matches_str(digit_limit):
+    # int_str under the lowest limit CPython allows, 640 digits, and under no
+    # limit, against str(): around the crossovers at 33 * 640 / 10 = 2112 bits
+    # (limit 640) and 33000 bits (no limit), for both signs.
+    values = [
         0,
         -7,
         10**4000,
@@ -62,9 +52,27 @@ def test_int_str_matches_str(decimal_int_str):
         math.factorial(20000),
         10**100000,
         10**100000 - 1,
-    ):
-        assert decimal_int_str(n) == str(n)
+    ]
+    for bits in (2111, 2112, 2113):
+        for n in (2 ** (bits - 1), 2**bits - 1):
+            values += [n, -n]
     rng = random.Random(1)
     for bits in (33_001, 40_961, 65_537, 100_003):  # uneven splits
-        n = rng.getrandbits(bits) | 1 << (bits - 1)
-        assert decimal_int_str(n) == str(n)
+        values.append(rng.getrandbits(bits) | 1 << (bits - 1))
+    digit_limit(640)
+    texts = [rationals.int_str(n) for n in values]
+    digit_limit(0)
+    for n, text in zip(values, texts):
+        assert text == rationals.int_str(n) == str(n), n.bit_length()
+
+
+def test_past_the_default_digit_limit(digit_limit):
+    # Library calls outside the CLI print past the default limit of 4300
+    # digits without changing it.
+    digit_limit(4300)
+    thirds = truncate_decimal(Fraction(1, 3), 5000)
+    fact = rationals.int_str(math.factorial(2000))
+    assert sys.get_int_max_str_digits() == 4300
+    assert thirds == "0." + "3" * 5000
+    digit_limit(0)
+    assert fact == str(math.factorial(2000))
