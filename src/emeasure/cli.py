@@ -59,6 +59,18 @@ def _emit_json(obj) -> None:
     sys.stdout.write(text)
 
 
+def _rational(flag: str, text: str) -> Fraction:
+    """The value of a P or P/Q flag, for integers P and Q. Only integer
+    literals are read, so the value has no more digits than the text;
+    Fraction(text) would also take an exponent, and build 10^100000000 for
+    1e-100000000 before any budget is checked."""
+    num, slash, den = text.partition("/")
+    try:
+        return Fraction(int(num), int(den) if slash else 1)
+    except ValueError as exc:
+        raise ValueError(f"{flag} takes P or P/Q in integers: {exc}") from None
+
+
 # ---------------------------------------------------------------- subcommands
 
 
@@ -99,9 +111,9 @@ def cmd_interval(args) -> int:
 
 def cmd_distance(args) -> int:
     r = Fraction(args.p, args.q)
+    bounds = [_rational("--bound", text) for text in args.bound or []]
     out = {"r": r, "digits": enclosure.render_distance(r, args.digits), "bounds": []}
-    for text in args.bound or []:
-        bound = Fraction(text)
+    for bound in bounds:
         out["bounds"].append(
             {
                 "bound": bound,
@@ -113,7 +125,7 @@ def cmd_distance(args) -> int:
 
 
 def cmd_measure(args) -> int:
-    eps = Fraction(args.eps)
+    eps = _rational("--eps", args.eps)
     if args.corollary2 is not None:
         _emit_json(measures.corollary2_scan(args.corollary2))
         return EXIT_OK
@@ -306,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["theorem1", "prime-factor", "weak-prime", "known"],
         default="theorem1",
     )
-    p.add_argument("--eps", default="0")
+    p.add_argument("--eps", default="0", metavar="P/Q")
     p.add_argument("--corollary2", type=int, metavar="N")
     p.add_argument("--compare", action="store_true")
     p.set_defaults(fn=cmd_measure)

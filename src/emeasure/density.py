@@ -28,7 +28,7 @@ from itertools import compress, count, repeat
 from operator import floordiv, gt, ne
 
 from .kempner import kempner_prime_power
-from .rationals import ResourceError, truncate_decimal
+from .rationals import ResourceError, rising_product, truncate_decimal
 
 BLOCK_SIZE = 1 << 16
 # The most entries one scan may cover (x + 1), read when a report runs.
@@ -119,16 +119,14 @@ def kempner_range(lo: int, hi: int, plan: KempnerPlan) -> tuple[list[int], list[
 
 
 def _factorial_threshold(x: int) -> tuple[int, list[int]]:
-    """Smallest t with t! > x^2, plus the factorial table below it.
+    """Smallest t with t! > x^2, plus the factorials 0!, ..., t!.
 
     Any q <= x with S(q) >= t automatically satisfies q^2 < S(q)!, so the
-    big-integer comparison is only needed for small S.
+    big-integer comparison is only needed for small S. t <= x + 1, since
+    (x + 1)! >= (x + 1) x > x^2; t = x + 1 at x = 2 and 3.
     """
-    limit = x * x
-    facts = [1]
-    while facts[-1] <= limit:
-        facts.append(facts[-1] * len(facts))
-    return len(facts) - 1, facts
+    t, _ = rising_product(2, x + 1, x * x)
+    return t, [math.factorial(k) for k in range(t + 1)]
 
 
 def _exceptions_S_neq_P(plan: KempnerPlan) -> Iterator[int]:

@@ -15,7 +15,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .rationals import GREATER, LESS, ResourceError, split_sum, truncate_ratio
+from .rationals import (
+    GREATER,
+    LESS,
+    ResourceError,
+    rising_product,
+    split_sum,
+    truncate_ratio,
+)
 
 # The deepest interval of every enclosure. Its endpoint pair is about 30 KB
 # of integers, built by one binary splitting in about 0.02 s.
@@ -82,27 +89,19 @@ def interval(n: int) -> Interval:
     return Interval(left=Fraction(num, fact), right=Fraction(num + 1, fact), n=n)
 
 
-def refine(decide, start: int = 4):
-    """First answer other than None of decide(n), for n = start, 2 start,
-    4 start, ... clipped to MAX_DEPTH.
+def refine(decide, floor: int):
+    """First answer other than None of decide(n), for n = n0, 2 n0, 4 n0, ...
+    clipped to MAX_DEPTH, where n0 is the smallest n >= 1 with n! >= floor:
+    the first interval no wider than 1/floor, the caller's unit.
 
     Raises DepthCapExceeded if MAX_DEPTH is reached undecided.
     """
-    n = min(start, MAX_DEPTH)
+    n, _ = rising_product(2, MAX_DEPTH, floor - 1)
     while (answer := decide(n)) is None:
         if n >= MAX_DEPTH:
             raise DepthCapExceeded(f"undecided at MAX_DEPTH = {MAX_DEPTH}")
         n = min(2 * n, MAX_DEPTH)
     return answer
-
-
-def _start_depth(floor: int) -> int:
-    """Smallest n >= 1 with n! >= floor, clipped to MAX_DEPTH."""
-    n, fact = 1, 1
-    while fact < floor and n < MAX_DEPTH:
-        n += 1
-        fact *= n
-    return n
 
 
 def _scaled_bracket(a: int, b: int, n: int) -> tuple[int, int, int]:
@@ -151,10 +150,7 @@ def compare_distance_to_e(r: Fraction, bound: Fraction) -> str:
         return None
 
     return refine(
-        decide,
-        start=_start_depth(
-            1 << (min(v.bit_length(), 2 * b.bit_length()) + _START_SLACK_BITS - 1)
-        ),
+        decide, 1 << (min(v.bit_length(), 2 * b.bit_length()) + _START_SLACK_BITS - 1)
     )
 
 
@@ -168,25 +164,11 @@ def _scaled_bound(ub: int, v: int, n: int, m: int) -> tuple[int, bool]:
     if m <= n:
         k, rem = divmod(ub * math.perm(n, n - m), v)
         return k, rem == 0
-    product = 1
-    for factor in range(n + 1, m + 1):
-        product *= factor
-        if product > ub:
-            return 0, ub == 0
+    _, product = rising_product(n + 1, m, ub)
+    if product > ub:
+        return 0, ub == 0
     k, rem = divmod(ub, v * product)
     return k, rem == 0
-
-
-@lru_cache(maxsize=64)
-def _render_start(digits: int) -> int:
-    """Smallest n with n! >= 10^digits: the depth-n bracket is 1/n! wide,
-    so it fixes `digits` places only if n! > 10^digits. Not clipped to
-    MAX_DEPTH, which refine does, so the cached value holds under any cap."""
-    n, fact, floor = 1, 1, 10**digits
-    while fact < floor:
-        n += 1
-        fact *= n
-    return n
 
 
 def render_distance(
@@ -231,14 +213,15 @@ def render_distance(
         lo_text = truncate_ratio(lo, den, digits)
         return lo_text if lo_text == truncate_ratio(hi, den, digits) else None
 
-    return refine(decide, start=_render_start(digits))
+    return refine(decide, 10**digits)
 
 
 def floor_e_times(q: int) -> int:
     """floor(e * q) for a positive integer q, decided exactly.
 
     e*q is irrational for q >= 1, so the two endpoint floors agree once the
-    enclosure is tight enough.
+    enclosure is tight enough. Their bracket is q/n! wide, so refinement
+    starts at the smallest n with n! >= q.
     """
     if q < 1:
         raise ValueError("q must be >= 1")
@@ -248,4 +231,4 @@ def floor_e_times(q: int) -> int:
         lo = num * q // fact
         return lo if lo == (num * q + q) // fact else None
 
-    return refine(decide)
+    return refine(decide, q)

@@ -30,7 +30,7 @@ from .enclosure import (
     render_distance,
 )
 from .kempner import is_prime, kempner_S, largest_prime_factor
-from .rationals import LESS, ResourceError
+from .rationals import LESS, ResourceError, rising_product
 
 MARGIN_DIGITS = 6
 
@@ -237,20 +237,6 @@ def known_measure_bound(q: int, eps: Fraction = Fraction(0)) -> Fraction:
     return Fraction(scale, q**2 * upper)
 
 
-def _capped_factorial(n: int, cap: int) -> int:
-    """n! if n! <= cap, else a partial product 2*3*...*k (k <= n) above cap.
-
-    Either way it compares with cap as n! does, after no more
-    multiplications than it takes the product to pass cap.
-    """
-    product = 1
-    for k in range(2, n + 1):
-        product *= k
-        if product > cap:
-            break
-    return product
-
-
 def compare_bounds(q: int, eps: Fraction = Fraction(0)) -> dict:
     """Pointwise strength of theorem1 vs the classical measure at q.
 
@@ -267,11 +253,12 @@ def compare_bounds(q: int, eps: Fraction = Fraction(0)) -> dict:
     _check_bits((2 * d + c) * q.bit_length(), "q^(2+eps) raised to eps's denominator")
     s = kempner_S(q)
     rhs = q ** (2 * d + c)
-    # (S+1)! > rhs already decides (S+1)!^d > rhs, since d >= 1. Otherwise
-    # lhs^d >= 2^(d (L - 1)) with L = lhs.bit_length() decides it when
-    # d (L - 1) >= rhs.bit_length(); when it does not, lhs^d has fewer than
-    # rhs.bit_length() + d bits.
-    lhs = _capped_factorial(s + 1, rhs)
+    # lhs is (S+1)!, or a partial product 2*3*...*k above rhs, which
+    # compares with rhs as (S+1)! does. (S+1)! > rhs already decides
+    # (S+1)!^d > rhs, since d >= 1. Otherwise lhs^d >= 2^(d (L - 1)) with
+    # L = lhs.bit_length() decides it when d (L - 1) >= rhs.bit_length();
+    # when it does not, lhs^d has fewer than rhs.bit_length() + d bits.
+    _, lhs = rising_product(2, s + 1, rhs)
     if lhs <= rhs:
         lhs = rhs + 1 if d * (lhs.bit_length() - 1) >= rhs.bit_length() else lhs**d
     if lhs < rhs:
@@ -284,7 +271,7 @@ def compare_bounds(q: int, eps: Fraction = Fraction(0)) -> dict:
         "q": q,
         "eps": eps,
         "stronger": stronger,
-        "conjecture1_holds_at_q": q * q < _capped_factorial(s, q * q),
+        "conjecture1_holds_at_q": q * q < rising_product(2, s, q * q)[1],
     }
 
 

@@ -3,7 +3,8 @@
 Everything downstream works with ``fractions.Fraction``, which already
 guarantees the two invariants we need: denominators are positive and values
 are stored in lowest terms. This module adds what the rest of the toolkit
-shares: verdicts, decimal rendering, the series kernel and ResourceError.
+shares: verdicts, decimal rendering, the series kernel, the walk over
+consecutive factors that every factorial threshold uses, and ResourceError.
 """
 
 from __future__ import annotations
@@ -18,6 +19,21 @@ GREATER = "greater"
 
 class ResourceError(RuntimeError):
     """A request exceeds one of the package's size or work budgets."""
+
+
+def rising_product(lo: int, hi: int, cap: int) -> tuple[int, int]:
+    """(k, lo (lo + 1) ... k) for the first k in lo - 1, lo, ..., hi whose
+    product passes cap, or k = hi if none does; k = lo - 1 is the empty
+    product 1, returned at once when cap < 1 or lo > hi.
+
+    With lo = 2 the product is k!: the first k with k! > cap, never
+    multiplying past it, however far off hi is.
+    """
+    k, product = lo - 1, 1
+    while product <= cap and k < hi:
+        k += 1
+        product *= k
+    return k, product
 
 
 def split_sum(terms: list[tuple[int, int]]) -> tuple[int, int]:

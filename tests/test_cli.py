@@ -477,7 +477,7 @@ def test_bound_past_the_bit_budget_is_resource_error(capsys, monkeypatch, argv):
     # Decided by arithmetic on sizes: no factorial or power is built.
     monkeypatch.setattr(math, "factorial", fail_to_build)
     monkeypatch.setattr(math, "perm", fail_to_build)
-    monkeypatch.setattr(measures, "_capped_factorial", fail_to_build)
+    monkeypatch.setattr(measures, "rising_product", fail_to_build)
     monkeypatch.setattr(measures, "_nth_root_ceil", fail_to_build)
     assert_resource_error(capsys, argv)
 
@@ -603,6 +603,12 @@ def test_emit_writes_nothing_when_rendering_fails(capsys):
         ["measure", "--p", "1", "--q", "5", "--bound", "known", "--eps", "1/0"],
         ["measure", "--compare", "--q", "5", "--eps", "-3"],
         ["kempner", "--oracle-check", "--max", "-5"],
+        # --bound and --eps take P or P/Q in integers. An exponent would make
+        # Fraction build 10^|exp| before any budget check: 1e-2000000 takes
+        # about a second, 1e100000000 does not finish.
+        ["distance", "--p", "3", "--q", "1", "--bound", "1e-2000000"],
+        ["measure", "--p", "3", "--q", "7", "--bound", "known", "--eps", "0.5"],
+        ["measure", "--compare", "--q", "7", "--eps", "1e100000000"],
     ],
 )
 def test_bad_rational_is_domain_error(capsys, argv):
@@ -643,10 +649,16 @@ def integers(lo, hi):
     return st.integers(0, 3).flatmap(lambda k: MALFORMED if k == 0 else valid)
 
 
+# Exponent literals, which --bound and --eps refuse (exit 1) before building
+# 10^|exp|.
+EXPONENTS = ["1e-5", "1e100000000", "1E-100000000"]
+
+
 def rationals(max_den):
     return st.one_of(
         st.builds("{}/{}".format, st.integers(-5, 5), st.integers(0, max_den)),
         integers(-5, 5),
+        st.sampled_from(EXPONENTS),
     )
 
 
@@ -742,6 +754,8 @@ def test_cli_boundary(argv):
         assert code != 0
     if "--oracle-check" in argv and any(big in argv for big in BIG_MAX):
         assert code != 0
+    if any(exponent in argv for exponent in EXPONENTS):
+        assert code == 1
     if code == 0:
         json.loads(out.getvalue(), parse_int=no_json_number)
     else:

@@ -12,7 +12,6 @@ from emeasure.enclosure import (
     DepthCapExceeded,
     Interval,
     _scaled_bracket,
-    _start_depth,
     compare_distance_to_e,
     endpoint,
     floor_e_times,
@@ -169,9 +168,10 @@ def test_endpoint_at_max_depth_keeps_memory_small():
     assert kept < 2**19
 
 
-def _depths_seen(monkeypatch, max_depth, stop_after=None):
-    """Depths refine hands to an undecided `decide` (or one that answers
-    after `stop_after` calls) under MAX_DEPTH = max_depth."""
+def _depths_seen(monkeypatch, max_depth, stop_after=None, floor=24):
+    """Depths refine(decide, floor) hands to an undecided `decide` (or one
+    that answers after `stop_after` calls) under MAX_DEPTH = max_depth; the
+    default floor 4! starts it at depth 4."""
     seen = []
 
     def decide(n):
@@ -180,7 +180,7 @@ def _depths_seen(monkeypatch, max_depth, stop_after=None):
 
     monkeypatch.setattr(enclosure, "MAX_DEPTH", max_depth)
     try:
-        refine(decide)
+        refine(decide, floor)
     except DepthCapExceeded as exc:
         assert str(exc) == f"undecided at MAX_DEPTH = {max_depth}"
     return seen
@@ -248,13 +248,13 @@ def test_far_query_with_huge_terms_answers_under_default_cap(monkeypatch):
 
 def test_start_depth_is_smallest_factorial_with_enough_bits(monkeypatch):
     for bits in range(1, 3000, 37):
-        n = _start_depth(1 << (bits - 1))  # n! has at least `bits` bits
+        # n! has at least `bits` bits
+        [n] = _depths_seen(monkeypatch, MAX_DEPTH, stop_after=1, floor=1 << (bits - 1))
         assert math.factorial(n).bit_length() >= bits
         assert n == 1 or math.factorial(n - 1).bit_length() < bits
-    monkeypatch.setattr(enclosure, "MAX_DEPTH", 8)
-    assert _start_depth(10**5) == 8
-    monkeypatch.setattr(enclosure, "MAX_DEPTH", 1)
-    assert _start_depth(10**5) == 1
+    assert _depths_seen(monkeypatch, 8, floor=10**5) == [8]
+    assert _depths_seen(monkeypatch, 1, floor=10**5) == [1]
+    assert _depths_seen(monkeypatch, 4, floor=1) == [1, 2, 4]
 
 
 # Oracle for the integer decisions: I_DEEP built by literal subdivision from
@@ -360,10 +360,10 @@ def test_floor_e_times_matches_fraction_oracle(q):
     assert floor_e_times(q) == lo
 
 
-def _first_depth(digits):
-    """Smallest n with n! >= 10^digits, by the literal factorials."""
+def _first_depth(floor):
+    """Smallest n >= 1 with n! >= floor, by the literal factorials."""
     n = 1
-    while math.factorial(n) < 10**digits:
+    while math.factorial(n) < floor:
         n += 1
     return n
 
@@ -381,13 +381,26 @@ def brackets(monkeypatch):
     return seen
 
 
+@pytest.mark.parametrize("q", [1, 2, 6, 7, 24, 25, 10**6, math.factorial(12)])
+def test_floor_e_times_starts_at_the_smallest_factorial_at_least_q(monkeypatch, q):
+    depths = []
+
+    def recording(n):
+        depths.append(n)
+        return endpoint(n)
+
+    monkeypatch.setattr(enclosure, "endpoint", recording)
+    assert floor_e_times(q) == math.floor(_DEEP_BOX.left * q)
+    assert depths[0] == _first_depth(q)
+
+
 @pytest.mark.parametrize("digits", [1, 5, 6, 12, 30])
 def test_render_starts_at_the_first_depth_that_can_fix_the_digits(brackets, digits):
     for r, bound in ((Fraction(65, 24), Fraction(0)), (Fraction(8, 3), Fraction(1, 120))):
         brackets.clear()
         render_distance(r, digits, bound=bound)
-        assert brackets[0][0] == _first_depth(digits)
-    assert {1: 4, 5: 9, 6: 10, 12: 15, 30: 29}[digits] == _first_depth(digits)
+        assert brackets[0][0] == _first_depth(10**digits)
+    assert {1: 4, 5: 9, 6: 10, 12: 15, 30: 29}[digits] == _first_depth(10**digits)
 
 
 @pytest.mark.parametrize("k", [100, 1000, 5004])
@@ -409,7 +422,7 @@ def test_render_with_bound_on_the_bracket_denominator(data, digits):
     # A bound m / (n0! b) is a whole number of units of every bracket from
     # the start depth n0 on: the remainder is 0 at each depth tried.
     r = data.draw(rationals_near_e)
-    n0 = _first_depth(digits)
+    n0 = _first_depth(10**digits)
     unit = Fraction(1, math.factorial(n0) * r.denominator)
     lo, hi = _oracle_bracket(r)
     m = data.draw(
@@ -453,7 +466,7 @@ ROUNDING_CASES = [Fraction(2), Fraction(5, 2), Fraction(8, 3), Fraction(11, 4), 
 def _bounds_between_units(r, digits):
     """(bound, oracle render) pairs for bounds 0.999 bracket units past a
     whole number of units at the start depth, next to truncation boundaries."""
-    n = _first_depth(digits)
+    n = _first_depth(10**digits)
     num, fact = endpoint(n)
     den = fact * r.denominator
     lo = num * r.denominator - r.numerator * fact

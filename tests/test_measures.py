@@ -23,7 +23,7 @@ from emeasure.measures import (
     theorem1_bound,
     weak_prime_bound,
 )
-from emeasure.rationals import ResourceError
+from emeasure.rationals import ResourceError, rising_product
 
 
 def test_theorem1_bound_values():
@@ -179,19 +179,27 @@ def test_compare_bounds_matches_full_factorial_oracle(q, eps):
     assert compare_bounds(q, eps) == compare_bounds_oracle(q, eps)
 
 
+# compare_bounds caps each factorial at the other side of its comparison:
+# rising_product(2, n, cap) is n!, or a partial product 2*3*...*k above cap.
+
+
+def capped_factorial(n, cap):
+    return rising_product(2, n, cap)[1]
+
+
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 12])
 def test_capped_factorial_at_the_cap(n):
     fact = math.factorial(n)
-    assert measures._capped_factorial(n, fact) == fact
-    assert measures._capped_factorial(n, fact + 1) == fact
+    assert capped_factorial(n, fact) == fact
+    assert capped_factorial(n, fact + 1) == fact
     if fact > 1:  # 0! = 1! = 1 <= any cap >= 1
-        assert measures._capped_factorial(n, fact - 1) > fact - 1
+        assert capped_factorial(n, fact - 1) > fact - 1
 
 
 def test_capped_factorial_stops_at_the_first_product_above_the_cap():
     # The remaining factors up to 10^6 are never multiplied in.
-    assert measures._capped_factorial(10**6, 100) == 120
-    assert measures._capped_factorial(10**6, 120) == 720  # 5! is not above 5!
+    assert capped_factorial(10**6, 100) == 120
+    assert capped_factorial(10**6, 120) == 720  # 5! is not above 5!
 
 
 def test_compare_bounds_at_primes_too_large_for_their_factorial():

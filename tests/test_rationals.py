@@ -3,10 +3,11 @@ import random
 import sys
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, strategies as st
 
-from emeasure import rationals
-from emeasure.rationals import truncate_decimal
+from emeasure import density, rationals
+from emeasure.rationals import rising_product, truncate_decimal
 
 
 def test_truncate_decimal_truncates_not_rounds():
@@ -76,3 +77,33 @@ def test_past_the_default_digit_limit(digit_limit):
     assert thirds == "0." + "3" * 5000
     digit_limit(0)
     assert fact == str(math.factorial(2000))
+
+
+def test_rising_product_walks_consecutive_factors_up_to_hi():
+    assert rising_product(3, 6, 10**9) == (6, 3 * 4 * 5 * 6)
+    assert rising_product(5, 5, 10**9) == (5, 5)
+
+
+def test_rising_product_empty_walks():
+    # lo > hi, or cap < 1: the empty product 1 at k = lo - 1, no factor taken.
+    assert rising_product(5, 3, 10**9) == (4, 1)
+    assert rising_product(2, 10, 0) == (1, 1)
+    assert rising_product(2, 10, -7) == (1, 1)
+
+
+def test_rising_product_never_multiplies_past_the_cap():
+    # hi = 10^18 returns at once: only the factors up to the first product
+    # above the cap are multiplied in.
+    assert rising_product(2, 10**18, 10**6) == (10, math.factorial(10))
+    n = 10**17
+    assert rising_product(n, 10**18, 10**40) == (n + 2, n * (n + 1) * (n + 2))
+
+
+@pytest.mark.parametrize("x, t", [(2, 3), (3, 4), (4, 4), (5, 5), (10**8 - 1, 19)])
+def test_rising_product_gives_the_density_threshold(x, t):
+    # The smallest t with t! > x^2 is x + 1 at x = 2 and 3, so the walk must
+    # be allowed to reach hi = x + 1.
+    assert rising_product(2, x + 1, x * x) == (t, math.factorial(t))
+    assert density._factorial_threshold(x) == (t, [math.factorial(k) for k in range(t + 1)])
+    if x == 2:
+        assert rising_product(2, x, x * x) == (2, 2)  # stops at hi, below the cap
