@@ -128,12 +128,10 @@ def _tail_predicates(spec: CantorSpec) -> tuple[bool, bool, bool, list[str]]:
         return a_pos, True, True, []
 
     conditions: list[str] = []
-    size = len(spec.a_table)
     if spec.tail_mode == "all-zero":
         a_pos, a_below = False, True
     elif spec.tail_mode == "all-complement":
-        a_pos = any(b >= 2 for b in spec.b_table)  # b - 1 >= 1 > 0
-        a_below = False
+        a_pos, a_below = True, False  # a_n = b_n - 1 >= 1, as b_n >= 2
     else:
         a_pos = any(a > 0 for a in spec.a_table)
         a_below = any(a < b - 1 for a, b in zip(spec.a_table, spec.b_table))
@@ -159,12 +157,11 @@ def rational_limit(spec: CantorSpec) -> Fraction:
     a_pos, a_below, _, _ = _tail_predicates(spec)
     if a_pos and a_below:
         raise ValueError("rational_limit called on a non-rational spec")
-    if spec.family == "complement":
-        return Fraction(spec.a0 + 1)
     head = len(spec.a_table) if spec.family == "custom" else len(spec.mask)
     num, prod = _head(spec, head)
     # An all-zero tail adds nothing, an eventually-complement one
-    # sum_{n>T} (b_n - 1)/(b_1...b_n) = 1/(b_1...b_T).
+    # sum_{n>T} (b_n - 1)/(b_1...b_n) = 1/(b_1...b_T); the complement
+    # family's head is empty, so its limit is a0 + 1.
     return Fraction(spec.a0 * prod + num + (1 if a_pos else 0), prod)
 
 

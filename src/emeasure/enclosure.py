@@ -104,27 +104,45 @@ def refine(decide, floor: int):
     return answer
 
 
-def _scaled_bracket(a: int, b: int, n: int) -> tuple[int, int, int]:
-    """(lo, hi, n! b) such that [lo, hi] / (n! b) is the exact bracket of
-    |e - a/b| that the depth-n interval gives: the distances from a/b to the
-    near and the far endpoint of I_n, or [0, the far distance] when a/b lies
-    inside I_n."""
+def _margin(a: int, b: int, u: int, v: int, m: int, n: int) -> tuple[int, int, int]:
+    """(lo, hi, n! b): at depth n, |e - a/b| - u / (v m!) lies strictly
+    between lo / (n! b) and hi / (n! b).
+
+    e lies strictly inside I_n, so |e - a/b| lies strictly between the
+    distances from a/b to the near and the far endpoint of I_n, or between 0
+    and the far distance when a/b lies inside I_n. The bound is x = u b n! /
+    (v m!) units of 1/(n! b): x = k when that is a whole number, else
+    k < x < k + 1, so subtracting it takes k from the high end and k or
+    k + 1 from the low end. m! is never built: n!/m! is math.perm(n, n - m)
+    for m <= n, and for m > n the product (n + 1) ... m stops once it passes
+    |u| b, since then |x| < 1 and k is 0 or -1 either way.
+
+    The margin is irrational, as e is and a/b and the bound are not, so it is
+    never an end of its bracket: it is positive once lo >= 0 and negative
+    once hi <= 0.
+    """
     num, fact = endpoint(n)
     den = fact * b
     d = num * b - a * fact  # (s_n - a/b) n! b
     if d >= 0:
-        return d, d + b, den
-    if d + b <= 0:
-        return -d - b, -d, den
-    return 0, max(-d, d + b), den
+        lo, hi = d, d + b
+    elif d + b <= 0:
+        lo, hi = -d - b, -d
+    else:
+        lo, hi = 0, max(-d, d + b)
+    ub = u * b
+    if m <= n:
+        k, rem = divmod(ub * math.perm(n, n - m), v)
+    else:
+        k, rem = divmod(ub, v * rising_product(n + 1, m, abs(ub))[1])
+    return lo - k - (rem != 0), hi - k, den
 
 
 def compare_distance_to_e(r: Fraction, bound: Fraction) -> str:
     """Exact truth of |e - r| vs bound: 'greater' or 'less'.
 
     Never 'equal': r and bound are rational, so |e - r| = bound would make e
-    rational. bound = 0 is answered 'greater' immediately for the same
-    reason.
+    rational.
 
     Refinement starts where n! has a few more bits than the smaller of
     the bound's denominator v and the square of r's denominator b.
@@ -135,40 +153,16 @@ def compare_distance_to_e(r: Fraction, bound: Fraction) -> str:
     """
     if bound < 0:
         raise ValueError("bound must be >= 0")
-    if bound == 0:
-        return GREATER
     a, b = r.numerator, r.denominator
     u, v = bound.numerator, bound.denominator
 
     def decide(n: int) -> str | None:
-        lo, hi, den = _scaled_bracket(a, b, n)
-        scaled_bound = u * den
-        if lo * v > scaled_bound:
-            return GREATER
-        if hi * v < scaled_bound:
-            return LESS
-        return None
+        lo, hi, _ = _margin(a, b, u, v, 0, n)
+        return GREATER if lo >= 0 else LESS if hi <= 0 else None
 
     return refine(
         decide, 1 << (min(v.bit_length(), 2 * b.bit_length()) + _START_SLACK_BITS - 1)
     )
-
-
-def _scaled_bound(ub: int, v: int, n: int, m: int) -> tuple[int, bool]:
-    """(floor(x), x is a whole number) for x = ub n! / (v m!).
-
-    For m <= n, n!/m! is math.perm(n, n - m). For m > n, the product
-    (n + 1) ... m stops once it passes ub, since then x < 1, and no
-    factorial is built.
-    """
-    if m <= n:
-        k, rem = divmod(ub * math.perm(n, n - m), v)
-        return k, rem == 0
-    _, product = rising_product(n + 1, m, ub)
-    if product > ub:
-        return 0, ub == 0
-    k, rem = divmod(ub, v * product)
-    return k, rem == 0
 
 
 def render_distance(
@@ -197,18 +191,8 @@ def render_distance(
     u, v = bound.numerator, bound.denominator
 
     def decide(n: int) -> str | None:
-        lo, hi, den = _scaled_bracket(a, b, n)
-        # The bound lies in [k, k + 1] / den, and is k / den when it is a
-        # whole number of units, so the margin lies in
-        # [lo - k - (not exact), hi - k] / den. This never multiplies by v or
-        # by m!, which for a bound 1/m! have up to 2^20 bits.
-        if m < 2:
-            k, rem = divmod(u * den, v)
-            exact = rem == 0
-        else:
-            k, exact = _scaled_bound(u * b, v, n, m)
-        lo, hi = lo - k - (not exact), hi - k
-        if lo <= 0 <= hi:  # sign still open
+        lo, hi, den = _margin(a, b, u, v, m, n)
+        if lo < 0 < hi:  # sign still open
             return None
         lo_text = truncate_ratio(lo, den, digits)
         return lo_text if lo_text == truncate_ratio(hi, den, digits) else None
@@ -220,8 +204,9 @@ def floor_e_times(q: int) -> int:
     """floor(e * q) for a positive integer q, decided exactly.
 
     e*q is irrational for q >= 1, so the two endpoint floors agree once the
-    enclosure is tight enough. Their bracket is q/n! wide, so refinement
-    starts at the smallest n with n! >= q.
+    enclosure is tight enough. Their bracket is q/n! wide, and at n! = q it
+    is [N_n, N_n + 1], whose floors differ, so refinement starts at the
+    smallest n with n! > q.
     """
     if q < 1:
         raise ValueError("q must be >= 1")
@@ -231,4 +216,4 @@ def floor_e_times(q: int) -> int:
         lo = num * q // fact
         return lo if lo == (num * q + q) // fact else None
 
-    return refine(decide, q)
+    return refine(decide, q + 1)

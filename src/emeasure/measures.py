@@ -177,9 +177,9 @@ def corollary2_scan(n: int) -> dict:
     if n < 2:
         raise ValueError("corollary2_scan requires n >= 2")
     num, q = endpoint(n)
-    candidates = sorted(set(nearest_p_candidates(q)) | {num, num + 1})
     witness = None
-    for p in candidates:
+    # floor(e n!) = N_n, since 0 < e n! - N_n < 1/n: the nearest p are N_n +/- 1.
+    for p in (num - 1, num, num + 1):
         if not check_prime_factor_bound(p, q).holds:
             witness = (p, q)
             break

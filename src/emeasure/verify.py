@@ -183,7 +183,7 @@ def check_cantor() -> tuple[bool, str]:
 
 
 @_check("range scan: batch agrees pointwise; exception ratios shrink", budget=0.5)
-def check_density(x_large: int = 10**6) -> tuple[bool, str]:
+def check_density() -> tuple[bool, str]:
     plan = density.kempner_plan(10_000)
     # 1000 q at a time: the whole range at once is the suite's peak memory.
     blocks = ((lo, min(lo + 999, 10_000)) for lo in range(2, 10_001, 1000))
@@ -196,7 +196,7 @@ def check_density(x_large: int = 10**6) -> tuple[bool, str]:
         )
     )
     small = density.density_report(1000)
-    large = density.density_report(x_large)
+    large = density.density_report(10**6)
     shrinking = (
         Fraction(large.count_S_neq_P, large.x) < Fraction(small.count_S_neq_P, small.x)
         and Fraction(large.count_conjecture1_fail, large.x)

@@ -1,6 +1,10 @@
 import sys
 
 import pytest
+from hypothesis import settings
+
+# `pytest --hypothesis-profile=ci` runs each property test on 1000 examples.
+settings.register_profile("ci", max_examples=1000, deadline=None)
 
 
 @pytest.fixture

@@ -11,7 +11,7 @@ from emeasure.enclosure import (
     MAX_DEPTH,
     DepthCapExceeded,
     Interval,
-    _scaled_bracket,
+    _margin,
     compare_distance_to_e,
     endpoint,
     floor_e_times,
@@ -321,7 +321,7 @@ def bounds_near(draw, r):
 
 @given(rationals_near_e, st.integers(min_value=1, max_value=DEEP))
 def test_integer_bracket_is_distance_bracket(r, n):
-    lo, hi, den = _scaled_bracket(r.numerator, r.denominator, n)
+    lo, hi, den = _margin(r.numerator, r.denominator, 0, 1, 0, n)
     assert (Fraction(lo, den), Fraction(hi, den)) == distance_bracket(r, n)
 
 
@@ -370,28 +370,58 @@ def _first_depth(floor):
 
 @pytest.fixture
 def brackets(monkeypatch):
-    """(n, b) of each _scaled_bracket the enclosure builds, in order."""
+    """(n, b) of each _margin the enclosure builds, in order."""
     seen = []
 
-    def recording(a, b, n):
+    def recording(a, b, u, v, m, n):
         seen.append((n, b))
-        return _scaled_bracket(a, b, n)
+        return _margin(a, b, u, v, m, n)
 
-    monkeypatch.setattr(enclosure, "_scaled_bracket", recording)
+    monkeypatch.setattr(enclosure, "_margin", recording)
+    return seen
+
+
+@pytest.fixture
+def depths(monkeypatch):
+    """n of each endpoint the enclosure's decisions read, in order."""
+    seen = []
+
+    def recording(n):
+        seen.append(n)
+        return endpoint(n)
+
+    monkeypatch.setattr(enclosure, "endpoint", recording)
     return seen
 
 
 @pytest.mark.parametrize("q", [1, 2, 6, 7, 24, 25, 10**6, math.factorial(12)])
-def test_floor_e_times_starts_at_the_smallest_factorial_at_least_q(monkeypatch, q):
-    depths = []
-
-    def recording(n):
-        depths.append(n)
-        return endpoint(n)
-
-    monkeypatch.setattr(enclosure, "endpoint", recording)
+def test_floor_e_times_starts_at_the_smallest_factorial_above_q(depths, q):
     assert floor_e_times(q) == math.floor(_DEEP_BOX.left * q)
-    assert depths[0] == _first_depth(q)
+    assert depths[0] == _first_depth(q + 1)
+
+
+def test_floor_e_times_at_a_factorial_decides_at_the_next_depth(depths):
+    # At q = n! the depth n + 1 bracket is [N_n + 1/(n+1), N_n + 2/(n+1)].
+    for n in range(2, 21):
+        depths.clear()
+        assert floor_e_times(math.factorial(n)) == endpoint(n)[0]
+        assert depths == [n + 1]
+
+
+def test_bound_at_an_end_of_the_bracket_decides_at_the_first_depth(depths):
+    # The margin is irrational, so a bracket end at 0 already fixes its sign.
+    s6, s10 = partial_sum(6), partial_sum(10)
+    for r, bound, answer in (
+        (Fraction(2), s6 - 2, GREATER),
+        (Fraction(2), s6 + Fraction(1, 720) - 2, LESS),
+        (Fraction(3), 3 - s6, LESS),
+    ):
+        depths.clear()
+        assert compare_distance_to_e(r, bound) == answer
+        assert depths == [6]
+    depths.clear()
+    assert render_distance(Fraction(2), 6, bound=s10 - 2) == "0.000000"
+    assert depths == [10]
 
 
 @pytest.mark.parametrize("digits", [1, 5, 6, 12, 30])
@@ -533,14 +563,33 @@ def test_render_with_factorial_bound_matches_the_built_bound(r, m, digits):
 
 
 def test_factorial_bound_whole_units_at_full_factorial_denominators():
-    # The quotient is exact, not rounded, when m! divides n! N!.
-    assert _S20.denominator == math.factorial(20)
+    # The bound 20!/m! is a whole number of units 1/10!, not rounded, when
+    # m! divides 10! 20!. From |e - 0| in (N_10, N_10 + 1) / 10!, _margin
+    # takes k units from the high end, and one more from the low end when
+    # the bound is not whole.
+    num, fact = endpoint(10)
+
+    def units(m):
+        lo, hi, den = _margin(0, 1, math.factorial(20), 1, m, 10)
+        assert den == fact
+        return num + 1 - hi, hi - lo == 1
+
     for m in range(11, 21):
-        k, exact = enclosure._scaled_bound(_S20.denominator, 1, 10, m)
-        assert exact and k * math.factorial(m) == math.factorial(10) * math.factorial(20)
+        k, whole = units(m)
+        assert whole and k * math.factorial(m) == math.factorial(10) * math.factorial(20)
     # 10! 20! / 23! = 10! / (21 22 23) = 341.5...; 11 ... 40 passes 20!.
-    assert enclosure._scaled_bound(_S20.denominator, 1, 10, 23) == (341, False)
-    assert enclosure._scaled_bound(_S20.denominator, 1, 10, 40) == (0, False)
+    assert units(23) == (341, False)
+    assert units(40) == (0, False)
+
+
+@pytest.mark.parametrize("r", ROUNDING_CASES)
+@pytest.mark.parametrize("digits", [3, 6, 11])
+def test_render_with_a_negative_factorial_scaled_bound(r, digits):
+    # -20!/20! = -1 adds 1 to the distance. m = 20 is past the start depth,
+    # so the quotient's product must stop on the bound's size, not its sign.
+    expected = _oracle_render(r, Fraction(-1), digits)
+    assert render_distance(r, digits, bound=Fraction(-math.factorial(20)), m=20) == expected
+    assert render_distance(r, digits, bound=Fraction(-1)) == expected
 
 
 def test_render_distance_rejects_negative_m():

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from emeasure import measures
 from emeasure.density import density_report
-from emeasure.enclosure import floor_e_times
+from emeasure.enclosure import endpoint, floor_e_times
 from emeasure.kempner import is_prime, kempner_S, kempner_S_naive, largest_prime_factor
 from emeasure.measures import (
     check_known,
@@ -104,6 +104,12 @@ def test_corollary2_biconditional():
     assert corollary2_scan(4)["witness"] == (65, 24)
     assert corollary2_scan(5)["witness"] is None
     assert corollary2_scan(2)["all_hold"]
+
+
+def test_floor_e_times_at_a_factorial_is_the_left_numerator():
+    # corollary2_scan's candidates N_n - 1, N_n, N_n + 1 rest on this.
+    for n in range(1, 61):
+        assert floor_e_times(math.factorial(n)) == endpoint(n)[0]
 
 
 def test_theorem1_sweep_small():
