@@ -89,12 +89,20 @@ def _grow(count: int, denominator: int = 0) -> None:
     _Q.extend(qs[2:-1])
 
 
-def convergents(count: int) -> list[Convergent]:
-    """First `count` convergents of e (2, 3, 8/3, 11/4, 19/7, ...)."""
+def convergent_pairs(count: int) -> list[tuple[int, int]]:
+    """(p_k, q_k) of the first `count` convergents of e, as stored: each pair
+    is in lowest terms, as p_k q_(k-1) - p_(k-1) q_k = +-1."""
     if count < 1:
         raise ValueError("count must be >= 1")
     _grow(count)
-    return [Convergent(k, Fraction(_P[k + 2], _Q[k + 2])) for k in range(count)]
+    return list(zip(_P[2 : count + 2], _Q[2 : count + 2]))
+
+
+def convergents(count: int) -> list[Convergent]:
+    """First `count` convergents of e (2, 3, 8/3, 11/4, 19/7, ...)."""
+    return [
+        Convergent(k, Fraction(p, q)) for k, (p, q) in enumerate(convergent_pairs(count))
+    ]
 
 
 def is_convergent(r: Fraction) -> bool:

@@ -155,7 +155,12 @@ def cmd_measure(args) -> int:
 
 
 def cmd_convergents(args) -> int:
-    _emit_json(cfrac.convergents(args.count))
+    # The stored pairs are in lowest terms: printed as they are, the rows have
+    # the fields of cfrac.Convergent without a gcd per convergent.
+    pairs = cfrac.convergent_pairs(args.count)
+    _emit_json(
+        [{"index": k, "value": {"num": p, "den": q}} for k, (p, q) in enumerate(pairs)]
+    )
     return EXIT_OK
 
 
@@ -167,11 +172,12 @@ def cmd_partial_sums(args) -> int:
         header.append("is_convergent")
     writer.writerow(header)
     for record, hit in rows:
+        q_n = int_str(record.q_n)  # s_n's denominator, written twice
         row = [
             record.n,
             int_str(record.s_n.numerator),
-            int_str(record.s_n.denominator),
-            int_str(record.q_n),
+            q_n,
+            q_n,
             int(record.full_factorial),
         ]
         if args.check_convergent:

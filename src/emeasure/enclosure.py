@@ -189,15 +189,18 @@ def render_distance(
         )
     a, b = r.numerator, r.denominator
     u, v = bound.numerator, bound.denominator
+    unit = 10**digits
 
     def decide(n: int) -> str | None:
         lo, hi, den = _margin(a, b, u, v, m, n)
         if lo < 0 < hi:  # sign still open
             return None
-        lo_text = truncate_ratio(lo, den, digits)
-        return lo_text if lo_text == truncate_ratio(hi, den, digits) else None
+        # truncate_ratio's text is fixed by the sign and the scaled digits.
+        if (lo < 0, abs(lo) * unit // den) != (hi < 0, abs(hi) * unit // den):
+            return None
+        return truncate_ratio(lo, den, digits)
 
-    return refine(decide, 10**digits)
+    return refine(decide, unit)
 
 
 def floor_e_times(q: int) -> int:

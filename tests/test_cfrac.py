@@ -6,6 +6,7 @@ import pytest
 from emeasure import cfrac, enclosure
 from emeasure.cfrac import (
     conjecture2_scan,
+    convergent_pairs,
     convergents,
     corollary3_scan,
     e_partial_quotients,
@@ -66,6 +67,13 @@ def _recurrence_oracle(count):
 
 def test_convergents_from_recurrence_oracle():
     assert [c.value for c in convergents(30)] == _recurrence_oracle(30)
+
+
+def test_convergent_pairs_are_the_convergents_in_lowest_terms():
+    values = [c.value for c in convergents(200)]
+    assert convergent_pairs(200) == [(r.numerator, r.denominator) for r in values]
+    with pytest.raises(ValueError, match="count must be >= 1"):
+        convergent_pairs(0)
 
 
 def _fresh_table(monkeypatch):

@@ -208,6 +208,28 @@ def test_convergents_subcommand(capsys):
     ]
 
 
+@pytest.mark.parametrize("count", [1, 2, 1500])
+def test_convergents_print_the_stored_pairs_without_a_gcd(capsys, monkeypatch, count):
+    # Oracle: the library's Fraction convergents under the CLI's JSON rule.
+    values = [(c.index, c.value) for c in cfrac.convergents(count)]
+    oracle = [
+        {"index": str(k), "value": {"num": str(r.numerator), "den": str(r.denominator)}}
+        for k, r in values
+    ]
+    printed = {(r.numerator, r.denominator) for _, r in values}
+    gcd, calls = math.gcd, []
+
+    def counted_gcd(*args):
+        calls.append(args)
+        return gcd(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(math, "gcd", counted_gcd)
+        assert cli.run(["convergents", "--count", str(count)]) == 0
+    assert capsys.readouterr().out == json.JSONEncoder(indent=2).encode(oracle) + "\n"
+    assert not printed.intersection(calls)
+
+
 def test_partial_sums_csv(capsys):
     code = cli.run(["partial-sums", "--max-n", "4", "--check-convergent"])
     assert code == 0
