@@ -10,7 +10,6 @@ from .cfrac import (
     conjecture2_scan,
     convergents,
     corollary3_scan,
-    e_partial_quotients,
     is_convergent,
     partial_sum_record,
 )
@@ -29,8 +28,6 @@ from .kempner import (
     kempner_S_naive,
     kempner_result,
     largest_prime_factor,
-    legendre_valuation,
-    rewrite_over_factorial,
 )
 from .measures import (
     MeasureVerdict,

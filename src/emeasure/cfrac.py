@@ -41,13 +41,6 @@ def _partial_quotient(k: int) -> int:
     return 2 * (k + 1) // 3 if k % 3 == 2 else 1
 
 
-def e_partial_quotients(count: int) -> list[int]:
-    """First `count` partial quotients of e: 2, 1, 2, 1, 1, 4, 1, 1, 6, ..."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    return [_partial_quotient(k) for k in range(count)]
-
-
 # The proved convergents p_k/q_k = _P[k + 2]/_Q[k + 2], in lowest terms. The
 # first two entries seed the recurrence p_k = a_k p_(k-1) + p_(k-2).
 _P: list[int] = [0, 1]

@@ -31,7 +31,7 @@ from .kempner import kempner_prime_power
 from .rationals import ResourceError, rising_product, truncate_decimal
 
 BLOCK_SIZE = 1 << 16
-# The most entries one scan may cover (x + 1), read when a report runs.
+# The most entries one scan may cover (x + 1), read when a plan is made.
 MAX_SCAN_ENTRIES = 10**8
 EXCEPTIONS_CAP = 100
 
@@ -72,9 +72,13 @@ def _primes_upto(n: int) -> list[int]:
 
 def kempner_plan(x: int) -> KempnerPlan:
     """The base primes p <= isqrt(x) and the S value of each of their
-    powers up to x."""
+    powers up to x, for a scan of x + 1 <= MAX_SCAN_ENTRIES entries."""
     if x < 2:
         raise ValueError("kempner_plan requires x >= 2")
+    if x + 1 > MAX_SCAN_ENTRIES:
+        raise ResourceError(
+            f"scan of {x + 1} entries exceeds budget of {MAX_SCAN_ENTRIES}"
+        )
     powers = []
     for p in _primes_upto(math.isqrt(x)):
         power, a = p, 1
@@ -98,8 +102,8 @@ def kempner_range(lo: int, hi: int, plan: KempnerPlan) -> tuple[list[int], list[
     q by p once per p^a | q leaves 1 or the one prime factor of q above
     isqrt(x).
     """
-    if lo < 2 or hi > plan.x:
-        raise ValueError("kempner_range requires 2 <= lo and hi <= the plan's x")
+    if not 2 <= lo <= hi <= plan.x:
+        raise ValueError("kempner_range requires 2 <= lo <= hi <= the plan's x")
     n = hi - lo + 1
     S = [0] * n
     P = [0] * n
@@ -228,16 +232,12 @@ def density_report(x: int, csv_path: str | None = None) -> DensityReport:
     S(q) != P(q) from _exceptions_S_neq_P, and both q^2 >= S(q)! and
     q^2 >= P(q)! from the q whose primes are all below t, the smallest t
     with t! > x^2, since P(q) >= t gives q^2 < t! <= P(q)! <= S(q)!.
-    MAX_SCAN_ENTRIES bounds x + 1.
+    kempner_plan holds x + 1 to MAX_SCAN_ENTRIES.
     csv_path, if given, receives one row per q with its S/P values and flags,
     from a block scan.
     """
     if x < 2:
         raise ValueError("density_report requires x >= 2")
-    if x + 1 > MAX_SCAN_ENTRIES:
-        raise ResourceError(
-            f"scan of {x + 1} entries exceeds budget of {MAX_SCAN_ENTRIES}"
-        )
     plan = kempner_plan(x)
     threshold, facts = _factorial_threshold(x)
     count_sp, sample_sp = _count_and_smallest(_exceptions_S_neq_P(plan))

@@ -46,10 +46,6 @@ class Interval:
     right: Fraction
     n: int
 
-    @property
-    def width(self) -> Fraction:
-        return self.right - self.left
-
 
 def check_depth(n: int) -> None:
     """Raise DepthCapExceeded if n is past MAX_DEPTH."""

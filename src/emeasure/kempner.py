@@ -1,5 +1,4 @@
-"""Kempner (Smarandache) function S(q), largest prime factor P(q), and the
-rewrite of p/q over a factorial denominator.
+"""Kempner (Smarandache) function S(q) and largest prime factor P(q).
 
 S(q) is the smallest positive k with q | k!. The fast path computes S from
 the prime factorization of q via Legendre's formula; a literal brute-force
@@ -11,7 +10,6 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .rationals import ResourceError
 
@@ -45,26 +43,12 @@ class KempnerResult:
     factorization: Factorization
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
-
-
 def factorize(q: int) -> Factorization:
     """Prime factorization of q >= 2 by deterministic trial division.
 
     Raises ResourceError if the divisors up to TRIAL_DIVISION_LIMIT leave a
-    cofactor that may still be composite (it is then >= 10^12).
+    cofactor that may still be composite: one with no divisor up to the
+    limit and at least (TRIAL_DIVISION_LIMIT + 1)^2 = 1 000 002 000 001.
     """
     if q < 2:
         raise ValueError("factorize requires q >= 2")
@@ -89,22 +73,15 @@ def factorize(q: int) -> Factorization:
     return factors
 
 
-def legendre_valuation(p: int, k: int) -> int:
-    """Exponent of the prime p in k!: sum of floor(k / p^i)."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    total = 0
-    power = p
-    while power <= k:
-        total += k // power
-        power *= p
-    return total
+def is_prime(n: int) -> bool:
+    """Whether n is prime, decided by factorize: raises ResourceError where
+    factorize does (the first prime refused is 1 000 002 000 007)."""
+    return n >= 2 and factorize(n) == [(n, 1)]
 
 
 def kempner_prime_power(p: int, a: int) -> int:
-    """Smallest k with p^a | k!, i.e. legendre_valuation(p, k) >= a (p prime).
+    """Smallest k with p^a | k!, i.e. the least k for which the exponent of
+    the prime p in k! is at least a.
 
     The answer is a multiple of p and is at most a*p, so a linear walk over
     multiples of p, summing their p-adic valuations, is plenty fast here.
@@ -185,15 +162,3 @@ def kempner_result(q: int) -> KempnerResult:
         p=factorization[-1][0],
         factorization=factorization,
     )
-
-
-def rewrite_over_factorial(p: int, q: int) -> tuple[int, int]:
-    """Rewrite p/q as m/n! with n = S(q) and m = p * S(q)!/q (exact division)."""
-    if q < 2:
-        raise ValueError("rewrite_over_factorial requires q >= 2")
-    n = kempner_S(q)
-    fact = math.factorial(n)
-    assert fact % q == 0
-    m = p * (fact // q)
-    assert Fraction(m, fact) == Fraction(p, q)
-    return m, n

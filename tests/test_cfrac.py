@@ -9,7 +9,6 @@ from emeasure.cfrac import (
     convergent_pairs,
     convergents,
     corollary3_scan,
-    e_partial_quotients,
     is_convergent,
     partial_sum_record,
     partial_sum_scan,
@@ -24,10 +23,8 @@ from emeasure.rationals import LESS
 
 
 def test_partial_quotients_pattern():
-    assert e_partial_quotients(1) == [2]
-    assert e_partial_quotients(5) == [2, 1, 2, 1, 1]
-    assert e_partial_quotients(9) == [2, 1, 2, 1, 1, 4, 1, 1, 6]
-    assert e_partial_quotients(12) == [2, 1, 2, 1, 1, 4, 1, 1, 6, 1, 1, 8]
+    quotients = [cfrac._partial_quotient(k) for k in range(12)]
+    assert quotients == [2, 1, 2, 1, 1, 4, 1, 1, 6, 1, 1, 8]
 
 
 def test_first_convergents():
@@ -168,6 +165,11 @@ def test_scan_preconditions():
         corollary3_scan(2)
     with pytest.raises(ValueError):
         conjecture2_scan(0)
+    # n = 0 is a row of its own: s_0 = 1 = 0!/0!.
+    rows = list(partial_sum_scan(0))
+    assert [(record.n, record.s_n, hit) for record, hit in rows] == [(0, 1, None)]
+    # s_3 = 8/3, so q_3 = 3 != 3! and the scan at max_n = 3 has no row.
+    assert corollary3_scan(3) == []
 
 
 def test_partial_sums_are_left_endpoints():
@@ -205,6 +207,19 @@ def test_wrong_quotient_is_refused(monkeypatch, j):
     with pytest.raises(AssertionError):
         convergents(j + 1)
     assert cfrac._P == [0, 1] and cfrac._Q == [1, 0]
+
+
+def test_convergent_count_edge(monkeypatch):
+    # 13944 convergents are proved within MAX_DEPTH; the growth for 13945
+    # needs a proof past it, so it is refused once the recurrence has run.
+    # From 2 MAX_DEPTH + 1 on, a count is refused before the recurrence.
+    _fresh_table(monkeypatch)
+    assert len(convergent_pairs(13944)) == 13944
+    with pytest.raises(DepthCapExceeded, match="undecided at MAX_DEPTH"):
+        convergent_pairs(13945)
+    monkeypatch.setattr(cfrac, "_partial_quotient", None)
+    with pytest.raises(DepthCapExceeded, match="depth 10001 exceeds"):
+        convergent_pairs(2 * enclosure.MAX_DEPTH + 1)
 
 
 def test_huge_denominator_refused_before_the_recurrence_runs_away(monkeypatch):

@@ -101,7 +101,7 @@ def test_batch_first_values():
     assert P == [2, 3, 2, 5, 3, 7, 2, 3, 5]
 
 
-@pytest.mark.parametrize("lo, hi", [(2, 11), (1, 10), (9, 11)])
+@pytest.mark.parametrize("lo, hi", [(2, 11), (1, 10), (9, 11), (5, 4), (10**30, -1)])
 def test_range_outside_plan_rejected(lo, hi):
     with pytest.raises(ValueError):
         kempner_range(lo, hi, kempner_plan(10))
@@ -222,6 +222,20 @@ def test_scan_budget_counted_once(monkeypatch, over):
             density_report(x)
     else:
         assert density_report(x).x == x
+
+
+def test_plan_carries_the_scan_budget(monkeypatch):
+    # x + 1 = 10^8 is the last scan the budget allows; one more is refused
+    # before the sieve runs.
+    plan = kempner_plan(10**8 - 1)
+    assert plan.x == 10**8 - 1
+
+    def fail_to_sieve(n):
+        raise AssertionError("sieved for a plan past the budget")
+
+    monkeypatch.setattr(density, "_primes_upto", fail_to_sieve)
+    with pytest.raises(ResourceError, match="scan of 100000001 entries"):
+        kempner_plan(10**8)
 
 
 def test_scan_memory_independent_of_x():

@@ -31,7 +31,7 @@ def subdivide_second(prev: Interval) -> Interval:
     """Inductive step: second of (prev.n + 1) equal parts of prev, in
     Fractions; equal to interval(prev.n + 1) by the closed form."""
     n = prev.n + 1
-    step = prev.width / n
+    step = (prev.right - prev.left) / n
     return Interval(left=prev.left + step, right=prev.left + 2 * step, n=n)
 
 
@@ -70,7 +70,8 @@ def test_closed_form_equals_literal_subdivision():
 
 def test_width_is_inverse_factorial():
     for n in range(1, 61):
-        assert interval(n).width == Fraction(1, math.factorial(n))
+        box = interval(n)
+        assert box.right - box.left == Fraction(1, math.factorial(n))
 
 
 def test_left_endpoints_are_partial_sums():
@@ -296,7 +297,7 @@ def near_intervals(draw):
     offset = Fraction(1, 10 ** draw(st.integers(min_value=0, max_value=40)))
     where = draw(st.sampled_from(["inside", "left", "right"]))
     if where == "inside":
-        return box.left + t * box.width
+        return box.left + t * (box.right - box.left)
     if where == "left":
         return box.left - t * offset
     return box.right + t * offset

@@ -1,5 +1,4 @@
 import math
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,10 +13,24 @@ from emeasure.kempner import (
     kempner_prime_power,
     kempner_result,
     largest_prime_factor,
-    legendre_valuation,
-    rewrite_over_factorial,
 )
 from emeasure.rationals import ResourceError
+
+# Oracles, independent of kempner's own factoring.
+
+
+def trial_is_prime(n):
+    """Primality by trial division over every d with d^2 <= n."""
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def legendre_valuation(p, k):
+    """Exponent of the prime p in k!: the sum of floor(k / p^i) (Legendre)."""
+    total, power = 0, p
+    while power <= k:
+        total += k // power
+        power *= p
+    return total
 
 
 def test_factorize_anchors():
@@ -28,13 +41,26 @@ def test_factorize_anchors():
 
 
 def test_factorize_work_limit():
-    # Trial division stops at 10^6. Below 10^12 that is exact; a cofactor
-    # above it with no factor up to 10^6 may be composite and is refused.
+    # Trial division stops at 10^6. A cofactor with no factor up to 10^6 may
+    # be composite, and is refused from (10^6 + 1)^2 = 1000002000001 on:
+    # 1000001999917 is the last prime below that and 1000002000007 the first
+    # above it. is_prime answers where factorize does.
     assert factorize(999979 * 999983) == [(999979, 1), (999983, 1)]
     assert factorize(999999999989) == [(999999999989, 1)]
-    for q in (1000003 * 1000033, 2 * 1000003 * 1000033, 10**18 + 3):
+    assert factorize(1000001999917) == [(1000001999917, 1)]
+    assert is_prime(1000001999917)
+    for q in (1000002000007, 1000003 * 1000033, 2 * 1000003 * 1000033, 10**18 + 3):
         with pytest.raises(ResourceError, match="trial division up to 1000000"):
             factorize(q)
+    with pytest.raises(ResourceError, match="trial division up to 1000000"):
+        is_prime(1000002000007)
+
+
+def test_is_prime_matches_trial_division():
+    for n in range(-5, 20_000):
+        assert is_prime(n) == trial_is_prime(n), n
+    assert is_prime(2**31 - 1) and is_prime(999999999989)
+    assert not is_prime(999979 * 999983)
 
 
 def test_factorize_rejects_small():
@@ -47,7 +73,7 @@ def test_factorize_reconstructs(q):
     factors = factorize(q)
     primes = [p for p, _ in factors]
     assert primes == sorted(primes) and len(set(primes)) == len(primes)
-    assert all(is_prime(p) and e >= 1 for p, e in factors)
+    assert all(trial_is_prime(p) and e >= 1 for p, e in factors)
     assert math.prod(p**e for p, e in factors) == q
 
 
@@ -55,11 +81,6 @@ def test_legendre_valuation_anchors():
     assert legendre_valuation(2, 4) == 3  # 4! = 2^3 * 3
     assert legendre_valuation(5, 4) == 0
     assert legendre_valuation(3, 6) == 2  # 6! = 2^4 * 3^2 * 5
-
-
-def test_legendre_valuation_rejects_composite():
-    with pytest.raises(ValueError):
-        legendre_valuation(4, 10)
 
 
 @given(st.sampled_from([2, 3, 5, 7, 11]), st.integers(min_value=0, max_value=200))
@@ -76,6 +97,11 @@ def test_kempner_prime_power():
     assert kempner_prime_power(7, 1) == 7
     assert kempner_prime_power(2, 3) == 4
     assert kempner_prime_power(3, 2) == 6
+    # The least k whose factorial holds p at least a times, by Legendre.
+    for p in filter(trial_is_prime, range(2, 51)):
+        for a in range(1, 31):
+            k = kempner_prime_power(p, a)
+            assert legendre_valuation(p, k) >= a > legendre_valuation(p, k - 1), (p, a)
 
 
 def test_kempner_S_paper_values():
@@ -146,24 +172,10 @@ def test_S_bounds_and_prime_equivalence():
         result = kempner_result(q)
         assert result.s <= q
         assert result.s >= result.p
-        assert (result.s == result.p) == is_prime(result.s)
+        assert (result.s == result.p) == trial_is_prime(result.s)
 
 
 def test_largest_prime_factor():
     assert largest_prime_factor(24) == 3
     assert largest_prime_factor(97) == 97
     assert largest_prime_factor(4) == 2
-
-
-def test_rewrite_over_factorial():
-    assert rewrite_over_factorial(5, 6) == (5, 3)
-    assert rewrite_over_factorial(65, 24) == (65, 4)
-    assert rewrite_over_factorial(1, 2) == (1, 2)
-
-
-@settings(max_examples=200)
-@given(st.integers(min_value=-10**6, max_value=10**6), st.integers(min_value=2, max_value=5000))
-def test_rewrite_preserves_value(p, q):
-    m, n = rewrite_over_factorial(p, q)
-    assert n == kempner_S(q)
-    assert Fraction(m, math.factorial(n)) == Fraction(p, q)
