@@ -1,5 +1,5 @@
 """Continued fraction of e: partial quotients, convergents, and the
-partial-sum vs convergent scans.
+partial-sum vs convergent scans, with the decimal texts the CLI prints.
 
 The partial quotients of e follow the pattern 2; 1, 2k, 1 (k = 1, 2, ...).
 That pattern is used as a generator but never trusted: the convergents it
@@ -14,10 +14,11 @@ import itertools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 
 from .enclosure import check_depth, compare_distance_to_e, endpoint
-from .rationals import LESS
+from .rationals import LESS, decimal_text, exact_decimal
 
 
 @dataclass(frozen=True)
@@ -91,6 +92,22 @@ def convergent_pairs(count: int) -> list[tuple[int, int]]:
     return list(zip(_P[2 : count + 2], _Q[2 : count + 2]))
 
 
+def convergent_texts(count: int) -> list[tuple[str, str]]:
+    """The decimal texts of convergent_pairs(count). The recurrence runs again
+    in decimal, where a step and a text are linear in the digits, and each
+    text is checked against its proved int (rationals.decimal_text)."""
+    pairs = convergent_pairs(count)
+    texts = []
+    p0, p1, q0, q1 = Decimal(0), Decimal(1), Decimal(1), Decimal(0)
+    with exact_decimal():
+        for k, (p, q) in enumerate(pairs):
+            a = _partial_quotient(k)
+            p0, p1 = p1, a * p1 + p0
+            q0, q1 = q1, a * q1 + q0
+            texts.append((decimal_text(p1, p), decimal_text(q1, q)))
+    return texts
+
+
 def convergents(count: int) -> list[Convergent]:
     """First `count` convergents of e (2, 3, 8/3, 11/4, 19/7, ...)."""
     return [
@@ -132,11 +149,39 @@ def partial_sum_scan(
     if check_convergent:
         _grow(0, math.factorial(max_n))
     # One pass of N_n = n N_(n-1) + 1 beside n!: cheaper than a tree per row.
-    pairs = itertools.accumulate(
-        range(1, max_n + 1), lambda p, n: (n * p[0] + 1, n * p[1]), initial=(1, 1)
-    )
+    pairs = itertools.accumulate(range(1, max_n + 1), _next_sum, initial=(1, 1))
     records = itertools.starmap(_record, enumerate(pairs))
     return ((r, is_convergent(r.s_n) if check_convergent else None) for r in records)
+
+
+def _next_sum(pair, n: int):
+    """(N_n, n!) from (N_(n-1), (n-1)!), as ints or as Decimals."""
+    num, fact = pair
+    return n * num + 1, n * fact
+
+
+def partial_sum_texts(
+    rows: Iterator[tuple[PartialSumRecord, bool | None]],
+) -> Iterator[tuple[PartialSumRecord, bool | None, str, str]]:
+    """partial_sum_scan's rows, each with the decimal texts of s_n's numerator
+    and denominator. N_n and n! run through their recurrence again in
+    decimal, where a step is linear in the digits, and are printed divided by
+    g = n!/q_n; each is checked against the record's int times g
+    (rationals.decimal_text)."""
+    fact = 1
+    pair = (Decimal(1), Decimal(1))
+    for record, hit in rows:
+        n = record.n
+        # Entered per row: a generator would otherwise lend its context to
+        # the caller between rows.
+        with exact_decimal():
+            if n:
+                fact *= n
+                pair = _next_sum(pair, n)
+            g = fact // record.q_n
+            num = decimal_text(pair[0], record.s_n.numerator, g)
+            den = decimal_text(pair[1], record.q_n, g)
+        yield record, hit, num, den
 
 
 def corollary3_scan(max_n: int) -> list[dict]:

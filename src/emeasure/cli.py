@@ -12,7 +12,6 @@ rationals.ResourceError).
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import datetime
 import json
@@ -155,34 +154,28 @@ def cmd_measure(args) -> int:
 
 
 def cmd_convergents(args) -> int:
-    # The stored pairs are in lowest terms: printed as they are, the rows have
-    # the fields of cfrac.Convergent without a gcd per convergent.
-    pairs = cfrac.convergent_pairs(args.count)
+    # The texts are built beside the proved table and checked against it, so
+    # no int is converted and no gcd runs per convergent.
+    texts = cfrac.convergent_texts(args.count)
     _emit_json(
-        [{"index": k, "value": {"num": p, "den": q}} for k, (p, q) in enumerate(pairs)]
+        [{"index": k, "value": {"num": p, "den": q}} for k, (p, q) in enumerate(texts)]
     )
     return EXIT_OK
 
 
 def cmd_partial_sums(args) -> int:
+    # Each field is the text of a decimal integer, which csv never quotes:
+    # rows are joined text with csv's own terminator.
     rows = cfrac.partial_sum_scan(args.max_n, args.check_convergent)
-    writer = csv.writer(sys.stdout)
     header = ["n", "s_n_num", "s_n_den", "q_n", "full_factorial"]
     if args.check_convergent:
         header.append("is_convergent")
-    writer.writerow(header)
-    for record, hit in rows:
-        q_n = int_str(record.q_n)  # s_n's denominator, written twice
-        row = [
-            record.n,
-            int_str(record.s_n.numerator),
-            q_n,
-            q_n,
-            int(record.full_factorial),
-        ]
+    sys.stdout.write(",".join(header) + "\r\n")
+    for record, hit, num, den in cfrac.partial_sum_texts(rows):
+        fields = [str(record.n), num, den, den, str(int(record.full_factorial))]
         if args.check_convergent:
-            row.append(int(hit))
-        writer.writerow(row)
+            fields.append(str(int(hit)))
+        sys.stdout.write(",".join(fields) + "\r\n")
     return EXIT_OK
 
 

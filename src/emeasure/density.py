@@ -16,7 +16,6 @@ tested against.
 
 from __future__ import annotations
 
-import csv
 import heapq
 import math
 import os
@@ -197,7 +196,9 @@ def _count_and_smallest(items: Iterable[int]) -> tuple[int, list[int]]:
 
 
 def _write_csv(path: str, plan: KempnerPlan, threshold: int, facts: list[int]) -> None:
-    """One row per q in [2, plan.x] with S(q), P(q) and both flags.
+    """One row per q in [2, plan.x] with S(q), P(q) and both flags. Every
+    field is an integer, which csv never quotes, so each row is formatted
+    text ending in csv's own terminator, "\\r\\n".
 
     The rows go to a temporary file beside path, which then replaces path
     whole; if anything fails, the temporary file is removed and an existing
@@ -207,8 +208,7 @@ def _write_csv(path: str, plan: KempnerPlan, threshold: int, facts: list[int]) -
     handle = open(tmp, "x", newline="")
     try:
         with handle:
-            writer = csv.writer(handle)
-            writer.writerow(["q", "S", "P", "S_neq_P", "conj1_fail"])
+            handle.write("q,S,P,S_neq_P,conj1_fail\r\n")
             for lo in range(2, plan.x + 1, BLOCK_SIZE):
                 hi = min(lo + BLOCK_SIZE - 1, plan.x)
                 S, P = kempner_range(lo, hi, plan)
@@ -217,7 +217,8 @@ def _write_csv(path: str, plan: KempnerPlan, threshold: int, facts: list[int]) -
                 small = compress(zip(qs, S), map(gt, repeat(threshold), S))
                 fails = {q for q, s in small if q * q >= facts[s]}
                 flags = map(int, map(fails.__contains__, qs))
-                writer.writerows(zip(qs, S, P, map(int, map(ne, S, P)), flags))
+                rows = zip(qs, S, P, map(int, map(ne, S, P)), flags)
+                handle.writelines(map("%d,%d,%d,%d,%d\r\n".__mod__, rows))
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)

@@ -177,15 +177,17 @@ def corollary2_scan(n: int) -> dict:
     if n < 2:
         raise ValueError("corollary2_scan requires n >= 2")
     num, q = endpoint(n)
+    # P(n!) is the largest prime <= n: found without factoring n!.
+    largest = next(m for m in range(n, 1, -1) if is_prime(m))
     witness = None
     # floor(e n!) = N_n, since 0 < e n! - N_n < 1/n: the nearest p are N_n +/- 1.
     for p in (num - 1, num, num + 1):
-        if not check_prime_factor_bound(p, q).holds:
+        if not _verdict(p, q, "prime_factor", largest + 1).holds:
             witness = (p, q)
             break
     return {
         "n": n,
-        "prime": is_prime(n),
+        "prime": largest == n,
         "all_hold": witness is None,
         "witness": witness,
     }

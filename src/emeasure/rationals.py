@@ -4,7 +4,8 @@ Everything downstream works with ``fractions.Fraction``, which already
 guarantees the two invariants we need: denominators are positive and values
 are stored in lowest terms. This module adds what the rest of the toolkit
 shares: verdicts, decimal rendering, the series kernel, the walk over
-consecutive factors that every factorial threshold uses, and ResourceError.
+consecutive factors that every factorial threshold uses, the exact decimal
+context, and ResourceError.
 """
 
 from __future__ import annotations
@@ -96,10 +97,7 @@ def int_str(n: int) -> str:
             return str(n)
     if n < 0:
         return "-" + int_str(-n)
-    with decimal.localcontext() as ctx:
-        ctx.prec = decimal.MAX_PREC
-        ctx.Emax = decimal.MAX_EMAX
-        ctx.traps[decimal.Inexact] = True
+    with exact_decimal():
         return str(_to_decimal(n, bits, {}))
 
 
@@ -126,3 +124,28 @@ def _power_of_two(w: int, powers: dict) -> decimal.Decimal:
         else:
             powers[w] = _power_of_two(w >> 1, powers) * _power_of_two(w - (w >> 1), powers)
     return powers[w]
+
+
+def exact_decimal():
+    """A decimal.localcontext in which arithmetic on integral Decimals is
+    exact or raises: the precision and exponent range are the largest decimal
+    allows, and Inexact is trapped (an inexact `/` raises MemoryError, as its
+    quotient would need endless digits). An add, a multiply by a small int or
+    a `//` by one is linear in the digits there, and so is str()."""
+    ctx = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX)
+    ctx.traps[decimal.Inexact] = True
+    return decimal.localcontext(ctx)
+
+
+_RESIDUE_MODULUS = (1 << 61) - 1  # a Mersenne prime
+
+
+def decimal_text(value: decimal.Decimal, n: int, divisor: int = 1) -> str:
+    """str(n), read off an integral Decimal value built to equal n * divisor
+    (an int >= 1); n itself is never converted. value is first compared with
+    n * divisor mod 2^61 - 1, in time linear in the digits; a mismatch raises
+    AssertionError, as a failed proof does. Call it under exact_decimal()."""
+    m = _RESIDUE_MODULUS
+    if value % m != n % m * divisor % m:
+        raise AssertionError("a Decimal differs from its int mod 2^61 - 1")
+    return str(value // divisor if divisor > 1 else value)

@@ -257,6 +257,86 @@ def test_partial_sums_rows_match_the_recurrence(capsys):
     assert rows == expected
 
 
+def test_a_wrong_decimal_convergent_writes_nothing(capsys, monkeypatch):
+    # The table is grown and proved with the true quotients first, so the
+    # wrong quotient at index 40 reaches only the decimal recurrence.
+    cfrac.convergent_pairs(60)
+    quotient = cfrac._partial_quotient
+    monkeypatch.setattr(cfrac, "_partial_quotient", lambda k: quotient(k) + (k == 40))
+    with pytest.raises(AssertionError, match=r"mod 2\^61 - 1"):
+        cli.run(["convergents", "--count", "60"])
+    assert capsys.readouterr().out == ""
+
+
+# s_40 is in lowest terms over 40!; s_41 and s_3 are not, and their rows print
+# the decimal N_n and n! divided by g = n!/q_n > 1.
+@pytest.mark.parametrize("poisoned", [3, 40, 41])
+@pytest.mark.parametrize("flags", [[], ["--check-convergent"]])
+def test_a_wrong_decimal_partial_sum_stops_the_rows(capsys, monkeypatch, poisoned, flags):
+    step = cfrac._next_sum
+
+    def poisoned_step(pair, n):
+        num, fact = step(pair, n)
+        if n == poisoned and isinstance(num, Decimal):
+            num += 1
+        return num, fact
+
+    monkeypatch.setattr(cfrac, "_next_sum", poisoned_step)
+    with pytest.raises(AssertionError, match=r"mod 2\^61 - 1"):
+        cli.run(["partial-sums", "--max-n", "60", *flags])
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(",")[0] for line in lines[1:]] == [str(n) for n in range(poisoned)]
+
+
+def convergents_oracle(count):
+    """The convergents command's output for `count`, from the quotients
+    2; 1, 2, 1, 1, 4, 1, ... and int_str, without the package's table."""
+    rows, p, q = [], (0, 1), (1, 0)
+    for k in range(count):
+        a = 2 if k == 0 else 2 * (k + 1) // 3 if k % 3 == 2 else 1
+        p, q = (p[1], a * p[1] + p[0]), (q[1], a * q[1] + q[0])
+        rows.append({"index": str(k), "value": {"num": int_str(p[1]), "den": int_str(q[1])}})
+    return json.JSONEncoder(indent=2).encode(rows) + "\n"
+
+
+def partial_sums_oracle(max_n, check_convergent):
+    """The partial-sums command's output, from N_n = n N_(n-1) + 1 over n!
+    reduced by Fraction, int_str and csv.writer."""
+    out = io.StringIO()
+    writer = csv.writer(out)
+    header = ["n", "s_n_num", "s_n_den", "q_n", "full_factorial"]
+    writer.writerow(header + ["is_convergent"] * check_convergent)
+    num, fact = 1, 1
+    for n in range(max_n + 1):
+        if n:
+            num, fact = n * num + 1, n * fact
+        s_n = Fraction(num, fact)
+        q_n = int_str(s_n.denominator)
+        row = [n, int_str(s_n.numerator), q_n, q_n, int(s_n.denominator == fact)]
+        writer.writerow(row + [int(n in (1, 3))] * check_convergent)
+    return out.getvalue()
+
+
+@pytest.mark.parametrize(
+    "argv, oracle",
+    [
+        (["convergents", "--count", "1500"], lambda: convergents_oracle(1500)),
+        (["partial-sums", "--max-n", "1700"], lambda: partial_sums_oracle(1700, False)),
+        (
+            ["partial-sums", "--max-n", "1700", "--check-convergent"],
+            lambda: partial_sums_oracle(1700, True),
+        ),
+    ],
+    ids=["convergents", "partial-sums", "partial-sums-check"],
+)
+def test_streamed_texts_match_an_int_str_oracle(capsys, digit_limit, argv, oracle):
+    # Under the lowest int-to-str digit limit CPython allows, both commands
+    # print far past it.
+    digit_limit(640)
+    assert cli.run(argv) == 0
+    assert capsys.readouterr().out == oracle()
+
+
 def test_cantor_subcommand(capsys):
     code, doc = run_json(
         capsys, ["cantor", "--family", "unit", "--a0", "2", "--N", "3", "--classify"]

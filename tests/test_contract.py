@@ -65,10 +65,8 @@ NO_INT_ARGUMENTS = {"classify", "compare_distance_to_e", "is_convergent"}
 # Accepted ints that take far longer than the rest, left out; the refusals
 # beside them are still drawn. convergents(count) builds a Fraction, and so a
 # gcd, per convergent: about 12 s at count 10^4, past TIME_LIMIT.
-# corollary2_scan(n) factors n! by trial division: about 2 s at n = 10^4.
 SLOW = {
     "convergents": {enclosure.MAX_DEPTH - 1, enclosure.MAX_DEPTH, enclosure.MAX_DEPTH + 1},
-    "corollary2_scan": {enclosure.MAX_DEPTH - 1, enclosure.MAX_DEPTH},
 }
 
 

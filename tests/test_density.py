@@ -1,5 +1,6 @@
 import concurrent.futures
 import csv
+import io
 import math
 import random
 import tracemalloc
@@ -265,6 +266,21 @@ def test_csv_export(tmp_path):
     assert flagged[: len(report.exceptions_S_neq_P)] == report.exceptions_S_neq_P
     row6 = next(r for r in rows if r["q"] == "6")
     assert (row6["S"], row6["P"]) == ("3", "3")
+
+
+def test_csv_is_the_csv_writer_text(tmp_path):
+    # Oracle: csv.writer over the batch values, with q^2 >= S(q)! tested on
+    # math.factorial (20! > 10^10 >= q^2, so a larger S(q) never fails).
+    x = 10**5
+    path = tmp_path / "rows.csv"
+    density_report(x, csv_path=str(path))
+    S, P = kempner_range(2, x, kempner_plan(x))
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(["q", "S", "P", "S_neq_P", "conj1_fail"])
+    for q, s, p in zip(range(2, x + 1), S, P):
+        writer.writerow([q, s, p, int(s != p), int(q * q >= math.factorial(min(s, 20)))])
+    assert path.read_bytes() == out.getvalue().encode()
 
 
 def test_csv_replaces_target_atomically(tmp_path, monkeypatch):

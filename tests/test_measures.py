@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from emeasure import measures
+from emeasure import kempner, measures
 from emeasure.density import density_report
 from emeasure.enclosure import endpoint, floor_e_times
 from emeasure.kempner import kempner_S, kempner_S_naive, largest_prime_factor
@@ -104,6 +104,25 @@ def test_corollary2_biconditional():
     assert corollary2_scan(4)["witness"] == (65, 24)
     assert corollary2_scan(5)["witness"] is None
     assert corollary2_scan(2)["all_hold"]
+
+
+def test_corollary2_scan_factors_nothing_past_n(monkeypatch):
+    # Oracle: check_prime_factor_bound, which factors n!, on the candidates
+    # N_n - 1, N_n, N_n + 1. The scan finds P(n!) among the m <= n.
+    ns = [*range(2, 30), 97, 100]
+    expected = []
+    for n in ns:
+        num, q = endpoint(n)
+        fails = [p for p in (num - 1, num, num + 1) if not check_prime_factor_bound(p, q).holds]
+        expected.append((all(n % d for d in range(2, n)), (fails[0], q) if fails else None))
+    factorize = kempner.factorize
+
+    def small_only(m):
+        assert m <= 100, f"factorize({m})"
+        return factorize(m)
+
+    monkeypatch.setattr(kempner, "factorize", small_only)
+    assert [(s["prime"], s["witness"]) for s in map(corollary2_scan, ns)] == expected
 
 
 def test_floor_e_times_at_a_factorial_is_the_left_numerator():

@@ -1,13 +1,14 @@
 import math
 import random
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from emeasure import density, rationals
-from emeasure.rationals import rising_product, truncate_decimal
+from emeasure.rationals import decimal_text, exact_decimal, rising_product, truncate_decimal
 
 
 def test_truncate_decimal_truncates_not_rounds():
@@ -107,3 +108,18 @@ def test_rising_product_gives_the_density_threshold(x, t):
     assert density._factorial_threshold(x) == (t, [math.factorial(k) for k in range(t + 1)])
     if x == 2:
         assert rising_product(2, x, x * x) == (2, 2)  # stops at hi, below the cap
+
+
+def test_decimal_text_checks_the_decimal_it_prints(digit_limit):
+    # The Decimal is checked against n * divisor, not only its quotient: one
+    # off is refused even where the quotient would still read n.
+    n = math.factorial(3000) + 1
+    digit_limit(0)
+    with exact_decimal():
+        value = Decimal(n) * 7
+        assert decimal_text(value, n, 7) == decimal_text(Decimal(n), n) == str(n)
+        for wrong in (value + 1, value - 1, Decimal(n) * 7 * 10):
+            with pytest.raises(AssertionError):
+                decimal_text(wrong, n, 7)
+        with pytest.raises(AssertionError):
+            decimal_text(Decimal(n + 1), n)
