@@ -15,6 +15,7 @@ import argparse
 import dataclasses
 import datetime
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -26,35 +27,63 @@ EXIT_DOMAIN = 1
 EXIT_RESOURCE = 2
 
 
-def _jsonable(obj):
-    """obj under the CLI's JSON rule: an int (not a bool) becomes its decimal
-    string, a Fraction {"num", "den"}, a dataclass the dict of its fields;
-    dicts, lists and tuples are converted item by item, anything else is
-    kept. Dataclass fields are read one level at a time, not copied deep
-    first as dataclasses.asdict does."""
-    if isinstance(obj, int) and not isinstance(obj, bool):
-        return int_str(obj)
-    if isinstance(obj, Fraction):
-        return {"num": int_str(obj.numerator), "den": int_str(obj.denominator)}
-    if isinstance(obj, dict):
-        return {key: _jsonable(value) for key, value in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(item) for item in obj]
-    if dataclasses.is_dataclass(obj):
-        return {f.name: _jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
-    return obj
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _render(obj, indent: str, out: list) -> None:
+    """Append the JSON text of obj to out under the CLI's rule: an int (not a
+    bool) becomes its decimal string, a Fraction {"num", "den"}, a dataclass
+    the object of its fields, read one level at a time; str, bool, None,
+    finite floats, lists, tuples and dicts with str keys stay JSON, and
+    anything else raises TypeError. Strings are escaped by json itself, and
+    the text is laid out as json's indent=2 lays it out, `indent` being "\n"
+    and two spaces per level of obj."""
+    if isinstance(obj, str):
+        out.append(_quote(obj))
+    elif obj is None or isinstance(obj, bool):
+        out.append("null" if obj is None else "true" if obj else "false")
+    elif isinstance(obj, int):
+        out += ('"', int_str(obj), '"')
+    elif isinstance(obj, float) and math.isfinite(obj):
+        out.append(float.__repr__(obj))
+    else:
+        if isinstance(obj, Fraction):
+            obj = {"num": obj.numerator, "den": obj.denominator}
+        elif not isinstance(obj, (dict, list, tuple)):
+            if not dataclasses.is_dataclass(obj):
+                raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+            obj = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+        brackets = "{}" if isinstance(obj, dict) else "[]"
+        if not obj:
+            out.append(brackets)
+            return
+        inner = indent + "  "
+        sep = brackets[0] + inner
+        for item in obj.items() if brackets == "{}" else obj:
+            if brackets == "{}":
+                key, item = item
+                out += (sep, _quote(key), ": ")  # a key that is no str raises TypeError
+            else:
+                out.append(sep)
+            # Str values, most of a big document, are quoted here, not in a call.
+            if type(item) is str:
+                out.append(_quote(item))
+            else:
+                _render(item, inner, out)
+            sep = "," + inner
+        out += (indent, brackets[1])
 
 
 def _emit_json(obj) -> None:
-    """Write obj to stdout as one JSON document, in one write, only once it
-    has been rendered in full; a failure while rendering writes nothing."""
-    chunks = list(json.JSONEncoder(indent=2).iterencode(_jsonable(obj)))
-    chunks.append("\n")
-    text = "".join(chunks)
-    # The converted document, its chunks and the text are each about as large
-    # as the output. json.dumps holds all three at once; here at most two are
-    # alive, as with a streaming json.dump.
-    del chunks
+    """Write obj to stdout as one JSON document (see _render), in one write,
+    only once it has been rendered in full; a failure while rendering writes
+    nothing."""
+    out = []
+    _render(obj, "\n", out)
+    out.append("\n")
+    text = "".join(out)
+    # The pieces go before the write encodes the text into bytes of its size.
+    del out
     sys.stdout.write(text)
 
 

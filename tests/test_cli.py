@@ -1,6 +1,7 @@
 import concurrent.futures
 import contextlib
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -10,7 +11,7 @@ from decimal import ROUND_DOWN, Decimal, localcontext
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from emeasure import cfrac, cli, density, enclosure, kempner, measures
 from emeasure.enclosure import partial_sum
@@ -691,10 +692,67 @@ def test_json_round_trip_big_values(capsys):
     assert fraction(doc["q19"]) == q19
 
 
+def _jsonable(obj):
+    """obj under the CLI's JSON rule, as a copy for json's own encoder: an int
+    (not a bool) becomes its decimal string, a Fraction {"num", "den"}, a
+    dataclass the dict of its fields; dicts, lists and tuples are converted
+    item by item, anything else is kept. The oracle of cli._render."""
+    if isinstance(obj, int) and not isinstance(obj, bool):
+        return int_str(obj)
+    if isinstance(obj, Fraction):
+        return {"num": int_str(obj.numerator), "den": int_str(obj.denominator)}
+    if isinstance(obj, dict):
+        return {key: _jsonable(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(item) for item in obj]
+    if dataclasses.is_dataclass(obj):
+        return {f.name: _jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    return obj
+
+
+@dataclasses.dataclass(frozen=True)
+class Verdict:
+    bound: Fraction
+    holds: bool
+
+
+# Strings that json must escape: quotes, backslashes, control characters,
+# non-ASCII and astral code points (written as surrogate pairs).
+JSON_TEXT = st.text(st.sampled_from('"\\\x00\x1f\x7f\né€😀') | st.characters())
+JSON_LEAVES = (
+    JSON_TEXT
+    | st.integers()
+    | st.fractions()
+    | st.booleans()
+    | st.none()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.builds(Verdict, st.fractions(), st.booleans())
+)
+JSON_DOCS = st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.lists(inner)
+    | st.lists(inner).map(tuple)
+    | st.dictionaries(JSON_TEXT, inner),
+    max_leaves=30,
+)
+
+
+@example([True, False, None, -1, Fraction(-7, 3), 0.001, (), [], {}, Verdict(Fraction(-1, 2), True)])
+@given(JSON_DOCS)
+def test_emit_json_matches_the_json_encoder(doc):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._emit_json(doc)
+    assert out.getvalue() == json.JSONEncoder(indent=2).encode(_jsonable(doc)) + "\n"
+
+
 def test_emit_writes_nothing_when_rendering_fails(capsys):
-    with pytest.raises(TypeError):
-        cli._emit_json({"n": 1, "bad": object()})
-    assert capsys.readouterr().out == ""
+    # No CLI document has a key that is not a str, so such a key is refused,
+    # not converted as json's encoder would convert it.
+    for doc in ({"n": 1, "bad": object()}, {1: "a"}):
+        with pytest.raises(TypeError):
+            cli._emit_json(doc)
+        assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize(
