@@ -26,7 +26,7 @@ from fractions import Fraction
 from itertools import compress, count, repeat
 from operator import floordiv, gt, ne
 
-from .kempner import kempner_prime_power
+from .kempner import _primes_upto, kempner_prime_power
 from .rationals import ResourceError, rising_product, truncate_decimal
 
 BLOCK_SIZE = 1 << 16
@@ -57,16 +57,6 @@ class KempnerPlan:
 
     x: int
     powers: tuple[tuple[int, int, int], ...]
-
-
-def _primes_upto(n: int) -> list[int]:
-    """The primes p <= n, from a bytearray sieve."""
-    flags = bytearray([1]) * (n + 1)
-    flags[:2] = b"\0\0"
-    for p in range(2, math.isqrt(n) + 1):
-        if flags[p]:
-            flags[p * p :: p] = bytes(len(range(p * p, n + 1, p)))
-    return list(compress(range(n + 1), flags))
 
 
 def kempner_plan(x: int) -> KempnerPlan:

@@ -11,6 +11,7 @@ until the enclosure decides it; e itself is never materialized.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -28,12 +29,19 @@ from .rationals import (
 # of integers, built by one binary splitting in about 0.02 s.
 MAX_DEPTH = 10_000
 
-# compare_distance_to_e starts refining where 1/n! is below 2^-8 of the
-# bound's size. Convergent validation compares |e - p/q| with 1/q^2, and the
-# two can differ by a small fraction of 1/q^2: with no slack, 124 of the
-# first 1500 convergents were undecided at the start depth and doubled it
-# (to about 1800, one more endpoint to build each); with 8 bits, none.
+# Every caller of refine asks it to start where the bracket is 2^-8 of the
+# caller's own unit: 1/n! below 2^-8 of the bound for compare_distance_to_e,
+# of 10^-digits for render_distance and of 1/(q + 1) for floor_e_times.
+# Where the bracket is only as wide as the unit, the answer often lies within
+# it and the depth doubles, one more endpoint to build. With no slack, 124 of
+# the first 1500 convergent validations doubled (to about 1800), and so did
+# 38% of the renderings and 47% of the floors the perfbench decide job asks
+# for; with 8 bits, no validation and under 1% of the others.
 _START_SLACK_BITS = 8
+
+
+# 0!, 1!, ..., 20!: refine finds a start depth up to 20 by bisection.
+_FACTORIALS = tuple(math.factorial(n) for n in range(21))
 
 
 class DepthCapExceeded(ResourceError):
@@ -88,11 +96,17 @@ def interval(n: int) -> Interval:
 def refine(decide, floor: int):
     """First answer other than None of decide(n), for n = n0, 2 n0, 4 n0, ...
     clipped to MAX_DEPTH, where n0 is the smallest n >= 1 with n! >= floor:
-    the first interval no wider than 1/floor, the caller's unit.
+    the first interval no wider than 1/floor. Callers pass 2^8 times their
+    unit (see _START_SLACK_BITS).
 
     Raises DepthCapExceeded if MAX_DEPTH is reached undecided.
     """
-    n, _ = rising_product(2, MAX_DEPTH, floor - 1)
+    if floor <= _FACTORIALS[-1]:
+        n = bisect_left(_FACTORIALS, floor, 1)
+    else:
+        # n!/20! > (floor - 1)/20! in integers, for the first n past 20.
+        n, _ = rising_product(21, MAX_DEPTH, (floor - 1) // _FACTORIALS[-1])
+    n = min(n, MAX_DEPTH)
     while (answer := decide(n)) is None:
         if n >= MAX_DEPTH:
             raise DepthCapExceeded(f"undecided at MAX_DEPTH = {MAX_DEPTH}")
@@ -169,9 +183,11 @@ def render_distance(
 
     The value is irrational, so refining eventually fixes its sign and both
     bracket endpoints truncate identically. Refinement starts at the smallest
-    n with n! >= 10^digits: shallower, I_n is wider than a unit in the last
-    place, and the bracket of an r outside it cannot decide. A bound 1/m! is
-    passed as bound = 1 and m, and m! is never built.
+    n with n! >= 2^8 10^digits. Below 10^digits, I_n is wider than a unit in
+    the last place and the bracket of an r outside it cannot decide; near
+    10^digits it often still holds a truncation boundary (see
+    _START_SLACK_BITS). A bound 1/m! is passed as bound = 1 and m, and m! is
+    never built.
     """
     if digits < 1:
         raise ValueError("digits must be >= 1")
@@ -184,7 +200,12 @@ def render_distance(
             f"{digits} digits need a depth past MAX_DEPTH = {MAX_DEPTH}"
         )
     a, b = r.numerator, r.denominator
-    u, v = bound.numerator, bound.denominator
+    return _render(a, b, bound.numerator, bound.denominator, m, digits)
+
+
+def _render(a: int, b: int, u: int, v: int, m: int, digits: int) -> str:
+    """render_distance of r = a/b and bound = u/v, all ints with b, v > 0,
+    for m >= 0 and digits >= 1: a/b need not be in lowest terms."""
     unit = 10**digits
 
     def decide(n: int) -> str | None:
@@ -196,7 +217,7 @@ def render_distance(
             return None
         return truncate_ratio(lo, den, digits)
 
-    return refine(decide, unit)
+    return refine(decide, unit << _START_SLACK_BITS)
 
 
 def floor_e_times(q: int) -> int:
@@ -205,7 +226,8 @@ def floor_e_times(q: int) -> int:
     e*q is irrational for q >= 1, so the two endpoint floors agree once the
     enclosure is tight enough. Their bracket is q/n! wide, and at n! = q it
     is [N_n, N_n + 1], whose floors differ, so refinement starts at the
-    smallest n with n! > q.
+    smallest n with n! >= 2^8 (q + 1), where the bracket is below 2^-8 and
+    holds an integer for few q.
     """
     if q < 1:
         raise ValueError("q must be >= 1")
@@ -215,4 +237,4 @@ def floor_e_times(q: int) -> int:
         lo = num * q // fact
         return lo if lo == (num * q + q) // fact else None
 
-    return refine(decide, q + 1)
+    return refine(decide, (q + 1) << _START_SLACK_BITS)

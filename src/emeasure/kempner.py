@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
+from itertools import compress
 
 from .rationals import ResourceError
 
@@ -35,6 +36,21 @@ _BLOCKS: list[int] = []
 _BLOCKS_LOCK = threading.Lock()
 
 
+def _primes_upto(n: int) -> list[int]:
+    """The primes p <= n, from a bytearray sieve."""
+    flags = bytearray([1]) * (n + 1)
+    flags[:2] = b"\0\0"
+    for p in range(2, math.isqrt(n) + 1):
+        if flags[p]:
+            flags[p * p :: p] = bytes(len(range(p * p, n + 1, p)))
+    return list(compress(range(n + 1), flags))
+
+
+# The 168 primes below 1000. factorize divides by these, and goes on with
+# the odd d from 1001 only when they leave a cofactor of at least 997^2.
+_SMALL_PRIMES = tuple(_primes_upto(999))
+
+
 @dataclass(frozen=True)
 class KempnerResult:
     q: int
@@ -54,23 +70,37 @@ def factorize(q: int) -> Factorization:
         raise ValueError("factorize requires q >= 2")
     factors: Factorization = []
     rest = q
-    d = 2
-    while d * d <= rest:
-        if d > TRIAL_DIVISION_LIMIT:
-            raise ResourceError(
-                f"trial division up to {TRIAL_DIVISION_LIMIT} leaves a"
-                f" {rest.bit_length()}-bit cofactor"
-            )
+    for d in _SMALL_PRIMES:
+        if d * d > rest:
+            break
         if rest % d == 0:
-            e = 0
-            while rest % d == 0:
-                e += 1
-                rest //= d
-            factors.append((d, e))
-        d += 1 if d == 2 else 2
+            rest = _divide_out(rest, d, factors)
+    else:
+        # The odd d go on to the first one past TRIAL_DIVISION_LIMIT, whose
+        # square ends the loop or which refuses the cofactor.
+        for d in range(1001, TRIAL_DIVISION_LIMIT + 3, 2):
+            if d * d > rest:
+                break
+            if d > TRIAL_DIVISION_LIMIT:
+                raise ResourceError(
+                    f"trial division up to {TRIAL_DIVISION_LIMIT} leaves a"
+                    f" {rest.bit_length()}-bit cofactor"
+                )
+            if rest % d == 0:
+                rest = _divide_out(rest, d, factors)
     if rest > 1:
         factors.append((rest, 1))
     return factors
+
+
+def _divide_out(rest: int, d: int, factors: Factorization) -> int:
+    """rest with every factor d taken out; appends (d, their count)."""
+    e = 0
+    while rest % d == 0:
+        e += 1
+        rest //= d
+    factors.append((d, e))
+    return rest
 
 
 def is_prime(n: int) -> bool:
@@ -108,7 +138,12 @@ def kempner_S(q: int, factorization: Factorization | None = None) -> int:
         return 1
     if factorization is None:
         factorization = factorize(q)
-    return max(kempner_prime_power(p, a) for p, a in factorization)
+    s = 0
+    for p, a in factorization:
+        k = kempner_prime_power(p, a)
+        if k > s:
+            s = k
+    return s
 
 
 def kempner_S_naive(q: int) -> int:

@@ -23,12 +23,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .enclosure import (
-    compare_distance_to_e,
-    endpoint,
-    floor_e_times,
-    render_distance,
-)
+from .enclosure import _render, compare_distance_to_e, endpoint, floor_e_times
 from .kempner import is_prime, kempner_S, largest_prime_factor
 from .rationals import LESS, ResourceError, rising_product
 
@@ -110,13 +105,13 @@ def prime_factor_bound(q: int) -> Fraction:
 
 def _verdict(p: int, q: int, bound_name: str, bound: Fraction | int) -> MeasureVerdict:
     """The verdict on |e - p/q| > bound, for a Fraction bound or, given an
-    int k, the bound 1/k!, which is decided without building k!."""
-    r = Fraction(p, q)
+    int k, the bound 1/k!, which is decided without building k!. p/q need
+    not be in lowest terms."""
     if isinstance(bound, Fraction):
-        margin = render_distance(r, MARGIN_DIGITS, bound=bound)
+        margin = _render(p, q, bound.numerator, bound.denominator, 0, MARGIN_DIGITS)
     else:
         _check_factorial_bits(bound)
-        margin = render_distance(r, MARGIN_DIGITS, bound=Fraction(1), m=bound)
+        margin = _render(p, q, 1, 1, bound, MARGIN_DIGITS)
     return MeasureVerdict(
         p=p,
         q=q,

@@ -20,6 +20,7 @@ from emeasure.enclosure import (
     refine,
     render_distance,
 )
+from emeasure.measures import check_theorem1
 from emeasure.rationals import GREATER, LESS, truncate_decimal
 
 
@@ -196,6 +197,16 @@ def test_refine_depth_schedule(monkeypatch):
     ]
 
 
+@pytest.mark.parametrize("max_depth", [MAX_DEPTH, 1, 2, 8])
+def test_refine_starts_at_the_literal_first_depth(monkeypatch, max_depth):
+    # refine bisects over 0!, ..., 20! and multiplies on from 21: k! - 1, k!
+    # and k! + 1 sit on either side of every step, the 20!/21! seam included.
+    for k in range(26):
+        for floor in (math.factorial(k) - 1, math.factorial(k), math.factorial(k) + 1):
+            [n] = _depths_seen(monkeypatch, max_depth, stop_after=1, floor=floor)
+            assert n == min(_first_depth(floor), max_depth), (k, floor)
+
+
 def test_nearest_multiples_of_inverse_factorial_keep_distance():
     # |e - m/n!| > 1/(n+1)! for the integers m nearest to e * n!.
     for n in range(2, 21):
@@ -369,6 +380,12 @@ def _first_depth(floor):
     return n
 
 
+def _start_depth(unit):
+    """Where refine starts a caller whose unit is 1/unit: the bracket is
+    2^-8 of it."""
+    return _first_depth(unit << 8)
+
+
 @pytest.fixture
 def brackets(monkeypatch):
     """(n, b) of each _margin the enclosure builds, in order."""
@@ -397,21 +414,24 @@ def depths(monkeypatch):
 
 @pytest.mark.parametrize("q", [1, 2, 6, 7, 24, 25, 10**6, math.factorial(12)])
 def test_floor_e_times_starts_at_the_smallest_factorial_above_q(depths, q):
+    # The smallest n with n! >= 2^8 (q + 1): n! > q with 8 bits to spare.
     assert floor_e_times(q) == math.floor(_DEEP_BOX.left * q)
-    assert depths[0] == _first_depth(q + 1)
+    assert depths[0] == _start_depth(q + 1)
 
 
 def test_floor_e_times_at_a_factorial_decides_at_the_next_depth(depths):
-    # At q = n! the depth n + 1 bracket is [N_n + 1/(n+1), N_n + 2/(n+1)].
+    # At q = n! the depth n bracket is [N_n, N_n + 1] and cannot decide; the
+    # start depth, past n, is the only one read.
     for n in range(2, 21):
         depths.clear()
         assert floor_e_times(math.factorial(n)) == endpoint(n)[0]
-        assert depths == [n + 1]
+        assert depths == [_start_depth(math.factorial(n) + 1)]
+        assert depths[0] > n
 
 
 def test_bound_at_an_end_of_the_bracket_decides_at_the_first_depth(depths):
     # The margin is irrational, so a bracket end at 0 already fixes its sign.
-    s6, s10 = partial_sum(6), partial_sum(10)
+    s6, s12 = partial_sum(6), partial_sum(12)
     for r, bound, answer in (
         (Fraction(2), s6 - 2, GREATER),
         (Fraction(2), s6 + Fraction(1, 720) - 2, LESS),
@@ -420,9 +440,31 @@ def test_bound_at_an_end_of_the_bracket_decides_at_the_first_depth(depths):
         depths.clear()
         assert compare_distance_to_e(r, bound) == answer
         assert depths == [6]
+    # 6 digits start at depth 12, where the bracket of |e - 2| is
+    # [s_12 - 2, s_12 - 2 + 1/12!].
     depths.clear()
-    assert render_distance(Fraction(2), 6, bound=s10 - 2) == "0.000000"
-    assert depths == [10]
+    assert render_distance(Fraction(2), 6, bound=s12 - 2) == "0.000000"
+    assert depths == [12] == [_start_depth(10**6)]
+
+
+def test_decisions_read_a_second_depth_rarely(brackets, depths):
+    # With 8 bits of slack the start depth decides nearly every query: on
+    # [2, 3000] the bracket holds an integer or a truncation boundary for a
+    # few q. With none, 42% of the floors, 28% of the theorem1 verdicts and
+    # 72% of the 12-digit renderings read a second depth.
+    second = {"floor": 0, "theorem1": 0, "render": 0}
+    queries = range(2, 3001)
+    for q in queries:
+        depths.clear()
+        f = floor_e_times(q)
+        second["floor"] += len(depths) > 1
+        brackets.clear()
+        check_theorem1(f, q)
+        second["theorem1"] += len(brackets) > 1
+        brackets.clear()
+        render_distance(Fraction(f, q), 12)
+        second["render"] += len(brackets) > 1
+    assert all(100 * count < len(queries) for count in second.values()), second
 
 
 @pytest.mark.parametrize("digits", [1, 5, 6, 12, 30])
@@ -430,8 +472,8 @@ def test_render_starts_at_the_first_depth_that_can_fix_the_digits(brackets, digi
     for r, bound in ((Fraction(65, 24), Fraction(0)), (Fraction(8, 3), Fraction(1, 120))):
         brackets.clear()
         render_distance(r, digits, bound=bound)
-        assert brackets[0][0] == _first_depth(10**digits)
-    assert {1: 4, 5: 9, 6: 10, 12: 15, 30: 29}[digits] == _first_depth(10**digits)
+        assert brackets[0][0] == _start_depth(10**digits)
+    assert {1: 7, 5: 11, 6: 12, 12: 17, 30: 30}[digits] == _start_depth(10**digits)
 
 
 @pytest.mark.parametrize("k", [100, 1000, 5004])
@@ -453,7 +495,7 @@ def test_render_with_bound_on_the_bracket_denominator(data, digits):
     # A bound m / (n0! b) is a whole number of units of every bracket from
     # the start depth n0 on: the remainder is 0 at each depth tried.
     r = data.draw(rationals_near_e)
-    n0 = _first_depth(10**digits)
+    n0 = _start_depth(10**digits)
     unit = Fraction(1, math.factorial(n0) * r.denominator)
     lo, hi = _oracle_bracket(r)
     m = data.draw(
@@ -497,7 +539,7 @@ ROUNDING_CASES = [Fraction(2), Fraction(5, 2), Fraction(8, 3), Fraction(11, 4), 
 def _bounds_between_units(r, digits):
     """(bound, oracle render) pairs for bounds 0.999 bracket units past a
     whole number of units at the start depth, next to truncation boundaries."""
-    n = _first_depth(10**digits)
+    n = _start_depth(10**digits)
     num, fact = endpoint(n)
     den = fact * r.denominator
     lo = num * r.denominator - r.numerator * fact
@@ -554,9 +596,9 @@ _S20 = Fraction(*endpoint(20))  # its denominator is 20!
     ),
     st.integers(min_value=1, max_value=12),
 )
-@example(Fraction(65, 24), 5, 6)  # m below the start depth 10
+@example(Fraction(65, 24), 5, 6)  # m below the start depth 12
 @example(Fraction(65, 24), 3000, 12)  # m far past the deciding depth
-@example(_S20, 15, 6)  # 15! divides 10! 20!: no remainder
+@example(_S20, 15, 6)  # 15! divides 12! 20!: no remainder
 @example(_S20, 21, 6)  # 1/21! is just below e - s_20
 def test_render_with_factorial_bound_matches_the_built_bound(r, m, digits):
     built = render_distance(r, digits, bound=Fraction(1, math.factorial(m)))

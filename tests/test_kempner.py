@@ -24,6 +24,22 @@ def trial_is_prime(n):
     return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
+def trial_factorize(n):
+    """(prime, exponent) pairs of n >= 2 by dividing out every d >= 2 in turn."""
+    factors, d = [], 2
+    while d * d <= n:
+        e = 0
+        while n % d == 0:
+            n //= d
+            e += 1
+        if e:
+            factors.append((d, e))
+        d += 1
+    if n > 1:
+        factors.append((n, 1))
+    return factors
+
+
 def legendre_valuation(p, k):
     """Exponent of the prime p in k!: the sum of floor(k / p^i) (Legendre)."""
     total, power = 0, p
@@ -61,6 +77,18 @@ def test_is_prime_matches_trial_division():
         assert is_prime(n) == trial_is_prime(n), n
     assert is_prime(2**31 - 1) and is_prime(999999999989)
     assert not is_prime(999979 * 999983)
+
+
+def test_factorize_matches_trial_division_below_2e5():
+    for n in range(2, 2 * 10**5):
+        assert factorize(n) == trial_factorize(n), n
+
+
+@pytest.mark.parametrize("n", [997**2, 997 * 1009, 1009**2, 991 * 997 * 1009, 10007**2])
+def test_factorize_at_the_end_of_the_prime_table(n):
+    # factorize divides by the primes below 1000, then by every odd d from
+    # 1001: 997 is the last prime in the table and 1009 the first after it.
+    assert factorize(n) == trial_factorize(n)
 
 
 def test_factorize_rejects_small():

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from emeasure import kempner, measures
 from emeasure.density import density_report
-from emeasure.enclosure import endpoint, floor_e_times
+from emeasure.enclosure import endpoint, floor_e_times, render_distance
 from emeasure.kempner import kempner_S, kempner_S_naive, largest_prime_factor
 from emeasure.measures import (
     check_known,
@@ -153,6 +153,28 @@ def test_known_measure_bound_fractional_eps_is_lower_bound():
             # And not absurdly small: within a factor of 2 of the target.
             doubled = 2 * bound
             assert doubled.numerator**d * q ** (2 * d + c) > doubled.denominator**d
+
+
+@given(
+    st.integers(min_value=2, max_value=2000),
+    st.integers(min_value=-2, max_value=2),
+    st.integers(min_value=1, max_value=5),
+    st.fractions(min_value=0, max_value=3, max_denominator=7),
+)
+def test_verdicts_match_the_fraction_rendering(q, offset, g, eps):
+    # Oracle: the margin rendered from the reduced Fraction p/q and the
+    # built bound. p/q is drawn near e and, for g > 1, not in lowest terms.
+    p, q = g * (floor_e_times(q) + offset), g * q
+    largest = largest_prime_factor_by_trial_division(q)
+    for verdict, bound in (
+        (check_theorem1(p, q), Fraction(1, math.factorial(kempner_S_naive(q) + 1))),
+        (check_prime_factor_bound(p, q), Fraction(1, math.factorial(largest + 1))),
+        (check_weak_prime(p, q), Fraction(1, math.factorial(q + 1))),
+        (check_known(p, q, eps), known_measure_bound(q, eps)),
+    ):
+        margin = render_distance(Fraction(p, q), 6, bound=bound)
+        assert (verdict.p, verdict.q) == (p, q)
+        assert (verdict.margin_digits, verdict.holds) == (margin, margin[0] != "-")
 
 
 def test_check_known_verdict():
