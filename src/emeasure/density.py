@@ -29,6 +29,7 @@ from operator import floordiv, gt, ne
 from .kempner import _primes_upto, kempner_prime_power
 from .rationals import ResourceError, rising_product, truncate_decimal
 
+# The most q one kempner_range call covers: it builds three lists that long.
 BLOCK_SIZE = 1 << 16
 # The most entries one scan may cover (x + 1), read when a plan is made.
 MAX_SCAN_ENTRIES = 10**8
@@ -94,6 +95,8 @@ def kempner_range(lo: int, hi: int, plan: KempnerPlan) -> tuple[list[int], list[
     if not 2 <= lo <= hi <= plan.x:
         raise ValueError("kempner_range requires 2 <= lo <= hi <= the plan's x")
     n = hi - lo + 1
+    if n > BLOCK_SIZE:
+        raise ResourceError(f"range of {n} q exceeds BLOCK_SIZE = {BLOCK_SIZE}")
     S = [0] * n
     P = [0] * n
     rest = list(range(lo, hi + 1))

@@ -21,8 +21,8 @@ from .rationals import (
     LESS,
     ResourceError,
     rising_product,
+    scaled_text,
     split_sum,
-    truncate_ratio,
 )
 
 # The deepest interval of every enclosure. Its endpoint pair is about 30 KB
@@ -175,47 +175,39 @@ def compare_distance_to_e(r: Fraction, bound: Fraction) -> str:
     )
 
 
-def render_distance(
-    r: Fraction, digits: int, bound: Fraction = Fraction(0), m: int = 0
-) -> str:
-    """Truncated decimal of |e - r| - bound / m!, with sign, correct to
-    `digits` places.
-
-    The value is irrational, so refining eventually fixes its sign and both
-    bracket endpoints truncate identically. Refinement starts at the smallest
-    n with n! >= 2^8 10^digits. Below 10^digits, I_n is wider than a unit in
-    the last place and the bracket of an r outside it cannot decide; near
-    10^digits it often still holds a truncation boundary (see
-    _START_SLACK_BITS). A bound 1/m! is passed as bound = 1 and m, and m! is
-    never built.
-    """
+def render_distance(r: Fraction, digits: int) -> str:
+    """Truncated decimal of |e - r|, correct to `digits` places."""
     if digits < 1:
         raise ValueError("digits must be >= 1")
-    if m < 0:
-        raise ValueError("m must be >= 0")
     # With MAX_DEPTH <= 10^k, every n <= MAX_DEPTH has n! < n^n <=
     # 10^(k MAX_DEPTH): past that, refuse before building 10^digits.
     if digits >= MAX_DEPTH * len(str(MAX_DEPTH - 1)):
         raise DepthCapExceeded(
             f"{digits} digits need a depth past MAX_DEPTH = {MAX_DEPTH}"
         )
-    a, b = r.numerator, r.denominator
-    return _render(a, b, bound.numerator, bound.denominator, m, digits)
+    return _render(r.numerator, r.denominator, 0, 1, 0, digits)
 
 
 def _render(a: int, b: int, u: int, v: int, m: int, digits: int) -> str:
-    """render_distance of r = a/b and bound = u/v, all ints with b, v > 0,
-    for m >= 0 and digits >= 1: a/b need not be in lowest terms."""
+    """Truncated decimal of |e - a/b| - u / (v m!), with sign, correct to
+    `digits` places, for ints with b, v > 0, m >= 0 and digits >= 1; a/b
+    need not be in lowest terms, and m! is never built.
+
+    The value is irrational, so refining eventually fixes its sign and both
+    bracket endpoints truncate identically. Refinement starts at the smallest
+    n with n! >= 2^8 10^digits. Below 10^digits, I_n is wider than a unit in
+    the last place and the bracket of an r outside it cannot decide; near
+    10^digits it often still holds a truncation boundary (see
+    _START_SLACK_BITS).
+    """
     unit = 10**digits
 
     def decide(n: int) -> str | None:
         lo, hi, den = _margin(a, b, u, v, m, n)
-        if lo < 0 < hi:  # sign still open
+        low = (lo < 0, abs(lo) * unit // den)
+        if low != (hi < 0, abs(hi) * unit // den):
             return None
-        # truncate_ratio's text is fixed by the sign and the scaled digits.
-        if (lo < 0, abs(lo) * unit // den) != (hi < 0, abs(hi) * unit // den):
-            return None
-        return truncate_ratio(lo, den, digits)
+        return scaled_text(*low, digits)
 
     return refine(decide, unit << _START_SLACK_BITS)
 

@@ -12,8 +12,8 @@ pointwise comparator of theorem1 vs the classical bound.
 
 A verdict against a bound 1/k! is decided without building k!: the
 enclosure scales the bound onto each bracket's denominator n! q, dividing by
-k! through the factors between n and k. MeasureVerdict.bound builds 1/k!
-only when it is first read.
+k! through the factors between n and k, so it answers for any k.
+MeasureVerdict.bound builds 1/k! only when it is first read.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .enclosure import _render, compare_distance_to_e, endpoint, floor_e_times
+from .enclosure import _render, compare_distance_to_e, endpoint
 from .kempner import is_prime, kempner_S, largest_prime_factor
 from .rationals import LESS, ResourceError, rising_product
 
@@ -31,7 +31,8 @@ MARGIN_DIGITS = 6
 
 # The most bits a bound, or an integer built to compare bounds, may have.
 # Each is checked against a small-int upper bound on its size before it is
-# built: k! has fewer than k * k.bit_length() bits.
+# built: k! has fewer than k * k.bit_length() bits. A verdict against 1/k!
+# builds no k!, so it answers past this budget.
 MAX_BOUND_BITS = 1 << 20
 
 def _check_bits(bits: int, what: str) -> None:
@@ -41,13 +42,9 @@ def _check_bits(bits: int, what: str) -> None:
         raise ResourceError(f"{what} exceeds MAX_BOUND_BITS = {MAX_BOUND_BITS} bits")
 
 
-def _check_factorial_bits(k: int) -> None:
-    _check_bits(k * k.bit_length(), "the bound 1/k!")
-
-
 def _inverse_factorial(k: int) -> Fraction:
     """1/k!, within the bit budget."""
-    _check_factorial_bits(k)
+    _check_bits(k * k.bit_length(), "the bound 1/k!")
     return Fraction(1, math.factorial(k))
 
 
@@ -79,28 +76,18 @@ def _theorem1_k(q: int) -> int:
 
 
 def _weak_prime_k(q: int) -> int:
-    _require_q(q, "weak_prime_bound")
+    _require_q(q, "check_weak_prime")
     return q + 1
 
 
 def _prime_factor_k(q: int) -> int:
-    _require_q(q, "prime_factor_bound")
+    _require_q(q, "check_prime_factor_bound")
     return largest_prime_factor(q) + 1
 
 
 def theorem1_bound(q: int) -> Fraction:
     """1/(S(q)+1)!, the lower bound of the new measure; requires q >= 2."""
     return _inverse_factorial(_theorem1_k(q))
-
-
-def weak_prime_bound(q: int) -> Fraction:
-    """1/(q+1)!, the weakening obtained from S(q) <= q."""
-    return _inverse_factorial(_weak_prime_k(q))
-
-
-def prime_factor_bound(q: int) -> Fraction:
-    """1/(P(q)+1)!; valid for almost all q, not for every q."""
-    return _inverse_factorial(_prime_factor_k(q))
 
 
 def _verdict(p: int, q: int, bound_name: str, bound: Fraction | int) -> MeasureVerdict:
@@ -110,7 +97,6 @@ def _verdict(p: int, q: int, bound_name: str, bound: Fraction | int) -> MeasureV
     if isinstance(bound, Fraction):
         margin = _render(p, q, bound.numerator, bound.denominator, 0, MARGIN_DIGITS)
     else:
-        _check_factorial_bits(bound)
         margin = _render(p, q, 1, 1, bound, MARGIN_DIGITS)
     return MeasureVerdict(
         p=p,
@@ -151,16 +137,6 @@ def check_sharpness(n: int) -> bool:
     return all(
         compare_distance_to_e(Fraction(p, fact), bound) == LESS for p in (num, num + 1)
     )
-
-
-def nearest_p_candidates(q: int) -> list[int]:
-    """Numerators p for which p/q is closest to e: floor(e*q) +/- 1.
-
-    Any p violating a bound below 1/(2q) must give the nearest fraction, so
-    these three candidates suffice for 'for all p' sweeps.
-    """
-    f = floor_e_times(q)
-    return [f - 1, f, f + 1]
 
 
 def corollary2_scan(n: int) -> dict:

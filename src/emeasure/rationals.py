@@ -69,9 +69,15 @@ def truncate_ratio(num: int, den: int, digits: int) -> str:
     not be in lowest terms."""
     if digits < 1:
         raise ValueError("digits must be >= 1")
-    sign = "-" if num < 0 else ""
-    scaled = (abs(num) * 10**digits) // den
+    return scaled_text(num < 0, abs(num) * 10**digits // den, digits)
+
+
+def scaled_text(negative: bool, scaled: int, digits: int) -> str:
+    """The decimal text, with `digits` places, of scaled / 10^digits for an
+    int scaled >= 0, signed "-" when `negative`: the text of a truncation,
+    from its sign and its digits scaled to an int."""
     int_part, frac_part = divmod(scaled, 10**digits)
+    sign = "-" if negative else ""
     return f"{sign}{int_str(int_part)}.{int_str(frac_part).zfill(digits)}"
 
 

@@ -550,7 +550,7 @@ def fail_to_build(*args):
         # 40000 digits need 10000! > 10^40000, which is false.
         (
             enclosure,
-            "truncate_ratio",
+            "scaled_text",
             ["distance", "--p", "65", "--q", "24", "--digits", "40000"],
         ),
         (kempner, "kempner_S_naive", ["kempner", "--oracle-check", "--max", "1000000"]),

@@ -55,9 +55,7 @@ CALLS = {
     "largest_prime_factor": emeasure.largest_prime_factor,
     "partial_sum": emeasure.partial_sum,
     "partial_sum_record": emeasure.partial_sum_record,
-    "render_distance": lambda digits, m: emeasure.render_distance(
-        NEAR_E, digits, Fraction(1), m
-    ),
+    "render_distance": lambda digits: emeasure.render_distance(NEAR_E, digits),
     "theorem1_bound": emeasure.theorem1_bound,
 }
 NO_INT_ARGUMENTS = {"classify", "compare_distance_to_e", "is_convergent"}

