@@ -18,21 +18,37 @@ from decimal import Decimal
 from fractions import Fraction
 
 from .enclosure import check_depth, compare_distance_to_e, endpoint
+from .kempner import _primes_upto
 from .rationals import LESS, decimal_text, exact_decimal
 
 
 @dataclass(frozen=True)
 class Convergent:
+    """p_k/q_k, the pair as stored: coprime, as p_k q_(k-1) - p_(k-1) q_k = +-1."""
+
     index: int
-    value: Fraction
+    p: int
+    q: int
+
+    @property
+    def value(self) -> Fraction:
+        """p_k/q_k as a Fraction, built (with its gcd) when read."""
+        return Fraction(self.p, self.q)
 
 
 @dataclass(frozen=True)
 class PartialSumRecord:
+    """s_n = N_n/n! = num/q_n in lowest terms, with g = gcd(N_n, n!)."""
+
     n: int
-    s_n: Fraction
-    q_n: int  # denominator of s_n in lowest terms
-    full_factorial: bool  # q_n == n!
+    num: int  # N_n / g
+    q_n: int  # n! / g
+    g: int
+
+    @property
+    def full_factorial(self) -> bool:
+        """q_n == n!"""
+        return self.g == 1
 
 
 def _partial_quotient(k: int) -> int:
@@ -110,39 +126,75 @@ def convergent_texts(count: int) -> list[tuple[str, str]]:
 
 def convergents(count: int) -> list[Convergent]:
     """First `count` convergents of e (2, 3, 8/3, 11/4, 19/7, ...)."""
-    return [
-        Convergent(k, Fraction(p, q)) for k, (p, q) in enumerate(convergent_pairs(count))
-    ]
+    return [Convergent(k, p, q) for k, (p, q) in enumerate(convergent_pairs(count))]
 
 
 def is_convergent(r: Fraction) -> bool:
     """True iff r equals some convergent of e."""
     _grow(0, r.denominator)
+    return _in_table(r.numerator, r.denominator)
+
+
+def _in_table(p: int, q: int) -> bool:
+    """True iff p/q, in lowest terms with q > 0, is a stored convergent."""
     # q_k increases strictly from k = 1 on; only q_0 = q_1 = 1 repeat.
-    lo = bisect.bisect_left(_Q, r.denominator, 2)
-    hi = bisect.bisect_right(_Q, r.denominator, 2)
-    return r.numerator in _P[lo:hi]
+    lo = bisect.bisect_left(_Q, q, 2)
+    hi = bisect.bisect_right(_Q, q, 2)
+    return p in _P[lo:hi]
 
 
 def partial_sum_record(n: int) -> PartialSumRecord:
-    """Partial sum s_n with its reduced denominator q_n and whether q_n = n!."""
-    return _record(n, endpoint(n))
+    """Partial sum s_n in lowest terms, with g = n!/q_n."""
+    # Every prime that may divide n! is tried: one division of N_n each.
+    return _record(n, endpoint(n), _primes_upto(n))
 
 
-def _record(n: int, pair: tuple[int, int]) -> PartialSumRecord:
+def _record(n: int, pair: tuple[int, int], primes: list[int]) -> PartialSumRecord:
+    """The record of (N_n, n!), where `primes` holds every prime dividing
+    g = gcd(N_n, n!). For each, v_p(g) = min(v_p(N_n), v_p(n!)): N_n is
+    divided by p at most v_p(n!) times (Legendre), and is left as N_n/g."""
     num, fact = pair
-    s_n = Fraction(num, fact)
-    q_n = s_n.denominator
-    return PartialSumRecord(n=n, s_n=s_n, q_n=q_n, full_factorial=(q_n == fact))
+    g = 1
+    for p in primes:
+        budget, power = 0, p
+        while power <= n:
+            budget += n // power
+            power *= p
+        for _ in range(budget):
+            quotient, rest = divmod(num, p)
+            if rest:
+                break
+            num = quotient
+            g *= p
+    return PartialSumRecord(n=n, num=num, q_n=fact // g, g=g)
+
+
+def _prime_hits(max_n: int) -> list[list[int]]:
+    """hits[n]: the primes p <= n with p | N_n, n = 0..max_n.
+
+    Write n = tp + r with 0 <= r < p. Each term n!/j! of N_n = sum_j n!/j!
+    with j < tp has the factor tp; the others are (j+1)...n, which reduce
+    mod p to the terms r!/i! of N_r. So N_n = N_r (mod p), and one pass of
+    N_r mod p over r < p finds every n at which p divides N_n and n!."""
+    hits: list[list[int]] = [[] for _ in range(max_n + 1)]
+    for p in _primes_upto(max_n):
+        residue = 1  # N_0
+        # n = tp + r needs t >= 1 for p | n!, so r <= max_n - p.
+        for r in range(1, min(p, max_n - p + 1)):
+            residue = (r * residue + 1) % p
+            if not residue:
+                for n in range(p + r, max_n + 1, p):
+                    hits[n].append(p)
+    return hits
 
 
 def partial_sum_scan(
     max_n: int, check_convergent: bool = False
 ) -> Iterator[tuple[PartialSumRecord, bool | None]]:
-    """Rows (partial_sum_record(n), is_convergent(s_n) or None), n = 0..max_n,
-    computed as they are read. The depth, and with check_convergent one growth
-    of the table past max_n! (no s_n has a larger denominator), are checked
-    before this returns."""
+    """Rows (partial_sum_record(n), whether s_n is a convergent or None),
+    n = 0..max_n, computed as they are read; no row runs a gcd. The depth,
+    and with check_convergent one growth of the table past max_n! (no s_n has
+    a larger denominator), are checked before this returns."""
     if max_n < 0:
         raise ValueError("max_n must be >= 0")
     check_depth(max_n)
@@ -150,8 +202,8 @@ def partial_sum_scan(
         _grow(0, math.factorial(max_n))
     # One pass of N_n = n N_(n-1) + 1 beside n!: cheaper than a tree per row.
     pairs = itertools.accumulate(range(1, max_n + 1), _next_sum, initial=(1, 1))
-    records = itertools.starmap(_record, enumerate(pairs))
-    return ((r, is_convergent(r.s_n) if check_convergent else None) for r in records)
+    records = map(_record, itertools.count(), pairs, _prime_hits(max_n))
+    return ((r, _in_table(r.num, r.q_n) if check_convergent else None) for r in records)
 
 
 def _next_sum(pair, n: int):
@@ -166,9 +218,8 @@ def partial_sum_texts(
     """partial_sum_scan's rows, each with the decimal texts of s_n's numerator
     and denominator. N_n and n! run through their recurrence again in
     decimal, where a step is linear in the digits, and are printed divided by
-    g = n!/q_n; each is checked against the record's int times g
+    the record's g; each is checked against the record's int times g
     (rationals.decimal_text)."""
-    fact = 1
     pair = (Decimal(1), Decimal(1))
     for record, hit in rows:
         n = record.n
@@ -176,11 +227,9 @@ def partial_sum_texts(
         # the caller between rows.
         with exact_decimal():
             if n:
-                fact *= n
                 pair = _next_sum(pair, n)
-            g = fact // record.q_n
-            num = decimal_text(pair[0], record.s_n.numerator, g)
-            den = decimal_text(pair[1], record.q_n, g)
+            num = decimal_text(pair[0], record.num, record.g)
+            den = decimal_text(pair[1], record.q_n, record.g)
         yield record, hit, num, den
 
 

@@ -66,9 +66,14 @@ def test_convergents_from_recurrence_oracle():
     assert [c.value for c in convergents(30)] == _recurrence_oracle(30)
 
 
-def test_convergent_pairs_are_the_convergents_in_lowest_terms():
-    values = [c.value for c in convergents(200)]
-    assert convergent_pairs(200) == [(r.numerator, r.denominator) for r in values]
+def test_convergent_pairs_are_the_convergents_in_lowest_terms(monkeypatch):
+    pairs = convergent_pairs(200)
+    assert pairs == [(r.numerator, r.denominator) for r in _recurrence_oracle(200)]
+    # Each Convergent carries its pair; no gcd runs until .value is read.
+    monkeypatch.setattr(math, "gcd", None)
+    table = convergents(200)
+    monkeypatch.undo()
+    assert [(c.index, (c.p, c.q)) for c in table] == list(enumerate(pairs))
     with pytest.raises(ValueError, match="count must be >= 1"):
         convergent_pairs(0)
 
@@ -131,7 +136,7 @@ def test_partial_sum_record_anchors():
     rec4 = partial_sum_record(4)
     assert rec4.q_n == 24 and rec4.full_factorial
     rec3 = partial_sum_record(3)
-    assert rec3.s_n == Fraction(8, 3) and rec3.q_n == 3 and not rec3.full_factorial
+    assert (rec3.num, rec3.q_n, rec3.g) == (8, 3, 2) and not rec3.full_factorial
 
 
 def test_denominators_divide_factorial():
@@ -166,15 +171,49 @@ def test_scan_preconditions():
     with pytest.raises(ValueError):
         conjecture2_scan(0)
     # n = 0 is a row of its own: s_0 = 1 = 0!/0!.
-    rows = list(partial_sum_scan(0))
-    assert [(record.n, record.s_n, hit) for record, hit in rows] == [(0, 1, None)]
+    [(record, hit)] = partial_sum_scan(0)
+    assert (record.n, record.num, record.q_n, record.g, hit) == (0, 1, 1, 1, None)
     # s_3 = 8/3, so q_3 = 3 != 3! and the scan at max_n = 3 has no row.
     assert corollary3_scan(3) == []
 
 
+def test_reduced_rows_match_the_fraction_oracle():
+    # The scan finds g = gcd(N_n, n!) from its residue table, with no gcd;
+    # Fraction reduces N_n/n! by one.
+    num, fact, wrong = 1, 1, []
+    for record, _ in partial_sum_scan(3000):
+        n = record.n
+        if n:
+            num, fact = n * num + 1, n * fact
+        s_n = Fraction(num, fact)
+        g = fact // s_n.denominator
+        if (record.num, record.q_n, record.g) != (s_n.numerator, s_n.denominator, g):
+            wrong.append(n)
+    assert wrong == []
+
+
+def test_rows_run_no_gcd(monkeypatch):
+    # Fraction reduces by math.gcd, so no Fraction is built either.
+    partial_sum_scan(300, check_convergent=True)  # grows and proves the table
+    monkeypatch.setattr(math, "gcd", None)
+    rows = list(cfrac.partial_sum_texts(partial_sum_scan(300, check_convergent=True)))
+    assert [record.n for record, hit, _, _ in rows if hit] == [1, 3]
+
+
+def test_check_convergent_edge(monkeypatch):
+    # The table proved past 5404! is the largest within MAX_DEPTH: 5405 is
+    # refused by the call, before any row.
+    _fresh_table(monkeypatch)
+    partial_sum_scan(5404, check_convergent=True)
+    with pytest.raises(DepthCapExceeded, match="undecided at MAX_DEPTH"):
+        partial_sum_scan(5405, check_convergent=True)
+    assert conjecture2_scan(5404) == [1, 3]
+
+
 def test_partial_sums_are_left_endpoints():
     for n in range(1, 30):
-        assert partial_sum_record(n).s_n == partial_sum(n)
+        record = partial_sum_record(n)
+        assert Fraction(record.num, record.q_n) == partial_sum(n)
 
 
 def test_proved_table_matches_per_convergent_oracle(monkeypatch):

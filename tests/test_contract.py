@@ -60,13 +60,6 @@ CALLS = {
 }
 NO_INT_ARGUMENTS = {"classify", "compare_distance_to_e", "is_convergent"}
 
-# Accepted ints that take far longer than the rest, left out; the refusals
-# beside them are still drawn. convergents(count) builds a Fraction, and so a
-# gcd, per convergent: about 12 s at count 10^4, past TIME_LIMIT.
-SLOW = {
-    "convergents": {enclosure.MAX_DEPTH - 1, enclosure.MAX_DEPTH, enclosure.MAX_DEPTH + 1},
-}
-
 
 class Overtime(Exception):
     pass
@@ -98,7 +91,7 @@ def test_every_exported_function_is_covered():
 @given(data=st.data())
 def test_answer_or_refusal_in_time(name, data):
     call = CALLS[name]
-    ints = st.sampled_from([n for n in POOL if n not in SLOW.get(name, ())])
+    ints = st.sampled_from(POOL)
     args = [data.draw(ints, label=arg) for arg in inspect.signature(call).parameters]
     try:
         with time_limit(TIME_LIMIT):

@@ -283,6 +283,17 @@ def test_csv_export(tmp_path):
     assert (row6["S"], row6["P"]) == ("3", "3")
 
 
+def test_csv_across_a_block_edge(tmp_path):
+    # x = BLOCK_SIZE + 2 is the first q of a second block, which writes one row.
+    x = density.BLOCK_SIZE + 2
+    path = tmp_path / "edge.csv"
+    density_report(x, csv_path=str(path))
+    with open(path) as handle:
+        rows = list(csv.reader(handle))[1:]
+    assert len(rows) == 65_537
+    assert rows[-1][0] == "65538"
+
+
 def test_csv_is_the_csv_writer_text(tmp_path):
     # Oracle: csv.writer over the spf table's values, with q^2 >= S(q)! tested on
     # math.factorial (20! > 10^10 >= q^2, so a larger S(q) never fails).
