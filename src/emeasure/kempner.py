@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import compress
 
 from .rationals import ResourceError
@@ -66,6 +67,18 @@ def factorize(q: int) -> Factorization:
     cofactor that may still be composite: one with no divisor up to the
     limit and at least (TRIAL_DIVISION_LIMIT + 1)^2 = 1 000 002 000 001.
     """
+    return list(_factors(q))
+
+
+# Bounded, and typed so that factorize(6.0) does not answer for 6. It holds
+# the repeats of one query: a perfbench decide job asks about each q through
+# kempner_result, check_theorem1 at f and f + 1, check_prime_factor_bound and
+# compare_bounds, and so runs 2 185 trial divisions (seed 1) where it ran one
+# per call, 13 660. verify-paper's range checks ask about each q about once
+# and gain nothing. A raise is never cached.
+@lru_cache(maxsize=64, typed=True)
+def _factors(q: int) -> tuple[tuple[int, int], ...]:
+    """factorize(q) as a tuple, which every caller shares."""
     if q < 2:
         raise ValueError("factorize requires q >= 2")
     factors: Factorization = []
@@ -90,7 +103,7 @@ def factorize(q: int) -> Factorization:
                 rest = _divide_out(rest, d, factors)
     if rest > 1:
         factors.append((rest, 1))
-    return factors
+    return tuple(factors)
 
 
 def _divide_out(rest: int, d: int, factors: Factorization) -> int:
@@ -106,7 +119,7 @@ def _divide_out(rest: int, d: int, factors: Factorization) -> int:
 def is_prime(n: int) -> bool:
     """Whether n is prime, decided by factorize: raises ResourceError where
     factorize does (the first prime refused is 1 000 002 000 007)."""
-    return n >= 2 and factorize(n) == [(n, 1)]
+    return n >= 2 and _factors(n) == ((n, 1),)
 
 
 def kempner_prime_power(p: int, a: int) -> int:
@@ -130,17 +143,22 @@ def kempner_prime_power(p: int, a: int) -> int:
     return k
 
 
-def kempner_S(q: int, factorization: Factorization | None = None) -> int:
+def kempner_S(q: int) -> int:
     """S(q): smallest positive k such that q divides k!. S(1) = 1."""
     if q < 1:
         raise ValueError("kempner_S requires q >= 1")
     if q == 1:
         return 1
-    if factorization is None:
-        factorization = factorize(q)
+    return _kempner_S(_factors(q))
+
+
+def _kempner_S(factors) -> int:
+    """S(q) from the factorization of q >= 2: the largest S(p^a)."""
     s = 0
-    for p, a in factorization:
-        k = kempner_prime_power(p, a)
+    for p, a in factors:
+        # S(p) = p without a call: most exponents are 1, and verify-paper
+        # runs this loop for some 22 000 q, almost all of them uncached.
+        k = p if a == 1 else kempner_prime_power(p, a)
         if k > s:
             s = k
     return s
@@ -184,16 +202,12 @@ def kempner_S_naive(q: int) -> int:
 
 def largest_prime_factor(q: int) -> int:
     """P(q): greatest prime dividing q, for q >= 2."""
-    return factorize(q)[-1][0]
+    return _factors(q)[-1][0]
 
 
 def kempner_result(q: int) -> KempnerResult:
     if q < 2:
         raise ValueError("kempner_result requires q >= 2")
-    factorization = factorize(q)
-    return KempnerResult(
-        q=q,
-        s=kempner_S(q, factorization),
-        p=factorization[-1][0],
-        factorization=factorization,
-    )
+    factors = _factors(q)
+    # Positional: a frozen dataclass built by keyword costs twice as much.
+    return KempnerResult(q, _kempner_S(factors), factors[-1][0], list(factors))

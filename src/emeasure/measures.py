@@ -94,18 +94,13 @@ def _verdict(p: int, q: int, bound_name: str, bound: Fraction | int) -> MeasureV
     """The verdict on |e - p/q| > bound, for a Fraction bound or, given an
     int k, the bound 1/k!, which is decided without building k!. p/q need
     not be in lowest terms."""
-    if isinstance(bound, Fraction):
-        margin = _render(p, q, bound.numerator, bound.denominator, 0, MARGIN_DIGITS)
-    else:
+    # type() and positional fields: isinstance against Fraction goes through
+    # its ABC check, and a frozen dataclass built by keyword costs twice as much.
+    if type(bound) is int:
         margin = _render(p, q, 1, 1, bound, MARGIN_DIGITS)
-    return MeasureVerdict(
-        p=p,
-        q=q,
-        bound_name=bound_name,
-        holds=not margin.startswith("-"),
-        margin_digits=margin,
-        bound_given=bound,
-    )
+    else:
+        margin = _render(p, q, bound.numerator, bound.denominator, 0, MARGIN_DIGITS)
+    return MeasureVerdict(p, q, bound_name, not margin.startswith("-"), margin, bound)
 
 
 def check_theorem1(p: int, q: int) -> MeasureVerdict:

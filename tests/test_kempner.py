@@ -207,3 +207,39 @@ def test_largest_prime_factor():
     assert largest_prime_factor(24) == 3
     assert largest_prime_factor(97) == 97
     assert largest_prime_factor(4) == 2
+
+
+def test_kempner_S_takes_no_factorization():
+    # A factorization passed in was trusted: kempner_S(12, [(5, 1)]) was 5.
+    with pytest.raises(TypeError):
+        kempner_S(12, [(5, 1)])
+    assert kempner_S(12) == 4
+
+
+def test_callers_cannot_change_the_cached_factorization():
+    factors = factorize(720)
+    factors.append((7, 1))
+    factors[0] = (3, 9)
+    kempner_result(720).factorization.clear()
+    assert factorize(720) == [(2, 4), (3, 2), (5, 1)]
+    assert kempner_result(720).factorization == [(2, 4), (3, 2), (5, 1)]
+    assert factorize(720) is not factorize(720)
+
+
+def test_a_float_does_not_answer_for_its_int():
+    kempner._factors.cache_clear()
+    factorize(6.0)
+    # 6.0 == 6 and hashes alike, so only the key's type keeps them apart.
+    assert [type(p) for p, _ in factorize(6)] == [int, int]
+    assert kempner._factors.cache_info().misses == 2
+
+
+def test_a_refusal_is_not_cached():
+    kempner._factors.cache_clear()
+    for _ in range(2):
+        with pytest.raises(ResourceError, match="trial division up to 1000000"):
+            is_prime(1000002000007)
+        with pytest.raises(ValueError, match="q >= 2"):
+            factorize(1)
+    info = kempner._factors.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (4, 0, 0)

@@ -126,13 +126,15 @@ def test_corollary2_scan_factors_nothing_past_n(monkeypatch):
         num, q = endpoint(n)
         fails = [p for p in (num - 1, num, num + 1) if not check_prime_factor_bound(p, q).holds]
         expected.append((all(n % d for d in range(2, n)), (fails[0], q) if fails else None))
-    factorize = kempner.factorize
+    # Every trial division goes through kempner._factors, looked up as a
+    # global at each call, so the guard sees them all, cached or not.
+    factors = kempner._factors
 
     def small_only(m):
-        assert m <= 100, f"factorize({m})"
-        return factorize(m)
+        assert m <= 100, f"_factors({m})"
+        return factors(m)
 
-    monkeypatch.setattr(kempner, "factorize", small_only)
+    monkeypatch.setattr(kempner, "_factors", small_only)
     assert [(s["prime"], s["witness"]) for s in map(corollary2_scan, ns)] == expected
 
 
@@ -353,3 +355,17 @@ def test_factorial_square_boundary():
     assert not factorial_square_boundary(2)
     for n in range(3, 101):
         assert factorial_square_boundary(n)
+
+
+def test_one_query_factors_q_once():
+    # The queries a perfbench decide job asks about one q: one trial division.
+    q = 720720
+    kempner._factors.cache_clear()
+    f = floor_e_times(q)
+    kempner.kempner_result(q)
+    check_theorem1(f, q)
+    check_theorem1(f + 1, q)
+    check_prime_factor_bound(f, q)
+    compare_bounds(q)
+    info = kempner._factors.cache_info()
+    assert (info.misses, info.hits) == (1, 4)
