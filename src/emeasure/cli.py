@@ -172,7 +172,8 @@ def cmd_measure(args) -> int:
         verdict = measures.check_weak_prime(args.p, args.q)
     else:  # known
         verdict = measures.check_known(args.p, args.q, eps)
-    # .bound is read here, so a bound 1/k! is built only for the output.
+    # .bound and .margin_digits are read here, before anything is written:
+    # a bound 1/k! is built, and the margin rendered, only for the output.
     _emit_json(
         {
             name: getattr(verdict, name)

@@ -163,16 +163,23 @@ def compare_distance_to_e(r: Fraction, bound: Fraction) -> str:
     """
     if bound < 0:
         raise ValueError("bound must be >= 0")
-    a, b = r.numerator, r.denominator
-    u, v = bound.numerator, bound.denominator
+    b, v = r.denominator, bound.denominator
+    floor = 1 << (min(v.bit_length(), 2 * b.bit_length()) + _START_SLACK_BITS - 1)
+    return GREATER if _exceeds(r.numerator, b, bound.numerator, v, 0, floor) else LESS
 
-    def decide(n: int) -> str | None:
-        lo, hi, _ = _margin(a, b, u, v, 0, n)
-        return GREATER if lo >= 0 else LESS if hi <= 0 else None
 
-    return refine(
-        decide, 1 << (min(v.bit_length(), 2 * b.bit_length()) + _START_SLACK_BITS - 1)
-    )
+def _exceeds(a: int, b: int, u: int, v: int, m: int, floor: int) -> bool:
+    """Whether |e - a/b| > u / (v m!), for the ints _margin takes, decided
+    by refine from `floor` on the sign of the margin bracket alone: the
+    margin is irrational, so it is positive once lo >= 0 and negative once
+    hi <= 0. Nothing is rendered; m! is never built.
+    """
+
+    def decide(n: int) -> bool | None:
+        lo, hi, _ = _margin(a, b, u, v, m, n)
+        return True if lo >= 0 else False if hi <= 0 else None
+
+    return refine(decide, floor)
 
 
 def render_distance(r: Fraction, digits: int) -> str:

@@ -70,15 +70,19 @@ def factorize(q: int) -> Factorization:
     return list(_factors(q))
 
 
-# Bounded, and typed so that factorize(6.0) does not answer for 6. It holds
-# the repeats of one query: a perfbench decide job asks about each q through
-# kempner_result, check_theorem1 at f and f + 1, check_prime_factor_bound and
-# compare_bounds, and so runs 2 185 trial divisions (seed 1) where it ran one
-# per call, 13 660. verify-paper's range checks ask about each q about once
-# and gain nothing. A raise is never cached.
+# Bounded. It holds the repeats of one query: a perfbench decide job asks
+# about each q through kempner_result, check_theorem1 at f and f + 1,
+# check_prime_factor_bound and compare_bounds, and so runs 2 185 trial
+# divisions (seed 1) where it ran one per call, 13 660. verify-paper's range
+# checks ask about each q about once and gain nothing. A raise is never
+# cached. Only a miss checks that q is an int, so the key is typed: 6.0 == 6
+# and hashes alike, and only typed=True promises that 6.0 never answers from
+# 6's entry (CPython keys a lone int argument apart untyped too, unpromised).
 @lru_cache(maxsize=64, typed=True)
 def _factors(q: int) -> tuple[tuple[int, int], ...]:
     """factorize(q) as a tuple, which every caller shares."""
+    if not isinstance(q, int):
+        raise TypeError(f"factorize requires an int q, not {type(q).__name__}")
     if q < 2:
         raise ValueError("factorize requires q >= 2")
     factors: Factorization = []

@@ -10,10 +10,12 @@ Four lower bounds on |e - p/q| are wired up:
 plus the sharpness check (the theorem1 factorial cannot be lowered) and a
 pointwise comparator of theorem1 vs the classical bound.
 
-A verdict against a bound 1/k! is decided without building k!: the
+A verdict is decided on the sign of the margin bracket |e - p/q| - bound
+alone, and renders nothing. A bound 1/k! is decided without building k!: the
 enclosure scales the bound onto each bracket's denominator n! q, dividing by
 k! through the factors between n and k, so it answers for any k.
-MeasureVerdict.bound builds 1/k! only when it is first read.
+MeasureVerdict.margin_digits renders the margin, and MeasureVerdict.bound
+builds 1/k!, only when first read.
 """
 
 from __future__ import annotations
@@ -23,11 +25,21 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .enclosure import _render, compare_distance_to_e, endpoint
+from .enclosure import (
+    _START_SLACK_BITS,
+    _exceeds,
+    _render,
+    compare_distance_to_e,
+    endpoint,
+)
 from .kempner import is_prime, kempner_S, largest_prime_factor
 from .rationals import LESS, ResourceError, rising_product
 
 MARGIN_DIGITS = 6
+
+# Where a verdict starts refining: the depth at which margin_digits is
+# rendered, so that a verdict decides where its rendering would.
+_VERDICT_FLOOR = 10**MARGIN_DIGITS << _START_SLACK_BITS
 
 # The most bits a bound, or an integer built to compare bounds, may have.
 # Each is checked against a small-int upper bound on its size before it is
@@ -54,9 +66,14 @@ class MeasureVerdict:
     q: int
     bound_name: str
     holds: bool
-    margin_digits: str  # truncated decimal of |e - p/q| - bound, signed
     # The bound itself, or the k of a bound 1/k!, which .bound builds.
     bound_given: Fraction | int = field(repr=False)
+
+    @functools.cached_property
+    def margin_digits(self) -> str:
+        """Truncated decimal of |e - p/q| - bound, signed, to MARGIN_DIGITS
+        places; rendered on first read."""
+        return _render(self.p, self.q, *_bound_terms(self.bound_given), MARGIN_DIGITS)
 
     @functools.cached_property
     def bound(self) -> Fraction:
@@ -65,7 +82,18 @@ class MeasureVerdict:
         return given if isinstance(given, Fraction) else _inverse_factorial(given)
 
 
+def _bound_terms(bound: Fraction | int) -> tuple[int, int, int]:
+    """(u, v, m) with bound = u / (v m!), for a Fraction bound or the k of a
+    bound 1/k!: the terms the enclosure weighs a bound by."""
+    # type(): isinstance against Fraction goes through its ABC check.
+    if type(bound) is int:
+        return 1, 1, bound
+    return bound.numerator, bound.denominator, 0
+
+
 def _require_q(q: int, what: str) -> None:
+    if not isinstance(q, int):
+        raise TypeError(f"{what} requires an int q, not {type(q).__name__}")
     if q < 2:
         raise ValueError(f"{what} requires q >= 2")
 
@@ -94,13 +122,11 @@ def _verdict(p: int, q: int, bound_name: str, bound: Fraction | int) -> MeasureV
     """The verdict on |e - p/q| > bound, for a Fraction bound or, given an
     int k, the bound 1/k!, which is decided without building k!. p/q need
     not be in lowest terms."""
-    # type() and positional fields: isinstance against Fraction goes through
-    # its ABC check, and a frozen dataclass built by keyword costs twice as much.
-    if type(bound) is int:
-        margin = _render(p, q, 1, 1, bound, MARGIN_DIGITS)
-    else:
-        margin = _render(p, q, bound.numerator, bound.denominator, 0, MARGIN_DIGITS)
-    return MeasureVerdict(p, q, bound_name, not margin.startswith("-"), margin, bound)
+    if not isinstance(p, int):
+        raise TypeError(f"a verdict requires an int p, not {type(p).__name__}")
+    holds = _exceeds(p, q, *_bound_terms(bound), _VERDICT_FLOOR)
+    # Positional: a frozen dataclass built by keyword costs twice as much.
+    return MeasureVerdict(p, q, bound_name, holds, bound)
 
 
 def check_theorem1(p: int, q: int) -> MeasureVerdict:
@@ -191,8 +217,7 @@ def known_measure_bound(q: int, eps: Fraction = Fraction(0)) -> Fraction:
     ceil(root) at 30 decimal digits of precision, keeping the result a true
     lower bound.
     """
-    if q < 2:
-        raise ValueError("known_measure_bound requires q >= 2")
+    _require_q(q, "known_measure_bound")
     if eps < 0:
         raise ValueError("eps must be >= 0")
     c, d = eps.numerator, eps.denominator
@@ -213,8 +238,7 @@ def compare_bounds(q: int, eps: Fraction = Fraction(0)) -> dict:
     exact even for fractional eps. Neither factorial is built past the
     other side of its comparison, which is at most q^(2+2*eps).
     """
-    if q < 2:
-        raise ValueError("compare_bounds requires q >= 2")
+    _require_q(q, "compare_bounds")
     if eps < 0:
         raise ValueError("eps must be >= 0")
     c, d = eps.numerator, eps.denominator

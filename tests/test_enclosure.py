@@ -473,6 +473,39 @@ def test_decisions_read_a_second_depth_rarely(brackets, depths):
     assert all(100 * count < len(queries) for count in second.values()), second
 
 
+def _comparison_oracle(r, bound):
+    """compare_distance_to_e written out: refine over the sign of the
+    _margin bracket, from n! a few bits past min(v, b^2)."""
+    a, b, u, v = r.numerator, r.denominator, bound.numerator, bound.denominator
+
+    def decide(n):
+        lo, hi, _ = enclosure._margin(a, b, u, v, 0, n)
+        return GREATER if lo >= 0 else LESS if hi <= 0 else None
+
+    return refine(decide, 1 << (min(v.bit_length(), 2 * b.bit_length()) + 7))
+
+
+def test_comparisons_read_the_brackets_of_their_oracle(brackets):
+    # The same answers from the same _margin depths, in order. Against
+    # bounds within 1/q^2 of |e - 2| (best approximations of e - 2), the
+    # start depth of r = 2 rarely decides, so the doublings are compared too.
+    near = partial_sum(60) - 2
+    cases = [(Fraction(2), near.limit_denominator(10**k)) for k in range(1, 25)]
+    cases += [(Fraction(65, 24), Fraction(1, 10**k)) for k in range(0, 40, 3)]
+    cases += [(partial_sum(n), Fraction(1, math.factorial(n + 1))) for n in range(1, 40)]
+    cases += [(Fraction(p, q), Fraction(1, 2 * q * q)) for p, q in ((19, 7), (87, 32), (1457, 536))]
+    doubled = 0
+    for r, bound in cases:
+        brackets.clear()
+        expected = _comparison_oracle(r, bound)
+        read = list(brackets)
+        brackets.clear()
+        assert compare_distance_to_e(r, bound) == expected, (r, bound)
+        assert brackets == read, (r, bound)
+        doubled += len(read) > 1
+    assert doubled >= 10
+
+
 @pytest.mark.parametrize("digits", [1, 5, 6, 12, 30])
 def test_render_starts_at_the_first_depth_that_can_fix_the_digits(brackets, digits):
     for r, bound in ((Fraction(65, 24), Fraction(0)), (Fraction(8, 3), Fraction(1, 120))):

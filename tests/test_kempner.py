@@ -228,10 +228,14 @@ def test_callers_cannot_change_the_cached_factorization():
 
 def test_a_float_does_not_answer_for_its_int():
     kempner._factors.cache_clear()
-    factorize(6.0)
-    # 6.0 == 6 and hashes alike, so only the key's type keeps them apart.
-    assert [type(p) for p, _ in factorize(6)] == [int, int]
-    assert kempner._factors.cache_info().misses == 2
+    assert factorize(6) == [(2, 1), (3, 1)]
+    # 6.0 == 6 and hashes alike; the typed key keeps 6.0 from answering out
+    # of 6's entry, and a refusal is not cached.
+    for call in (factorize, kempner_S, largest_prime_factor, is_prime, kempner_result):
+        with pytest.raises(TypeError, match="^factorize requires an int q, not float$"):
+            call(6.0)
+    info = kempner._factors.cache_info()
+    assert (info.misses, info.currsize) == (6, 1)
 
 
 def test_a_refusal_is_not_cached():

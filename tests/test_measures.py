@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from emeasure import kempner, measures
+from emeasure import enclosure, kempner, measures, rationals
 from emeasure.density import density_report
 from emeasure.enclosure import _render, endpoint, floor_e_times
 from emeasure.kempner import kempner_S, kempner_S_naive, largest_prime_factor
@@ -189,6 +189,89 @@ def test_verdicts_match_the_fraction_rendering(q, offset, g, eps):
         margin = _render(r.numerator, r.denominator, bound.numerator, bound.denominator, 0, 6)
         assert (verdict.p, verdict.q) == (p, q)
         assert (verdict.margin_digits, verdict.holds) == (margin, margin[0] != "-")
+
+
+def test_every_verdict_holds_exactly_when_its_margin_is_not_negative():
+    # holds is decided on the margin bracket's sign; margin_digits is
+    # rendered apart, on first read. At q = n! the p are corollary2_scan's.
+    checks = (
+        check_theorem1,
+        check_prime_factor_bound,
+        check_weak_prime,
+        check_known,
+        lambda p, q: check_known(p, q, Fraction(1, 3)),
+    )
+    queries = [(65, 24)]
+    for q in range(2, 301):
+        f = floor_e_times(q)
+        queries += [(p, q) for p in range(f - 1, f + 3)]
+    for n in range(2, 13):
+        num, q = endpoint(n)
+        queries += [(p, q) for p in (num - 1, num, num + 1)]
+    fails = 0
+    for p, q in queries:
+        for check in checks:
+            verdict = check(p, q)
+            assert verdict.holds == (verdict.margin_digits[0] != "-"), (p, q, verdict)
+            fails += not verdict.holds
+    assert fails > 100
+
+
+def fail_to_render(*args):
+    raise AssertionError("rendered a margin")
+
+
+def test_verdicts_render_no_text(monkeypatch):
+    # enclosure looks scaled_text up as its own global.
+    monkeypatch.setattr(enclosure, "scaled_text", fail_to_render)
+    monkeypatch.setattr(rationals, "scaled_text", fail_to_render)
+    assert check_theorem1(65, 24).holds
+    assert not check_prime_factor_bound(65, 24).holds
+    assert corollary2_scan(4)["witness"] == (65, 24)
+    assert corollary2_scan(11)["all_hold"]
+    with pytest.raises(AssertionError, match="rendered a margin"):
+        check_theorem1(65, 24).margin_digits
+
+
+@pytest.fixture
+def margins(monkeypatch):
+    """Depth n of each _margin the enclosure builds, in order."""
+    seen = []
+    build = enclosure._margin
+
+    def recording(*args):
+        seen.append(args[-1])
+        return build(*args)
+
+    monkeypatch.setattr(enclosure, "_margin", recording)
+    return seen
+
+
+def test_margin_digits_is_rendered_once(margins):
+    verdict = check_known(65, 24, Fraction(1, 3))
+    margins.clear()
+    text = verdict.margin_digits
+    assert margins == [12]
+    margins.clear()
+    assert verdict.margin_digits is text
+    assert margins == []
+
+
+@pytest.mark.parametrize("p, q", [(65, 24), (27199, 10006)])
+def test_a_decided_verdict_costs_one_margin(monkeypatch, margins, p, q):
+    monkeypatch.setattr(enclosure, "scaled_text", fail_to_render)
+    assert check_theorem1(p, q).holds
+    assert margins == [12]
+
+
+@pytest.mark.parametrize(
+    "check", [check_theorem1, check_prime_factor_bound, check_weak_prime, check_known]
+)
+def test_verdicts_refuse_a_float(check):
+    with pytest.raises(TypeError, match="^a verdict requires an int p, not float$"):
+        check(65.0, 24)
+    with pytest.raises(TypeError, match="requires an int q, not float$"):
+        check(65, 24.0)
 
 
 def test_check_known_verdict():
