@@ -123,7 +123,9 @@ def _divide_out(rest: int, d: int, factors: Factorization) -> int:
 def is_prime(n: int) -> bool:
     """Whether n is prime, decided by factorize: raises ResourceError where
     factorize does (the first prime refused is 1 000 002 000 007)."""
-    return n >= 2 and _factors(n) == ((n, 1),)
+    if n < 2:
+        return False if isinstance(n, int) else _factors(n)  # refuses a non-int n
+    return _factors(n) == ((n, 1),)
 
 
 def kempner_prime_power(p: int, a: int) -> int:
@@ -133,6 +135,8 @@ def kempner_prime_power(p: int, a: int) -> int:
     The answer is a multiple of p and is at most a*p, so a linear walk over
     multiples of p, summing their p-adic valuations, is plenty fast here.
     """
+    if not isinstance(p, int):
+        raise TypeError(f"kempner_prime_power requires an int p, not {type(p).__name__}")
     if a < 1:
         raise ValueError("exponent must be >= 1")
     if a == 1:
@@ -152,7 +156,7 @@ def kempner_S(q: int) -> int:
     if q < 1:
         raise ValueError("kempner_S requires q >= 1")
     if q == 1:
-        return 1
+        return 1 if isinstance(q, int) else _factors(q)  # refuses a non-int q
     return _kempner_S(_factors(q))
 
 

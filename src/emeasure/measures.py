@@ -10,12 +10,13 @@ Four lower bounds on |e - p/q| are wired up:
 plus the sharpness check (the theorem1 factorial cannot be lowered) and a
 pointwise comparator of theorem1 vs the classical bound.
 
-A verdict is decided on the sign of the margin bracket |e - p/q| - bound
-alone, and renders nothing. A bound 1/k! is decided without building k!: the
-enclosure scales the bound onto each bracket's denominator n! q, dividing by
-k! through the factors between n and k, so it answers for any k.
-MeasureVerdict.margin_digits renders the margin, and MeasureVerdict.bound
-builds 1/k!, only when first read.
+A verdict carries its bound as the ints (u, v, m) of u / (v m!) that the
+enclosure reads, and is decided on the sign of the margin bracket
+|e - p/q| - bound alone, rendering nothing. A bound 1/k! is decided without
+building k!: the enclosure scales the bound onto each bracket's denominator
+n! q, dividing by k! through the factors between n and k, so it answers for
+any k. MeasureVerdict.margin_digits renders the margin, and
+MeasureVerdict.bound builds 1/k!, only when first read.
 """
 
 from __future__ import annotations
@@ -66,29 +67,21 @@ class MeasureVerdict:
     q: int
     bound_name: str
     holds: bool
-    # The bound itself, or the k of a bound 1/k!, which .bound builds.
-    bound_given: Fraction | int = field(repr=False)
+    # (u, v, m) with bound = u / (v m!): (1, 1, k) for 1/k!, (num, den, 0)
+    # for a rational bound; the terms the enclosure weighs a bound by.
+    bound_terms: tuple[int, int, int] = field(repr=False)
 
     @functools.cached_property
     def margin_digits(self) -> str:
         """Truncated decimal of |e - p/q| - bound, signed, to MARGIN_DIGITS
         places; rendered on first read."""
-        return _render(self.p, self.q, *_bound_terms(self.bound_given), MARGIN_DIGITS)
+        return _render(self.p, self.q, *self.bound_terms, MARGIN_DIGITS)
 
     @functools.cached_property
     def bound(self) -> Fraction:
         """The lower bound checked; a bound 1/k! is built on first read."""
-        given = self.bound_given
-        return given if isinstance(given, Fraction) else _inverse_factorial(given)
-
-
-def _bound_terms(bound: Fraction | int) -> tuple[int, int, int]:
-    """(u, v, m) with bound = u / (v m!), for a Fraction bound or the k of a
-    bound 1/k!: the terms the enclosure weighs a bound by."""
-    # type(): isinstance against Fraction goes through its ABC check.
-    if type(bound) is int:
-        return 1, 1, bound
-    return bound.numerator, bound.denominator, 0
+        u, v, m = self.bound_terms
+        return _inverse_factorial(m) if m else Fraction(u, v)
 
 
 def _require_q(q: int, what: str) -> None:
@@ -103,49 +96,43 @@ def _theorem1_k(q: int) -> int:
     return kempner_S(q) + 1
 
 
-def _weak_prime_k(q: int) -> int:
-    _require_q(q, "check_weak_prime")
-    return q + 1
-
-
-def _prime_factor_k(q: int) -> int:
-    _require_q(q, "check_prime_factor_bound")
-    return largest_prime_factor(q) + 1
-
-
 def theorem1_bound(q: int) -> Fraction:
     """1/(S(q)+1)!, the lower bound of the new measure; requires q >= 2."""
     return _inverse_factorial(_theorem1_k(q))
 
 
-def _verdict(p: int, q: int, bound_name: str, bound: Fraction | int) -> MeasureVerdict:
-    """The verdict on |e - p/q| > bound, for a Fraction bound or, given an
-    int k, the bound 1/k!, which is decided without building k!. p/q need
-    not be in lowest terms."""
+def _verdict(
+    p: int, q: int, bound_name: str, terms: tuple[int, int, int]
+) -> MeasureVerdict:
+    """The verdict on |e - p/q| > u / (v m!) for terms (u, v, m), decided
+    without building m!. p/q need not be in lowest terms."""
     if not isinstance(p, int):
         raise TypeError(f"a verdict requires an int p, not {type(p).__name__}")
-    holds = _exceeds(p, q, *_bound_terms(bound), _VERDICT_FLOOR)
+    holds = _exceeds(p, q, *terms, _VERDICT_FLOOR)
     # Positional: a frozen dataclass built by keyword costs twice as much.
-    return MeasureVerdict(p, q, bound_name, holds, bound)
+    return MeasureVerdict(p, q, bound_name, holds, terms)
 
 
 def check_theorem1(p: int, q: int) -> MeasureVerdict:
     """|e - p/q| > 1/(S(q)+1)!; must hold for every q >= 2."""
-    return _verdict(p, q, "theorem1", _theorem1_k(q))
+    return _verdict(p, q, "theorem1", (1, 1, _theorem1_k(q)))
 
 
 def check_prime_factor_bound(p: int, q: int) -> MeasureVerdict:
     """|e - p/q| > 1/(P(q)+1)!; may fail (only an almost-all statement)."""
-    return _verdict(p, q, "prime_factor", _prime_factor_k(q))
+    _require_q(q, "check_prime_factor_bound")
+    return _verdict(p, q, "prime_factor", (1, 1, largest_prime_factor(q) + 1))
 
 
 def check_weak_prime(p: int, q: int) -> MeasureVerdict:
-    return _verdict(p, q, "weak_prime", _weak_prime_k(q))
+    _require_q(q, "check_weak_prime")
+    return _verdict(p, q, "weak_prime", (1, 1, q + 1))
 
 
 def check_known(p: int, q: int, eps: Fraction = Fraction(0)) -> MeasureVerdict:
     """|e - p/q| > 1/q^(2+eps), against the classical measure's bound."""
-    return _verdict(p, q, "known_eps", known_measure_bound(q, eps))
+    b = known_measure_bound(q, eps)
+    return _verdict(p, q, "known_eps", (b.numerator, b.denominator, 0))
 
 
 def check_sharpness(n: int) -> bool:
@@ -174,7 +161,7 @@ def corollary2_scan(n: int) -> dict:
     witness = None
     # floor(e n!) = N_n, since 0 < e n! - N_n < 1/n: the nearest p are N_n +/- 1.
     for p in (num - 1, num, num + 1):
-        if not _verdict(p, q, "prime_factor", largest + 1).holds:
+        if not _verdict(p, q, "prime_factor", (1, 1, largest + 1)).holds:
             witness = (p, q)
             break
     return {
@@ -186,11 +173,7 @@ def corollary2_scan(n: int) -> dict:
 
 
 def _nth_root_ceil(value: int, d: int) -> int:
-    """Smallest integer r with r**d >= value, for value >= 0, d >= 1."""
-    if value < 0:
-        raise ValueError("value must be >= 0")
-    if value in (0, 1) or d == 1:
-        return value
+    """Smallest integer r with r**d >= value, for value >= 2, d >= 2."""
     if d == 2:
         root = math.isqrt(value)
     else:
@@ -253,16 +236,13 @@ def compare_bounds(q: int, eps: Fraction = Fraction(0)) -> dict:
     _, lhs = rising_product(2, s + 1, rhs)
     if lhs <= rhs:
         lhs = rhs + 1 if d * (lhs.bit_length() - 1) >= rhs.bit_length() else lhs**d
-    if lhs < rhs:
-        stronger = "theorem1"
-    elif lhs > rhs:
-        stronger = "known"
-    else:
-        stronger = "equal_class"
+    # No tie: lhs == rhs would make (S+1)! a perfect (2d + c)-th power, as
+    # gcd(d, 2d + c) = 1, but by Bertrand's postulate a prime in ((S+1)/2,
+    # S+1] divides (S+1)! once. Partial products and rhs + 1 exceed rhs.
     return {
         "q": q,
         "eps": eps,
-        "stronger": stronger,
+        "stronger": "theorem1" if lhs < rhs else "known",
         "conjecture1_holds_at_q": q * q < rising_product(2, s, q * q)[1],
     }
 

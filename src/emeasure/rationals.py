@@ -61,15 +61,10 @@ def truncate_decimal(x: Fraction, digits: int) -> str:
 
     Truncation is toward zero, matching the "0.00994 ..." display style.
     """
-    return truncate_ratio(x.numerator, x.denominator, digits)
-
-
-def truncate_ratio(num: int, den: int, digits: int) -> str:
-    """truncate_decimal of num/den for integers num and den > 0, which need
-    not be in lowest terms."""
     if digits < 1:
         raise ValueError("digits must be >= 1")
-    return scaled_text(num < 0, abs(num) * 10**digits // den, digits)
+    num = x.numerator
+    return scaled_text(num < 0, abs(num) * 10**digits // x.denominator, digits)
 
 
 def scaled_text(negative: bool, scaled: int, digits: int) -> str:

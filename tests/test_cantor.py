@@ -10,6 +10,7 @@ from emeasure.cantor import (
     RATIONAL,
     TAIL_MODES,
     CantorSpec,
+    _check_term,
     cantor_partial_sum,
     classify,
     complement_family,
@@ -160,6 +161,11 @@ def specs(draw):
     if family == "masked_unit":
         mask = draw(st.lists(st.integers(0, 1), min_size=1, max_size=6))
         return masked_unit_family(tuple(mask), a0)
+    return draw(custom_specs(a0, draw(st.sampled_from(TAIL_MODES))))
+
+
+@st.composite
+def custom_specs(draw, a0, tail_mode):
     b_table = draw(st.lists(st.integers(2, 50), min_size=1, max_size=6))
     a_table = [draw(st.integers(0, b - 1)) for b in b_table]
     return CantorSpec(
@@ -167,10 +173,33 @@ def specs(draw):
         family="custom",
         a_table=tuple(a_table),
         b_table=tuple(b_table),
-        tail_mode=draw(st.sampled_from(TAIL_MODES)),
+        tail_mode=tail_mode,
     )
 
 
 @given(specs(), st.integers(min_value=0, max_value=60))
 def test_integer_partial_sum_matches_fraction_loop(spec, upto):
     assert cantor_partial_sum(spec, upto) == _fraction_partial_sum(spec, upto)
+
+
+# cantor sums its terms unchecked: the built-in families are valid by
+# construction, and __post_init__ checks only a custom spec's tables.
+def assert_terms_valid(spec):
+    size = len(spec.a_table) if spec.family == "custom" else len(spec.mask)
+    for n in range(1, 3 * size + 21):
+        _check_term(*term(spec, n), n)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [unit_family(), complement_family()]
+    + [masked_unit_family(mask) for mask in [(0,), (1,), (1, 0), (0, 0, 1, 1, 0)]],
+)
+def test_built_in_terms_are_valid(spec):
+    assert_terms_valid(spec)
+
+
+@pytest.mark.parametrize("tail_mode", TAIL_MODES)
+@given(data=st.data())
+def test_custom_terms_are_valid_in_every_tail_mode(tail_mode, data):
+    assert_terms_valid(data.draw(custom_specs(0, tail_mode)))

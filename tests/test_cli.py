@@ -2,6 +2,7 @@ import concurrent.futures
 import contextlib
 import csv
 import dataclasses
+import datetime
 import hashlib
 import io
 import json
@@ -13,7 +14,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from emeasure import cfrac, cli, density, enclosure, kempner, measures
+from emeasure import cfrac, cli, density, enclosure, kempner, measures, verify
 from emeasure.enclosure import partial_sum
 from emeasure.rationals import ResourceError, int_str
 
@@ -920,3 +921,52 @@ def test_cli_boundary(argv):
         json.loads(out.getvalue(), parse_int=no_json_number)
     else:
         assert out.getvalue() == ""
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["measure", "--compare"], "--compare requires --q"),
+        (["cantor", "--family", "nope"], "unknown family 'nope'"),
+    ],
+)
+def test_missing_or_unknown_choice_is_domain_error(capsys, argv, message):
+    assert cli.run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+def run_verify_paper(monkeypatch, capsys, results, *flags):
+    monkeypatch.setattr(verify, "run_all", lambda: results)
+    code = cli.run(["verify-paper", *flags])
+    captured = capsys.readouterr()
+    return code, json.loads(captured.out), captured.err
+
+
+def test_verify_paper_exits_1_on_a_failed_check(monkeypatch, capsys):
+    results = [
+        verify.CheckResult("good", True, "ok", 0.5),
+        verify.CheckResult("bad", False, "no", 1.25),
+    ]
+    code, doc, err = run_verify_paper(monkeypatch, capsys, results, "--no-timestamp")
+    assert code == 1
+    assert "[FAIL] bad (1.25s)" in err.splitlines()
+    assert "[PASS] good (0.50s)" in err.splitlines()
+    assert doc == {
+        "checks": [
+            {"name": "good", "passed": True, "detail": "ok", "seconds": 0.5},
+            {"name": "bad", "passed": False, "detail": "no", "seconds": 1.25},
+        ],
+        "all_passed": False,
+    }
+
+
+def test_verify_paper_passing_run_carries_a_timestamp(monkeypatch, capsys):
+    results = [verify.CheckResult("good", True, "ok", 0.5)]
+    code, doc, err = run_verify_paper(monkeypatch, capsys, results)
+    assert code == 0
+    assert doc["all_passed"] is True
+    assert "[FAIL]" not in err
+    stamp = datetime.datetime.fromisoformat(doc["timestamp"])
+    assert stamp.utcoffset() == datetime.timedelta(0)

@@ -238,6 +238,22 @@ def test_a_float_does_not_answer_for_its_int():
     assert (info.misses, info.currsize) == (6, 1)
 
 
+# The calls that answer without trial division refuse a float too.
+def test_kempner_S_refuses_a_float_one():
+    with pytest.raises(TypeError, match="^factorize requires an int q, not float$"):
+        kempner_S(1.0)
+
+
+def test_is_prime_refuses_a_float_below_two():
+    with pytest.raises(TypeError, match="^factorize requires an int q, not float$"):
+        is_prime(1.5)
+
+
+def test_kempner_prime_power_refuses_a_float_prime():
+    with pytest.raises(TypeError, match="^kempner_prime_power requires an int p, not float$"):
+        kempner_prime_power(2.0, 3)
+
+
 def test_a_refusal_is_not_cached():
     kempner._factors.cache_clear()
     for _ in range(2):

@@ -424,6 +424,47 @@ def test_compare_bounds_with_large_eps_denominators(q, eps):
     assert compare_bounds(q, eps) == compare_bounds_oracle(q, eps)
 
 
+def nth_root_ceil_by_bisection(value, d):
+    """The smallest r with r**d >= value, by bisection on lo**d < value <=
+    hi**d."""
+    lo, hi = 0, 1 << (value.bit_length() // d + 1)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if mid**d >= value:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+ROOTS = [1, 2, 3, 10, 2**26 - 1, 2**50 + 1, 2**53 - 1, 2**53 + 1, 3**100, 2**200]
+
+
+@pytest.mark.parametrize("d", range(2, 13))
+def test_nth_root_ceil_at_powers_and_their_neighbours(d):
+    for r in ROOTS:
+        for value in (r**d - 1, r**d, r**d + 1):
+            if value >= 2:
+                assert measures._nth_root_ceil(value, d) == nth_root_ceil_by_bisection(
+                    value, d
+                ), (r, d, value - r**d)
+
+
+@given(
+    st.integers(min_value=2, max_value=2**200),
+    st.integers(min_value=2, max_value=12),
+    st.integers(min_value=-1, max_value=1),
+)
+def test_nth_root_ceil_near_drawn_powers(r, d, offset):
+    value = r**d + offset
+    assert measures._nth_root_ceil(value, d) == nth_root_ceil_by_bisection(value, d)
+
+
+@given(st.integers(min_value=2, max_value=2**4000), st.integers(min_value=2, max_value=12))
+def test_nth_root_ceil_matches_bisection(value, d):
+    assert measures._nth_root_ceil(value, d) == nth_root_ceil_by_bisection(value, d)
+
+
 def test_conjecture1_agrees_with_density_scan():
     x = 5000
     fails = [
