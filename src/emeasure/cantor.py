@@ -9,8 +9,11 @@ an eventually-zero tail is a finite sum, and an eventually-complement tail
 
 Built-in families all use b_n = n + 1 (so b_1...b_n = (n+1)!), for which the
 prime-divisibility hypothesis is derivable: p divides b_{p-1}, b_{2p-1}, ...
-Custom tables carry asserted tail flags, which verdicts echo; without the
-prime hypothesis asserted true, an irrational-side verdict is conditional.
+Custom tables may carry asserted tail flags, which verdicts echo. The
+tables and tail mode decide whether a_n > 0 and a_n < b_n - 1 infinitely
+often, so an assertion of either that contradicts them is refused; without
+the prime hypothesis asserted true, an irrational-side verdict is
+conditional.
 """
 
 from __future__ import annotations
@@ -36,8 +39,9 @@ class CantorSpec:
     a_table: tuple[int, ...] = ()  # custom only
     b_table: tuple[int, ...] = ()  # custom only
     tail_mode: str = "repeat-last-block"  # custom only
-    # Custom only: asserted tail behavior. None = derive from the tables
-    # and tail mode where decidable.
+    # Custom only: asserted tail behavior, None where not asserted. The
+    # tables and tail mode decide the last two, so classify refuses an
+    # assertion of either that they contradict.
     all_primes_divide_infinitely_many_b: bool | None = None
     a_positive_infinitely_often: bool | None = None
     a_below_b_minus_1_infinitely_often: bool | None = None
@@ -133,12 +137,19 @@ def _tail_predicates(spec: CantorSpec) -> tuple[bool, bool, bool, list[str]]:
     else:
         a_pos = any(a > 0 for a in spec.a_table)
         a_below = any(a < b - 1 for a, b in zip(spec.a_table, spec.b_table))
-    if spec.a_positive_infinitely_often is not None:
-        a_pos = spec.a_positive_infinitely_often
-        conditions.append("a_positive_infinitely_often (asserted)")
-    if spec.a_below_b_minus_1_infinitely_often is not None:
-        a_below = spec.a_below_b_minus_1_infinitely_often
-        conditions.append("a_below_b_minus_1_infinitely_often (asserted)")
+    # The tables decide both flags, so an asserted one can only agree.
+    for name, derived in (
+        ("a_positive_infinitely_often", a_pos),
+        ("a_below_b_minus_1_infinitely_often", a_below),
+    ):
+        asserted = getattr(spec, name)
+        if asserted is not None:
+            if asserted != derived:
+                raise ValueError(
+                    f"{name} asserted {asserted}, but the tables and tail mode"
+                    f" give {derived}"
+                )
+            conditions.append(f"{name} (asserted)")
     primes_ok = bool(spec.all_primes_divide_infinitely_many_b)
     if spec.all_primes_divide_infinitely_many_b is not None:
         conditions.append("all_primes_divide_infinitely_many_b (asserted)")

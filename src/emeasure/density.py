@@ -235,11 +235,19 @@ def density_report(x: int, csv_path: str | None = None) -> DensityReport:
     plan = kempner_plan(x)
     threshold, facts = _factorial_threshold(x)
     count_sp, sample_sp = _count_and_smallest(_exceptions_S_neq_P(plan))
-    primes = _primes_upto(threshold - 1)
-    count_c1p = sum(q * q >= facts[p] for q, _, p in _smooth(x, primes))
-    count_c1, sample_c1 = _count_and_smallest(
-        q for q, s, _ in _smooth(x, primes) if s < threshold and q * q >= facts[s]
-    )
+    tally_c1p = count()
+
+    def conjecture1_fails() -> Iterator[int]:
+        # S(q) >= P(q), so q^2 >= S(q)! implies q^2 >= P(q)!: one walk
+        # tallies the P failures and yields the S failures among them.
+        for q, s, p in _smooth(x, _primes_upto(threshold - 1)):
+            if q * q >= facts[p]:
+                next(tally_c1p)
+                if s < threshold and q * q >= facts[s]:
+                    yield q
+
+    count_c1, sample_c1 = _count_and_smallest(conjecture1_fails())
+    count_c1p = next(tally_c1p)
     if csv_path is not None:
         _write_csv(csv_path, plan, threshold, facts)
     return DensityReport(

@@ -164,8 +164,15 @@ def compare_distance_to_e(r: Fraction, bound: Fraction) -> str:
     if bound < 0:
         raise ValueError("bound must be >= 0")
     b, v = r.denominator, bound.denominator
-    floor = 1 << (min(v.bit_length(), 2 * b.bit_length()) + _START_SLACK_BITS - 1)
+    floor = _distance_floor(b, v)
     return GREATER if _exceeds(r.numerator, b, bound.numerator, v, 0, floor) else LESS
+
+
+def _distance_floor(b: int, v: int) -> int:
+    """The refine floor of a comparison of |e - a/b| with a bound u/v: a
+    power of 2 with _START_SLACK_BITS more bits than the smaller of v and
+    b^2 (see compare_distance_to_e)."""
+    return 1 << (min(v.bit_length(), 2 * b.bit_length()) + _START_SLACK_BITS - 1)
 
 
 def _exceeds(a: int, b: int, u: int, v: int, m: int, floor: int) -> bool:

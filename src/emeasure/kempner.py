@@ -23,17 +23,23 @@ TRIAL_DIVISION_LIMIT = 10**6
 
 # The largest q that kempner_S_naive accepts. It reaches S(q) <= q in steps
 # of _BLOCK factors, so checking every q up to x costs about x^2/(2*_BLOCK)
-# steps: 0.08 s at 10^4 and 5 s at 10^5 on one Xeon core under CPython 3.11.
-# Past the cap its block table would grow with q, by one product per 64.
+# block steps and at most 16 smaller ones per q: 0.05-0.07 s at 10^4 and
+# 4.7-5.1 s at 10^5 on one shared Xeon core under CPython 3.11 (0.07-0.10 s
+# and 5.3-6.0 s with single steps inside the block). Past the cap its block
+# tables would grow with q, by nine products per 64.
 MAX_ORACLE_Q = 10**5
 
 # _BLOCKS[j] is the product of the _BLOCK factors j*_BLOCK+1 .. (j+1)*_BLOCK,
-# shared by every call. kempner_S_naive grows it to cover its q, so it holds
-# at most ceil(MAX_ORACLE_Q / _BLOCK) = 1563 entries (253 KiB). Growing is
-# check-then-append, so it holds the lock: two threads must not both append
-# block j.
+# and _SUBS[i] that of the _SUB factors i*_SUB+1 .. (i+1)*_SUB, shared by
+# every call. kempner_S_naive grows both to cover its q, so they hold at most
+# ceil(MAX_ORACLE_Q / _BLOCK) = 1563 and 12 504 entries (253 KiB and 0.6 MiB
+# by tracemalloc). Growing is check-then-append, so it holds the lock: two
+# threads must not both append block j. Block j's sub-products are appended
+# before block j, so a reader that sees block j can read its sub-blocks.
 _BLOCK = 64
+_SUB = 8
 _BLOCKS: list[int] = []
+_SUBS: list[int] = []
 _BLOCKS_LOCK = threading.Lock()
 
 
@@ -179,8 +185,10 @@ def kempner_S_naive(q: int) -> int:
     factorization, only products and remainders. k! mod q moves forward a
     block of _BLOCK factors at a time while the block leaves it nonzero. At
     the first block that would bring it to 0, q does not divide (j*_BLOCK)!
-    but divides ((j+1)*_BLOCK)!, so the first k in that block with q | k!,
-    found one factor at a time, is S(q).
+    but divides ((j+1)*_BLOCK)!, so S(q) lies in that block. The walk goes on
+    the same way through its sub-blocks of _SUB factors, and then one factor
+    at a time through the first sub-block that brings it to 0; the first k
+    found there with q | k! is S(q).
     """
     if q < 1:
         raise ValueError("kempner_S_naive requires q >= 1")
@@ -193,15 +201,26 @@ def kempner_S_naive(q: int) -> int:
     if len(_BLOCKS) < needed:
         with _BLOCKS_LOCK:
             for j in range(len(_BLOCKS), needed):
-                _BLOCKS.append(math.prod(range(j * _BLOCK + 1, (j + 1) * _BLOCK + 1)))
+                subs = [
+                    math.prod(range(i * _SUB + 1, (i + 1) * _SUB + 1))
+                    for i in range(j * _BLOCK // _SUB, (j + 1) * _BLOCK // _SUB)
+                ]
+                _SUBS.extend(subs)
+                _BLOCKS.append(math.prod(subs))
     # (j*_BLOCK)! mod q; 1 rather than 1 % q, so that q = 1 walks to k = 1.
+    # Each product is reduced before it meets the residue, so no product of
+    # the residue with a whole block is ever built.
     residue = 1
     for j, block in enumerate(_BLOCKS):
-        after = residue * block % q
+        after = block % q * residue % q
         if after == 0:
             break
         residue = after
-    k = j * _BLOCK
+    i = j * _BLOCK // _SUB
+    while after := _SUBS[i] % q * residue % q:
+        residue = after
+        i += 1
+    k = i * _SUB
     while residue:
         k += 1
         residue = residue * k % q

@@ -93,7 +93,9 @@ def check_kempner_oracle() -> tuple[bool, str]:
 )
 def check_measure_sweep() -> tuple[bool, str]:
     # The q are visited in order of S(q), so each bound factorial extends
-    # the last one: k! = k * (k - 1)! for k up to S(q) + 1.
+    # the last one: k! = k * (k - 1)! for k up to S(q) + 1. The enclosure
+    # weighs the bound as 1/(k! 0!) from this running k!, off the path of
+    # check_theorem1's 1/(1 k!), and p/q unreduced, from one floor per q.
     S = [0, 0] + [kempner.kempner_S(q) for q in range(2, 2001)]
     failures = []
     k = fact = 1
@@ -101,10 +103,10 @@ def check_measure_sweep() -> tuple[bool, str]:
         while k <= S[q]:
             k += 1
             fact *= k
-        bound = Fraction(1, fact)
+        floor = enclosure._distance_floor(q, fact)
         f = enclosure.floor_e_times(q)
         for p in (f - 1, f, f + 1, f + 2):
-            if enclosure.compare_distance_to_e(Fraction(p, q), bound) != GREATER:
+            if not enclosure._exceeds(p, q, 1, fact, 0, floor):
                 failures.append((p, q))
     return not failures, f"failures={failures[:5]}"
 
@@ -189,13 +191,11 @@ def check_density() -> tuple[bool, str]:
     plan = density.kempner_plan(10_000)
     # 1000 q at a time: the whole range at once is the suite's peak memory.
     blocks = ((lo, min(lo + 999, 10_000)) for lo in range(2, 10_001, 1000))
+    # P(q) reads the factorization that S(q) has just cached.
     agree = all(
-        (s, p) == (result.s, result.p)
+        (s, p) == (kempner.kempner_S(q), kempner.largest_prime_factor(q))
         for lo, hi in blocks
-        for result, s, p in zip(
-            map(kempner.kempner_result, range(lo, hi + 1)),
-            *density.kempner_range(lo, hi, plan),
-        )
+        for q, s, p in zip(range(lo, hi + 1), *density.kempner_range(lo, hi, plan))
     )
     small = density.density_report(1000)
     large = density.density_report(10**6)

@@ -11,7 +11,7 @@ import math
 
 import pytest
 
-from emeasure import cfrac, enclosure, kempner, verify
+from emeasure import cfrac, density, enclosure, kempner, verify
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -44,3 +44,26 @@ def test_measure_sweep_catches_a_bound_one_factorial_too_large(monkeypatch):
     passed, detail = verify.check_measure_sweep()
     assert not passed
     assert detail.startswith("failures=[(5, 2), ")
+
+
+def test_kempner_oracle_check_catches_one_wrong_S(monkeypatch):
+    S = kempner.kempner_S
+    monkeypatch.setattr(kempner, "kempner_S", lambda q: S(q) + (q == 9973))
+    passed, detail = verify.check_kempner_oracle()
+    assert not passed
+    assert detail == "mismatches=[9973], anchors=True"
+
+
+def test_density_check_catches_one_wrong_P(monkeypatch):
+    scan = density.kempner_range
+
+    def one_wrong_p(lo, hi, plan):
+        S, P = scan(lo, hi, plan)
+        if lo == 5002:
+            P[500] += 1
+        return S, P
+
+    monkeypatch.setattr(density, "kempner_range", one_wrong_p)
+    passed, detail = verify.check_density()
+    assert not passed
+    assert detail.startswith("pointwise agreement=False;")

@@ -124,6 +124,46 @@ def test_custom_irrational_with_asserted_primes():
     assert any("asserted" in c for c in verdict.conditions_used)
 
 
+def test_contradicting_tail_flag_is_refused():
+    # The tail repeats (1, 2), (0, 3), so a_n = 0 < b_n - 1 infinitely
+    # often, and the series sums to 3 + (1/2) / (1 - 1/6) = 18/5. With this
+    # flag asserted false, classify once called it rational with limit 11/3.
+    spec = CantorSpec(
+        a0=3, family="custom", a_table=(1, 0), b_table=(2, 3),
+        a_below_b_minus_1_infinitely_often=False,
+    )
+    assert 0 < Fraction(18, 5) - cantor_partial_sum(spec, 200) < Fraction(1, 10**70)
+    with pytest.raises(ValueError, match="a_below_b_minus_1_infinitely_often"):
+        classify(spec)
+    with pytest.raises(ValueError, match="a_below_b_minus_1_infinitely_often"):
+        rational_limit(spec)
+
+
+# (a_n > 0 infinitely often, a_n < b_n - 1 infinitely often) for the tables
+# (1, 0), (2, 3) under each tail mode.
+TAIL_FLAGS = {
+    "repeat-last-block": (True, True),
+    "all-zero": (False, True),
+    "all-complement": (True, False),
+}
+
+
+@pytest.mark.parametrize("tail_mode", TAIL_MODES)
+@pytest.mark.parametrize(
+    "flag", ["a_positive_infinitely_often", "a_below_b_minus_1_infinitely_often"]
+)
+def test_tail_flag_must_agree_with_the_tables(tail_mode, flag):
+    derived = TAIL_FLAGS[tail_mode][flag == "a_below_b_minus_1_infinitely_often"]
+    base = dict(a0=0, family="custom", a_table=(1, 0), b_table=(2, 3), tail_mode=tail_mode)
+    plain = classify(CantorSpec(**base))
+    agreeing = classify(CantorSpec(**base, **{flag: derived}))
+    assert agreeing.classification == plain.classification
+    assert agreeing.rational_value == plain.rational_value
+    assert agreeing.conditions_used == [f"{flag} (asserted)"]
+    with pytest.raises(ValueError, match=flag):
+        classify(CantorSpec(**base, **{flag: not derived}))
+
+
 def test_term_bounds_enforced():
     with pytest.raises(ValueError) as err:
         CantorSpec(a0=0, family="custom", a_table=(5,), b_table=(3,))

@@ -371,8 +371,9 @@ def test_cantor_mask_and_custom_json(capsys, tmp_path):
     assert doc["rational_value"] == {"num": "7", "den": "2"}
 
 
+# An all-zero tail is never positive: asserting it is refused.
 @pytest.mark.parametrize(
-    "flag, expected", [(False, "rational"), (None, "rational"), (True, "conditional")]
+    "flag, expected", [(False, "rational"), (None, "rational"), (True, "refused")]
 )
 def test_spec_tail_flags_are_json_booleans(capsys, tmp_path, flag, expected):
     spec = {
@@ -383,9 +384,14 @@ def test_spec_tail_flags_are_json_booleans(capsys, tmp_path, flag, expected):
     }
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
-    code, doc = run_json(capsys, ["cantor", "--spec-json", str(path), "--classify"])
-    assert code == 0
-    assert doc["classification"] == expected
+    code = cli.run(["cantor", "--spec-json", str(path), "--classify"])
+    captured = capsys.readouterr()
+    if expected == "refused":
+        assert (code, captured.out) == (1, "")
+        assert "a_positive_infinitely_often" in captured.err
+    else:
+        assert code == 0
+        assert json.loads(captured.out)["classification"] == expected
 
 
 def test_density_subcommand(capsys):

@@ -1,4 +1,7 @@
+import concurrent.futures
 import math
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -172,6 +175,64 @@ def test_blocked_oracle_matches_one_step_loop():
 @given(st.integers(min_value=1, max_value=MAX_ORACLE_Q))
 def test_blocked_oracle_matches_one_step_loop_anywhere(q):
     assert kempner_S_naive(q) == one_step_oracle(q)
+
+
+def test_blocked_oracle_at_the_ends_of_sub_blocks():
+    # S(128) = 8 and S(2^15) = 16 end a sub-block of 8 factors, S(17) = 17
+    # and S(41) = 41 begin one, and S(3^10) = 24 ends the third of its block.
+    for q, s in [(128, 8), (17, 17), (41, 41), (2**15, 16), (3**10, 24)]:
+        assert kempner_S_naive(q) == one_step_oracle(q) == s, q
+
+
+def test_blocked_oracle_factors_nothing(monkeypatch):
+    expected = [one_step_oracle(q) for q in range(1, 3001)]
+
+    def refuse(q):
+        raise AssertionError(f"the oracle factored {q}")
+
+    monkeypatch.setattr(kempner, "_factors", refuse)
+    assert [kempner_S_naive(q) for q in range(1, 3001)] == expected
+
+
+def test_oracle_tables_grown_by_threads_agree(monkeypatch):
+    expected = [one_step_oracle(q) for q in range(1, 1001)]
+    # Half the threads ask about each q in ascending order, growing the
+    # tables a block at a time while the others read them; the other half
+    # start at the top, growing them all at once.
+    orders = [range(1, 1001), range(1000, 0, -1)] * 2
+    barrier = threading.Barrier(len(orders))
+
+    def answers(qs):
+        barrier.wait(timeout=60)
+        return {q: kempner_S_naive(q) for q in qs}
+
+    class Blocks(list):
+        """A block table that asserts block j's sub-blocks come first, so
+        that a reader that sees block j can read them."""
+
+        def append(self, block):
+            assert len(kempner._SUBS) == 8 * (len(self) + 1)
+            super().append(block)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            monkeypatch.setattr(kempner, "_BLOCKS", Blocks())
+            monkeypatch.setattr(kempner, "_SUBS", [])
+            with concurrent.futures.ThreadPoolExecutor(len(orders)) as pool:
+                futures = [pool.submit(answers, qs) for qs in orders]
+                for future in futures:
+                    got = future.result(timeout=60)
+                    assert [got[q] for q in range(1, 1001)] == expected
+            blocks, subs = kempner._BLOCKS, kempner._SUBS
+            assert len(blocks) == 16 and len(subs) == 8 * 16
+            for j, block in enumerate(blocks):
+                assert block == math.prod(range(64 * j + 1, 64 * j + 65))
+            for i, sub in enumerate(subs):
+                assert sub == math.prod(range(8 * i + 1, 8 * i + 9))
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_oracle_past_its_cap_is_refused_before_any_block(monkeypatch):
