@@ -1,24 +1,30 @@
 """Cantor series rationality classifier.
 
 A Cantor series is a0 + sum_{n>=1} a_n / (b_1 ... b_n) with b_n >= 2 and
-0 <= a_n <= b_n - 1. Under the hypothesis that each prime divides
+0 <= a_n <= b_n - 1. By Cantor's criterion, when each prime divides
 infinitely many b_n, the sum is irrational iff a_n > 0 infinitely often AND
-a_n < b_n - 1 infinitely often. The rational direction needs no hypothesis:
-an eventually-zero tail is a finite sum, and an eventually-complement tail
-(a_n = b_n - 1) telescopes to 1/(b_1...b_T).
+a_n < b_n - 1 infinitely often.
 
 Built-in families all use b_n = n + 1 (so b_1...b_n = (n+1)!), for which the
-prime-divisibility hypothesis is derivable: p divides b_{p-1}, b_{2p-1}, ...
-Custom tables may carry asserted tail flags, which verdicts echo. The
-tables and tail mode decide whether a_n > 0 and a_n < b_n - 1 infinitely
-often, so an assertion of either that contradicts them is refused; without
-the prime hypothesis asserted true, an irrational-side verdict is
-conditional.
+prime hypothesis holds: p divides b_{p-1}, b_{2p-1}, ... The unit family and
+a mask with a 1 meet both tail conditions, so they are irrational. The
+complement family (a_n = b_n - 1) telescopes to a0 + 1, and an all-zero mask
+sums to a0.
+
+A custom spec repeats its tables in every tail mode, so it is periodic and
+always rational (and only the primes dividing a table entry divide a b_n, so
+the criterion never applies). With num/prod the sum of one table of T terms,
+prod = b_1...b_T, the limit is exact:
+- all-zero: a0 + num/prod, a finite sum;
+- all-complement: a0 + (num + 1)/prod, as the tail
+  sum_{n>T} (b_n - 1)/(b_1...b_n) telescopes to 1/prod;
+- repeat-last-block: each period is the one before scaled by 1/prod, so
+  a0 + (num/prod) * prod/(prod - 1) = a0 + num/(prod - 1).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .enclosure import check_depth
@@ -26,7 +32,6 @@ from .rationals import split_sum
 
 IRRATIONAL = "irrational"
 RATIONAL = "rational"
-CONDITIONAL = "conditional"
 
 TAIL_MODES = ("repeat-last-block", "all-zero", "all-complement")
 
@@ -39,12 +44,6 @@ class CantorSpec:
     a_table: tuple[int, ...] = ()  # custom only
     b_table: tuple[int, ...] = ()  # custom only
     tail_mode: str = "repeat-last-block"  # custom only
-    # Custom only: asserted tail behavior, None where not asserted. The
-    # tables and tail mode decide the last two, so classify refuses an
-    # assertion of either that they contradict.
-    all_primes_divide_infinitely_many_b: bool | None = None
-    a_positive_infinitely_often: bool | None = None
-    a_below_b_minus_1_infinitely_often: bool | None = None
 
     def __post_init__(self):
         if self.family not in ("unit", "complement", "masked_unit", "custom"):
@@ -67,7 +66,6 @@ class CantorSpec:
 class CantorVerdict:
     classification: str
     rational_value: Fraction | None
-    conditions_used: list[str] = field(default_factory=list)
 
 
 def _check_term(a: int, b: int, n: int) -> None:
@@ -116,76 +114,38 @@ def cantor_partial_sum(spec: CantorSpec, upto: int) -> Fraction:
     return Fraction(spec.a0 * prod + num, prod)
 
 
-def _tail_predicates(spec: CantorSpec) -> tuple[bool, bool, bool, list[str]]:
-    """(a_pos_io, a_below_io, primes_ok, conditions) for the tail of spec."""
-    if spec.family == "unit":
-        # a_n = 1 > 0 always; 1 < b_n - 1 = n for n >= 2.
-        return True, True, True, []
-    if spec.family == "complement":
-        # a_n = b_n - 1 everywhere: never below the complement.
-        return True, False, True, []
-    if spec.family == "masked_unit":
-        a_pos = any(spec.mask)
-        # Even an all-ones mask has 1 < b_n - 1 for n >= 2.
-        return a_pos, True, True, []
-
-    conditions: list[str] = []
-    if spec.tail_mode == "all-zero":
-        a_pos, a_below = False, True
-    elif spec.tail_mode == "all-complement":
-        a_pos, a_below = True, False  # a_n = b_n - 1 >= 1, as b_n >= 2
-    else:
-        a_pos = any(a > 0 for a in spec.a_table)
-        a_below = any(a < b - 1 for a, b in zip(spec.a_table, spec.b_table))
-    # The tables decide both flags, so an asserted one can only agree.
-    for name, derived in (
-        ("a_positive_infinitely_often", a_pos),
-        ("a_below_b_minus_1_infinitely_often", a_below),
-    ):
-        asserted = getattr(spec, name)
-        if asserted is not None:
-            if asserted != derived:
-                raise ValueError(
-                    f"{name} asserted {asserted}, but the tables and tail mode"
-                    f" give {derived}"
-                )
-            conditions.append(f"{name} (asserted)")
-    primes_ok = bool(spec.all_primes_divide_infinitely_many_b)
-    if spec.all_primes_divide_infinitely_many_b is not None:
-        conditions.append("all_primes_divide_infinitely_many_b (asserted)")
-    return a_pos, a_below, primes_ok, conditions
+def _is_irrational(spec: CantorSpec) -> bool:
+    """Whether spec meets both tail conditions of the criterion: the unit
+    family and a mask with a 1 have a_n > 0 infinitely often, and a_n <= 1 <
+    b_n - 1 = n for n >= 2; every other spec is rational."""
+    return spec.family == "unit" or (spec.family == "masked_unit" and any(spec.mask))
 
 
 def rational_limit(spec: CantorSpec) -> Fraction:
-    """Exact limit of a rational Cantor series.
+    """Exact limit of a rational Cantor series (see the module docstring).
 
-    Valid only when the tail is eventually all-zero (finite sum) or
-    eventually all-complement (telescopes to 1 over the head product).
-    Raises on specs classified irrational or conditional.
+    Raises ValueError on a spec classified irrational.
     """
-    a_pos, a_below, _, _ = _tail_predicates(spec)
-    if a_pos and a_below:
-        raise ValueError("rational_limit called on a non-rational spec")
-    head = len(spec.a_table) if spec.family == "custom" else len(spec.mask)
-    num, prod = _head(spec, head)
-    # An all-zero tail adds nothing, an eventually-complement one
-    # sum_{n>T} (b_n - 1)/(b_1...b_n) = 1/(b_1...b_T); the complement
-    # family's head is empty, so its limit is a0 + 1.
-    return Fraction(spec.a0 * prod + num + (1 if a_pos else 0), prod)
+    if _is_irrational(spec):
+        raise ValueError("rational_limit called on an irrational spec")
+    if spec.family == "complement":
+        return Fraction(spec.a0 + 1)
+    if spec.family == "masked_unit":  # an all-zero mask
+        return Fraction(spec.a0)
+    num, prod = _head(spec, len(spec.a_table))
+    if spec.tail_mode == "all-complement":
+        num += 1
+    elif spec.tail_mode == "repeat-last-block":
+        prod -= 1
+    return Fraction(spec.a0 * prod + num, prod)
 
 
 def classify(spec: CantorSpec) -> CantorVerdict:
-    """Rational/irrational verdict per the biconditional criterion.
-
-    Rational verdicts are unconditional and carry the exact limit.
-    Irrational verdicts require the prime-divisibility hypothesis, derived
-    for the built-in families or asserted true for a custom spec, else the
-    verdict is 'conditional'; conditions_used echoes every asserted flag.
-    """
-    a_pos, a_below, primes_ok, conditions = _tail_predicates(spec)
-    if not (a_pos and a_below):
-        return CantorVerdict(RATIONAL, rational_limit(spec), conditions)
-    return CantorVerdict(IRRATIONAL if primes_ok else CONDITIONAL, None, conditions)
+    """Rational/irrational verdict per the criterion; a rational verdict
+    carries the exact limit."""
+    if _is_irrational(spec):
+        return CantorVerdict(IRRATIONAL, None)
+    return CantorVerdict(RATIONAL, rational_limit(spec))
 
 
 def unit_family(a0: int = 2) -> CantorSpec:

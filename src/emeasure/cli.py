@@ -220,37 +220,27 @@ def _int_table(doc: dict, key: str) -> tuple[int, ...]:
     return tuple(table)
 
 
-_TAIL_FLAGS = (
-    "all_primes_divide_infinitely_many_b",
-    "a_positive_infinitely_often",
-    "a_below_b_minus_1_infinitely_often",
-)
-
-
 def _spec_from_args(args) -> cantor.CantorSpec:
     if args.spec_json:
         with open(args.spec_json) as handle:
             doc = json.load(handle)
         if not isinstance(doc, dict):
             raise ValueError("the spec must be a JSON object")
+        for key in doc:
+            if key not in ("a0", "a_table", "b_table", "tail_mode"):
+                raise ValueError(f"unknown spec key {key!r}")
         a0 = doc.get("a0", 0)
         if not _is_int(a0):
             raise ValueError("a0 must be an integer")
         tail_mode = doc.get("tail_mode", "repeat-last-block")
         if not isinstance(tail_mode, str):
             raise ValueError("tail_mode must be a string")
-        # A string such as "false" would be truthy: only JSON booleans count.
-        flags = {key: doc.get(key) for key in _TAIL_FLAGS}
-        for key, value in flags.items():
-            if value is not None and not isinstance(value, bool):
-                raise ValueError(f"{key} must be true, false or null")
         return cantor.CantorSpec(
             a0=a0,
             family="custom",
             a_table=_int_table(doc, "a_table"),
             b_table=_int_table(doc, "b_table"),
             tail_mode=tail_mode,
-            **flags,
         )
     family = args.family
     if family.startswith("mask:"):
@@ -275,7 +265,6 @@ def cmd_cantor(args) -> int:
         verdict = cantor.classify(spec)
         out["classification"] = verdict.classification
         out["rational_value"] = verdict.rational_value
-        out["conditions_used"] = verdict.conditions_used
     _emit_json(out)
     return EXIT_OK
 

@@ -161,6 +161,11 @@ def compare_distance_to_e(r: Fraction, bound: Fraction) -> str:
     not much below 1/b^2 (e has irrationality measure 2), so once
     1/n! < 1/b^2 such a bound is answered 'greater'.
     """
+    for name, value in (("r", r), ("bound", bound)):
+        if not isinstance(value, (int, Fraction)):
+            raise TypeError(
+                f"compare_distance_to_e requires a rational {name}, not {type(value).__name__}"
+            )
     if bound < 0:
         raise ValueError("bound must be >= 0")
     b, v = r.denominator, bound.denominator

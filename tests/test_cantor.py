@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from emeasure.cantor import (
-    CONDITIONAL,
     IRRATIONAL,
     RATIONAL,
     TAIL_MODES,
     CantorSpec,
+    CantorVerdict,
     _check_term,
     cantor_partial_sum,
     classify,
@@ -105,63 +105,49 @@ def test_custom_all_complement_tail():
 
 
 def test_custom_conditional_without_prime_assertion():
+    # Once classified conditional on the prime hypothesis. The terms repeat
+    # (1, 2), (0, 3) with period 2, each period 1/6 of the one before, so the
+    # verdict is unconditional: 3/6 / (1 - 1/6) = 3/5.
     spec = CantorSpec(
         a0=0, family="custom", a_table=(1, 0), b_table=(2, 3),
         tail_mode="repeat-last-block",
     )
-    verdict = classify(spec)
-    assert verdict.classification == CONDITIONAL
+    assert classify(spec) == CantorVerdict(RATIONAL, Fraction(3, 5))
 
 
 def test_custom_irrational_with_asserted_primes():
-    spec = CantorSpec(
-        a0=0, family="custom", a_table=(1, 0), b_table=(2, 3),
-        tail_mode="repeat-last-block",
-        all_primes_divide_infinitely_many_b=True,
-    )
-    verdict = classify(spec)
-    assert verdict.classification == IRRATIONAL
-    assert any("asserted" in c for c in verdict.conditions_used)
+    # Asserting that every prime divides infinitely many b_n once turned the
+    # tables above into an irrational verdict. Only 2 and 3 divide a b_n, so
+    # the hypothesis cannot hold for a custom spec, and the field is gone.
+    with pytest.raises(TypeError, match="all_primes_divide_infinitely_many_b"):
+        CantorSpec(
+            a0=0, family="custom", a_table=(1, 0), b_table=(2, 3),
+            all_primes_divide_infinitely_many_b=True,
+        )
 
 
-def test_contradicting_tail_flag_is_refused():
-    # The tail repeats (1, 2), (0, 3), so a_n = 0 < b_n - 1 infinitely
-    # often, and the series sums to 3 + (1/2) / (1 - 1/6) = 18/5. With this
-    # flag asserted false, classify once called it rational with limit 11/3.
-    spec = CantorSpec(
-        a0=3, family="custom", a_table=(1, 0), b_table=(2, 3),
-        a_below_b_minus_1_infinitely_often=False,
-    )
+def test_readme_example_is_rational():
+    # a_n = 0 < b_n - 1 and a_n = 1 > 0 both recur, yet the series sums to
+    # 3 + (1/2) / (1 - 1/6) = 18/5.
+    spec = CantorSpec(a0=3, family="custom", a_table=(1, 0), b_table=(2, 3))
     assert 0 < Fraction(18, 5) - cantor_partial_sum(spec, 200) < Fraction(1, 10**70)
-    with pytest.raises(ValueError, match="a_below_b_minus_1_infinitely_often"):
-        classify(spec)
-    with pytest.raises(ValueError, match="a_below_b_minus_1_infinitely_often"):
-        rational_limit(spec)
+    assert classify(spec) == CantorVerdict(RATIONAL, Fraction(18, 5))
 
 
-# (a_n > 0 infinitely often, a_n < b_n - 1 infinitely often) for the tables
-# (1, 0), (2, 3) under each tail mode.
-TAIL_FLAGS = {
-    "repeat-last-block": (True, True),
-    "all-zero": (False, True),
-    "all-complement": (True, False),
-}
-
-
-@pytest.mark.parametrize("tail_mode", TAIL_MODES)
+# One table of README's example sums to num/prod = 3/6.
 @pytest.mark.parametrize(
-    "flag", ["a_positive_infinitely_often", "a_below_b_minus_1_infinitely_often"]
+    "tail_mode, limit",
+    [
+        ("all-zero", Fraction(7, 2)),  # 3 + 3/6
+        ("all-complement", Fraction(11, 3)),  # 3 + (3 + 1)/6
+        ("repeat-last-block", Fraction(18, 5)),  # 3 + 3/(6 - 1)
+    ],
 )
-def test_tail_flag_must_agree_with_the_tables(tail_mode, flag):
-    derived = TAIL_FLAGS[tail_mode][flag == "a_below_b_minus_1_infinitely_often"]
-    base = dict(a0=0, family="custom", a_table=(1, 0), b_table=(2, 3), tail_mode=tail_mode)
-    plain = classify(CantorSpec(**base))
-    agreeing = classify(CantorSpec(**base, **{flag: derived}))
-    assert agreeing.classification == plain.classification
-    assert agreeing.rational_value == plain.rational_value
-    assert agreeing.conditions_used == [f"{flag} (asserted)"]
-    with pytest.raises(ValueError, match=flag):
-        classify(CantorSpec(**base, **{flag: not derived}))
+def test_rational_limit_in_each_tail_mode(tail_mode, limit):
+    spec = CantorSpec(
+        a0=3, family="custom", a_table=(1, 0), b_table=(2, 3), tail_mode=tail_mode
+    )
+    assert rational_limit(spec) == limit
 
 
 def test_term_bounds_enforced():
@@ -215,6 +201,29 @@ def custom_specs(draw, a0, tail_mode):
         b_table=tuple(b_table),
         tail_mode=tail_mode,
     )
+
+
+@pytest.mark.parametrize("tail_mode", TAIL_MODES)
+@given(data=st.data())
+def test_every_custom_spec_is_rational_with_its_exact_limit(tail_mode, data):
+    a0 = data.draw(st.integers(min_value=-5, max_value=5))
+    spec = data.draw(custom_specs(a0, tail_mode))
+    verdict = classify(spec)
+    assert verdict.classification == RATIONAL
+    x, size = verdict.rational_value, len(spec.a_table)
+    if tail_mode == "repeat-last-block":
+        # Each period of the tail is the one before scaled by 1/prod.
+        prod = math.prod(spec.b_table)
+        for k in range(6):
+            assert x - cantor_partial_sum(spec, k * size) == (x - a0) / prod**k
+    else:
+        # Past the tables each term is (0, b) or (b - 1, b); from N + 1 on the
+        # latter telescope to 1/(b_1...b_N).
+        N = size + 30
+        tail = 0
+        if tail_mode == "all-complement":
+            tail = Fraction(1, math.prod(term(spec, n)[1] for n in range(1, N + 1)))
+        assert x == cantor_partial_sum(spec, N) + tail
 
 
 @given(specs(), st.integers(min_value=0, max_value=60))

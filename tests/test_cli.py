@@ -371,27 +371,23 @@ def test_cantor_mask_and_custom_json(capsys, tmp_path):
     assert doc["rational_value"] == {"num": "7", "den": "2"}
 
 
-# An all-zero tail is never positive: asserting it is refused.
+# A spec that asserts a tail flag is refused, not read without it.
 @pytest.mark.parametrize(
-    "flag, expected", [(False, "rational"), (None, "rational"), (True, "refused")]
+    "key",
+    [
+        "all_primes_divide_infinitely_many_b",
+        "a_positive_infinitely_often",
+        "a_below_b_minus_1_infinitely_often",
+    ],
 )
-def test_spec_tail_flags_are_json_booleans(capsys, tmp_path, flag, expected):
-    spec = {
-        "a_table": [1, 0],
-        "b_table": [2, 3],
-        "tail_mode": "all-zero",
-        "a_positive_infinitely_often": flag,
-    }
+def test_unknown_spec_key_is_refused(capsys, tmp_path, key):
+    spec = {"a0": 3, "a_table": [1, 0], "b_table": [2, 3], key: True}
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
     code = cli.run(["cantor", "--spec-json", str(path), "--classify"])
     captured = capsys.readouterr()
-    if expected == "refused":
-        assert (code, captured.out) == (1, "")
-        assert "a_positive_infinitely_often" in captured.err
-    else:
-        assert code == 0
-        assert json.loads(captured.out)["classification"] == expected
+    assert (code, captured.out) == (1, "")
+    assert captured.err == f"error: unknown spec key {key!r}\n"
 
 
 def test_density_subcommand(capsys):
@@ -444,6 +440,8 @@ SPEC = {"a_table": [1], "b_table": [2]}
         ),
         ("int_flag.json", json.dumps({**SPEC, "all_primes_divide_infinitely_many_b": 1})),
         ("list_tail_mode.json", json.dumps({**SPEC, "tail_mode": ["all-zero"]})),
+        # Read without it, the spec would run repeat-last-block: 1, not 1/2.
+        ("typo_key.json", json.dumps({**SPEC, "tail-mode": "all-zero"})),
     ],
 )
 def test_unreadable_cantor_spec_is_domain_error(capsys, tmp_path, name, text):

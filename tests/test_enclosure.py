@@ -116,6 +116,14 @@ def test_negative_bound_rejected():
         compare_distance_to_e(Fraction(2), Fraction(-1))
 
 
+def test_non_rational_input_rejected():
+    with pytest.raises(TypeError, match="requires a rational r, not float"):
+        compare_distance_to_e(2.5, Fraction(1, 10))
+    with pytest.raises(TypeError, match="requires a rational bound, not float"):
+        compare_distance_to_e(Fraction(5, 2), 0.1)
+    assert compare_distance_to_e(3, Fraction(1, 2)) == LESS
+
+
 def test_depth_cap_raises_instead_of_looping(monkeypatch):
     # s_600 is far closer to e than anything a depth-8 enclosure can resolve.
     r = partial_sum(600)
