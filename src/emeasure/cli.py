@@ -214,7 +214,7 @@ def _is_int(value) -> bool:
 
 
 def _int_table(doc: dict, key: str) -> tuple[int, ...]:
-    table = doc[key]
+    table = doc.get(key)
     if not isinstance(table, list) or not all(map(_is_int, table)):
         raise ValueError(f"{key} must be a list of integers")
     return tuple(table)
@@ -379,7 +379,7 @@ def run(argv: list[str] | None = None) -> int:
         return EXIT_OK if exc.code == 0 else EXIT_DOMAIN
     try:
         return args.fn(args)
-    except (ValueError, KeyError, ZeroDivisionError, OSError) as exc:
+    except (ValueError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except (ResourceError, MemoryError) as exc:

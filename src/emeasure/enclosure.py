@@ -30,7 +30,7 @@ from .rationals import (
 MAX_DEPTH = 10_000
 
 # Every caller of refine asks it to start where the bracket is 2^-8 of the
-# caller's own unit: 1/n! below 2^-8 of the bound for compare_distance_to_e,
+# caller's own unit: 1/n! below 2^-8 of the bound (or of 1/b^2) for _exceeds,
 # of 10^-digits for render_distance and of 1/(q + 1) for floor_e_times.
 # Where the bracket is only as wide as the unit, the answer often lies within
 # it and the depth doubles, one more endpoint to build. With no slack, 124 of
@@ -153,13 +153,6 @@ def compare_distance_to_e(r: Fraction, bound: Fraction) -> str:
 
     Never 'equal': r and bound are rational, so |e - r| = bound would make e
     rational.
-
-    Refinement starts where n! has a few more bits than the smaller of
-    the bound's denominator v and the square of r's denominator b.
-    Shallower, the bracket is wider than the bound and cannot answer
-    'less'. Deeper than b^2 is not needed for a tiny bound: |e - a/b| is
-    not much below 1/b^2 (e has irrationality measure 2), so once
-    1/n! < 1/b^2 such a bound is answered 'greater'.
     """
     for name, value in (("r", r), ("bound", bound)):
         if not isinstance(value, (int, Fraction)):
@@ -169,29 +162,29 @@ def compare_distance_to_e(r: Fraction, bound: Fraction) -> str:
     if bound < 0:
         raise ValueError("bound must be >= 0")
     b, v = r.denominator, bound.denominator
-    floor = _distance_floor(b, v)
-    return GREATER if _exceeds(r.numerator, b, bound.numerator, v, 0, floor) else LESS
+    return GREATER if _exceeds(r.numerator, b, bound.numerator, v, 0) else LESS
 
 
-def _distance_floor(b: int, v: int) -> int:
-    """The refine floor of a comparison of |e - a/b| with a bound u/v: a
-    power of 2 with _START_SLACK_BITS more bits than the smaller of v and
-    b^2 (see compare_distance_to_e)."""
-    return 1 << (min(v.bit_length(), 2 * b.bit_length()) + _START_SLACK_BITS - 1)
-
-
-def _exceeds(a: int, b: int, u: int, v: int, m: int, floor: int) -> bool:
+def _exceeds(a: int, b: int, u: int, v: int, m: int) -> bool:
     """Whether |e - a/b| > u / (v m!), for the ints _margin takes, decided
-    by refine from `floor` on the sign of the margin bracket alone: the
-    margin is irrational, so it is positive once lo >= 0 and negative once
-    hi <= 0. Nothing is rendered; m! is never built.
+    by refine on the sign of the margin bracket alone: the margin is
+    irrational, so it is positive once lo >= 0 and negative once hi <= 0.
+    Nothing is rendered; m! is never built.
+
+    Refinement starts where n! has _START_SLACK_BITS more bits than the
+    smaller of v m! and b^2, where m! is counted as m bit_length(m) bits,
+    no fewer than it has. Shallower, the bracket is wider than the bound
+    and cannot answer False. Deeper than b^2 is not needed for a tiny
+    bound: |e - a/b| is not much below 1/b^2 (e has irrationality measure
+    2), so once 1/n! < 1/b^2 such a bound is answered True.
     """
+    bits = min(v.bit_length() + m * m.bit_length(), 2 * b.bit_length())
 
     def decide(n: int) -> bool | None:
         lo, hi, _ = _margin(a, b, u, v, m, n)
         return True if lo >= 0 else False if hi <= 0 else None
 
-    return refine(decide, floor)
+    return refine(decide, 1 << (bits + _START_SLACK_BITS - 1))
 
 
 def render_distance(r: Fraction, digits: int) -> str:

@@ -26,21 +26,11 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .enclosure import (
-    _START_SLACK_BITS,
-    _exceeds,
-    _render,
-    compare_distance_to_e,
-    endpoint,
-)
+from .enclosure import _exceeds, _render, endpoint
 from .kempner import is_prime, kempner_S, largest_prime_factor
-from .rationals import LESS, ResourceError, rising_product
+from .rationals import ResourceError, rising_product
 
 MARGIN_DIGITS = 6
-
-# Where a verdict starts refining: the depth at which margin_digits is
-# rendered, so that a verdict decides where its rendering would.
-_VERDICT_FLOOR = 10**MARGIN_DIGITS << _START_SLACK_BITS
 
 # The most bits a bound, or an integer built to compare bounds, may have.
 # Each is checked against a small-int upper bound on its size before it is
@@ -91,14 +81,14 @@ def _require_q(q: int, what: str) -> None:
         raise ValueError(f"{what} requires q >= 2")
 
 
-def _theorem1_k(q: int) -> int:
-    _require_q(q, "theorem1_bound")
+def _theorem1_k(q: int, what: str) -> int:
+    _require_q(q, what)
     return kempner_S(q) + 1
 
 
 def theorem1_bound(q: int) -> Fraction:
     """1/(S(q)+1)!, the lower bound of the new measure; requires q >= 2."""
-    return _inverse_factorial(_theorem1_k(q))
+    return _inverse_factorial(_theorem1_k(q, "theorem1_bound"))
 
 
 def _verdict(
@@ -108,14 +98,14 @@ def _verdict(
     without building m!. p/q need not be in lowest terms."""
     if not isinstance(p, int):
         raise TypeError(f"a verdict requires an int p, not {type(p).__name__}")
-    holds = _exceeds(p, q, *terms, _VERDICT_FLOOR)
+    holds = _exceeds(p, q, *terms)
     # Positional: a frozen dataclass built by keyword costs twice as much.
     return MeasureVerdict(p, q, bound_name, holds, terms)
 
 
 def check_theorem1(p: int, q: int) -> MeasureVerdict:
     """|e - p/q| > 1/(S(q)+1)!; must hold for every q >= 2."""
-    return _verdict(p, q, "theorem1", (1, 1, _theorem1_k(q)))
+    return _verdict(p, q, "theorem1", (1, 1, _theorem1_k(q, "check_theorem1")))
 
 
 def check_prime_factor_bound(p: int, q: int) -> MeasureVerdict:
@@ -141,10 +131,7 @@ def check_sharpness(n: int) -> bool:
     if n < 3:
         raise ValueError("check_sharpness requires n >= 3")
     num, fact = endpoint(n)
-    bound = Fraction(1, fact)
-    return all(
-        compare_distance_to_e(Fraction(p, fact), bound) == LESS for p in (num, num + 1)
-    )
+    return not any(_exceeds(p, fact, 1, fact, 0) for p in (num, num + 1))
 
 
 def corollary2_scan(n: int) -> dict:

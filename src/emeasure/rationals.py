@@ -1,11 +1,11 @@
-"""Exact rational arithmetic helpers.
+"""Exact arithmetic helpers shared by the toolkit.
 
-Everything downstream works with ``fractions.Fraction``, which already
-guarantees the two invariants we need: denominators are positive and values
-are stored in lowest terms. This module adds what the rest of the toolkit
-shares: verdicts, decimal rendering, the series kernel, the walk over
-consecutive factors that every factorial threshold uses, the exact decimal
-context, and ResourceError.
+The enclosure, the verdicts and the scans decide on ints; a
+``fractions.Fraction`` appears only where a rational is taken in or handed
+back. This module holds what the layers share: the comparison verdicts,
+ResourceError, the walk over consecutive factors that every factorial
+threshold uses, the series kernel, decimal rendering of Fractions and of
+scaled ints, and the exact decimal context.
 """
 
 from __future__ import annotations

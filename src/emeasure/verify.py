@@ -95,7 +95,7 @@ def check_measure_sweep() -> tuple[bool, str]:
     # The q are visited in order of S(q), so each bound factorial extends
     # the last one: k! = k * (k - 1)! for k up to S(q) + 1. The enclosure
     # weighs the bound as 1/(k! 0!) from this running k!, off the path of
-    # check_theorem1's 1/(1 k!), and p/q unreduced, from one floor per q.
+    # check_theorem1's 1/(1 k!), and p/q unreduced.
     S = [0, 0] + [kempner.kempner_S(q) for q in range(2, 2001)]
     failures = []
     k = fact = 1
@@ -103,10 +103,9 @@ def check_measure_sweep() -> tuple[bool, str]:
         while k <= S[q]:
             k += 1
             fact *= k
-        floor = enclosure._distance_floor(q, fact)
         f = enclosure.floor_e_times(q)
         for p in (f - 1, f, f + 1, f + 2):
-            if not enclosure._exceeds(p, q, 1, fact, 0, floor):
+            if not enclosure._exceeds(p, q, 1, fact, 0):
                 failures.append((p, q))
     return not failures, f"failures={failures[:5]}"
 

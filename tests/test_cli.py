@@ -440,6 +440,9 @@ SPEC = {"a_table": [1], "b_table": [2]}
         ),
         ("int_flag.json", json.dumps({**SPEC, "all_primes_divide_infinitely_many_b": 1})),
         ("list_tail_mode.json", json.dumps({**SPEC, "tail_mode": ["all-zero"]})),
+        ("unknown_tail_mode.json", json.dumps({**SPEC, "tail_mode": "nope"})),
+        ("no_a_table.json", json.dumps({"b_table": [2]})),
+        ("no_b_table.json", json.dumps({"a_table": [1]})),
         # Read without it, the spec would run repeat-last-block: 1, not 1/2.
         ("typo_key.json", json.dumps({**SPEC, "tail-mode": "all-zero"})),
     ],
@@ -454,6 +457,8 @@ def test_unreadable_cantor_spec_is_domain_error(capsys, tmp_path, name, text):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+    if name.startswith("no_"):  # the spec lacks the key its file is named after
+        assert name.removeprefix("no_").removesuffix(".json") in captured.err
 
 
 def test_unwritable_density_csv_is_domain_error(capsys, tmp_path):

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import emeasure
 from emeasure import cantor, density, enclosure, kempner, measures
-from emeasure.rationals import ResourceError
+from emeasure.rationals import ResourceError, truncate_decimal
 
 TIME_LIMIT = 5.0
 
@@ -98,3 +98,37 @@ def test_answer_or_refusal_in_time(name, data):
             call(*args)
     except (ValueError, ResourceError):
         pass
+
+
+# Refusals of out-of-domain arguments that no int drawn above reaches: the
+# helpers under the exported functions, and a malformed custom Cantor spec.
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: enclosure.floor_e_times(0), "q must be >= 1"),
+        (lambda: kempner.kempner_prime_power(2, 0), "exponent must be >= 1"),
+        (lambda: truncate_decimal(Fraction(1, 3), 0), "digits must be >= 1"),
+        (lambda: cantor.term(UNIT, 0), "term index must be >= 1"),
+        (
+            lambda: cantor.CantorSpec(family="custom", a_table=(1,), b_table=(2, 3)),
+            "custom family requires equal-length nonempty a/b tables",
+        ),
+        (
+            lambda: cantor.CantorSpec(
+                family="custom", a_table=(1,), b_table=(2,), tail_mode="nope"
+            ),
+            "unknown tail mode 'nope'",
+        ),
+    ],
+    ids=[
+        "floor_e_times",
+        "kempner_prime_power",
+        "truncate_decimal",
+        "cantor_term",
+        "unequal_tables",
+        "unknown_tail_mode",
+    ],
+)
+def test_out_of_domain_arguments_are_refused(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()

@@ -261,7 +261,25 @@ def test_margin_digits_is_rendered_once(margins):
 def test_a_decided_verdict_costs_one_margin(monkeypatch, margins, p, q):
     monkeypatch.setattr(enclosure, "scaled_text", fail_to_render)
     assert check_theorem1(p, q).holds
-    assert margins == [12]
+    # A verdict against 1/k! starts where a comparison would: at the first
+    # n with n! >= 2^(bits + 7), bits the smaller of 1 + k bit_length(k)
+    # (1 k! counted without building k!) and 2 bit_length(q). That is depth
+    # 9 at 65/24 and 14 at 27199/10006.
+    k = kempner_S(q) + 1
+    bits = min(1 + k * k.bit_length(), 2 * q.bit_length())
+    depth = next(n for n in range(1, 100) if math.factorial(n) >= 1 << (bits + 7))
+    assert margins == [depth]
+
+
+@pytest.mark.parametrize(
+    "name, call",
+    [("check_theorem1", lambda q: check_theorem1(3, q)), ("theorem1_bound", theorem1_bound)],
+)
+def test_theorem1_refusals_name_their_caller(name, call):
+    with pytest.raises(TypeError, match=f"^{name} requires an int q, not float$"):
+        call(2.0)
+    with pytest.raises(ValueError, match=f"^{name} requires q >= 2$"):
+        call(1)
 
 
 @pytest.mark.parametrize(
