@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import bisect
 import itertools
-import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from decimal import Decimal
@@ -19,7 +18,7 @@ from fractions import Fraction
 
 from .enclosure import check_depth, compare_distance_to_e, endpoint
 from .kempner import _primes_upto
-from .rationals import LESS, decimal_text, exact_decimal
+from .rationals import LESS, decimal_text, exact_decimal, require_rational
 
 
 @dataclass(frozen=True)
@@ -131,12 +130,14 @@ def convergents(count: int) -> list[Convergent]:
 
 def is_convergent(r: Fraction) -> bool:
     """True iff r equals some convergent of e."""
-    _grow(0, r.denominator)
+    require_rational(r, "r", "is_convergent")
     return _in_table(r.numerator, r.denominator)
 
 
 def _in_table(p: int, q: int) -> bool:
-    """True iff p/q, in lowest terms with q > 0, is a stored convergent."""
+    """True iff p/q, in lowest terms with q > 0, is a convergent, looked up
+    once the table is grown past q."""
+    _grow(0, q)
     # q_k increases strictly from k = 1 on; only q_0 = q_1 = 1 repeat.
     lo = bisect.bisect_left(_Q, q, 2)
     hi = bisect.bisect_right(_Q, q, 2)
@@ -192,18 +193,24 @@ def partial_sum_scan(
     max_n: int, check_convergent: bool = False
 ) -> Iterator[tuple[PartialSumRecord, bool | None]]:
     """Rows (partial_sum_record(n), whether s_n is a convergent or None),
-    n = 0..max_n, computed as they are read; no row runs a gcd. The depth,
-    and with check_convergent one growth of the table past max_n! (no s_n has
-    a larger denominator), are checked before this returns."""
+    n = 0..max_n, computed as they are read; no row runs a gcd. The depth is
+    checked before this returns.
+
+    s_n is a convergent only if q_n < (n + 1) g. The tail gives e - s_n >
+    1/(n + 1)!, and a convergent has |e - p_k/q_k| < 1/q_k^2 (Hardy & Wright,
+    Thm 171), so s_n = p_k/q_k needs q_n^2 < (n + 1)! = (n + 1) g q_n. Only a
+    row that this leaves open, n = 1, 2 and 3 for every n <= MAX_DEPTH, grows
+    the table to its own q_n and is looked up there.
+    """
     if max_n < 0:
         raise ValueError("max_n must be >= 0")
     check_depth(max_n)
-    if check_convergent:
-        _grow(0, math.factorial(max_n))
     # One pass of N_n = n N_(n-1) + 1 beside n!: cheaper than a tree per row.
     pairs = itertools.accumulate(range(1, max_n + 1), _next_sum, initial=(1, 1))
     records = map(_record, itertools.count(), pairs, _prime_hits(max_n))
-    return ((r, _in_table(r.num, r.q_n) if check_convergent else None) for r in records)
+    if not check_convergent:
+        return ((r, None) for r in records)
+    return ((r, r.q_n < (r.n + 1) * r.g and _in_table(r.num, r.q_n)) for r in records)
 
 
 def _next_sum(pair, n: int):

@@ -20,6 +20,7 @@ from .rationals import (
     GREATER,
     LESS,
     ResourceError,
+    require_rational,
     rising_product,
     scaled_text,
     split_sum,
@@ -154,11 +155,8 @@ def compare_distance_to_e(r: Fraction, bound: Fraction) -> str:
     Never 'equal': r and bound are rational, so |e - r| = bound would make e
     rational.
     """
-    for name, value in (("r", r), ("bound", bound)):
-        if not isinstance(value, (int, Fraction)):
-            raise TypeError(
-                f"compare_distance_to_e requires a rational {name}, not {type(value).__name__}"
-            )
+    require_rational(r, "r", "compare_distance_to_e")
+    require_rational(bound, "bound", "compare_distance_to_e")
     if bound < 0:
         raise ValueError("bound must be >= 0")
     b, v = r.denominator, bound.denominator
@@ -189,6 +187,7 @@ def _exceeds(a: int, b: int, u: int, v: int, m: int) -> bool:
 
 def render_distance(r: Fraction, digits: int) -> str:
     """Truncated decimal of |e - r|, correct to `digits` places."""
+    require_rational(r, "r", "render_distance")
     if digits < 1:
         raise ValueError("digits must be >= 1")
     # With MAX_DEPTH <= 10^k, every n <= MAX_DEPTH has n! < n^n <=

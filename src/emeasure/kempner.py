@@ -143,6 +143,8 @@ def kempner_prime_power(p: int, a: int) -> int:
     """
     if not isinstance(p, int):
         raise TypeError(f"kempner_prime_power requires an int p, not {type(p).__name__}")
+    if not isinstance(a, int):
+        raise TypeError(f"kempner_prime_power requires an int a, not {type(a).__name__}")
     if a < 1:
         raise ValueError("exponent must be >= 1")
     if a == 1:

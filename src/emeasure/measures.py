@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from .enclosure import _exceeds, _render, endpoint
 from .kempner import is_prime, kempner_S, largest_prime_factor
-from .rationals import ResourceError, rising_product
+from .rationals import ResourceError, require_rational, rising_product
 
 MARGIN_DIGITS = 6
 
@@ -121,6 +121,7 @@ def check_weak_prime(p: int, q: int) -> MeasureVerdict:
 
 def check_known(p: int, q: int, eps: Fraction = Fraction(0)) -> MeasureVerdict:
     """|e - p/q| > 1/q^(2+eps), against the classical measure's bound."""
+    require_rational(eps, "eps", "check_known")
     b = known_measure_bound(q, eps)
     return _verdict(p, q, "known_eps", (b.numerator, b.denominator, 0))
 
@@ -188,6 +189,7 @@ def known_measure_bound(q: int, eps: Fraction = Fraction(0)) -> Fraction:
     lower bound.
     """
     _require_q(q, "known_measure_bound")
+    require_rational(eps, "eps", "known_measure_bound")
     if eps < 0:
         raise ValueError("eps must be >= 0")
     c, d = eps.numerator, eps.denominator
@@ -209,6 +211,7 @@ def compare_bounds(q: int, eps: Fraction = Fraction(0)) -> dict:
     other side of its comparison, which is at most q^(2+2*eps).
     """
     _require_q(q, "compare_bounds")
+    require_rational(eps, "eps", "compare_bounds")
     if eps < 0:
         raise ValueError("eps must be >= 0")
     c, d = eps.numerator, eps.denominator

@@ -22,6 +22,13 @@ class ResourceError(RuntimeError):
     """A request exceeds one of the package's size or work budgets."""
 
 
+def require_rational(value, name: str, what: str) -> None:
+    """Raise TypeError unless `value`, the argument `name` of `what`, is an
+    int or a Fraction: the types whose numerator and denominator are read."""
+    if not isinstance(value, (int, Fraction)):
+        raise TypeError(f"{what} requires a rational {name}, not {type(value).__name__}")
+
+
 def rising_product(lo: int, hi: int, cap: int) -> tuple[int, int]:
     """(k, lo (lo + 1) ... k) for the first k in lo - 1, lo, ..., hi whose
     product passes cap, or k = hi if none does; k = lo - 1 is the empty

@@ -193,21 +193,41 @@ def test_reduced_rows_match_the_fraction_oracle():
 
 
 def test_rows_run_no_gcd(monkeypatch):
-    # Fraction reduces by math.gcd, so no Fraction is built either.
-    partial_sum_scan(300, check_convergent=True)  # grows and proves the table
+    # Fraction reduces by math.gcd, so no Fraction is built either. The proof
+    # of the table builds Fractions: a first scan, read through, grows it.
+    list(partial_sum_scan(300, check_convergent=True))
     monkeypatch.setattr(math, "gcd", None)
     rows = list(cfrac.partial_sum_texts(partial_sum_scan(300, check_convergent=True)))
     assert [record.n for record, hit, _, _ in rows if hit] == [1, 3]
 
 
 def test_check_convergent_edge(monkeypatch):
-    # The table proved past 5404! is the largest within MAX_DEPTH: 5405 is
-    # refused by the call, before any row.
+    # The scan answers up to MAX_DEPTH with a table grown only for s_1 and
+    # s_3; one past it is refused by the call, before any row.
     _fresh_table(monkeypatch)
-    partial_sum_scan(5404, check_convergent=True)
-    with pytest.raises(DepthCapExceeded, match="undecided at MAX_DEPTH"):
-        partial_sum_scan(5405, check_convergent=True)
-    assert conjecture2_scan(5404) == [1, 3]
+    assert conjecture2_scan(enclosure.MAX_DEPTH) == [1, 3]
+    assert len(cfrac._P) <= 10
+    with pytest.raises(DepthCapExceeded, match="depth 10001 exceeds"):
+        partial_sum_scan(enclosure.MAX_DEPTH + 1, check_convergent=True)
+
+
+def test_convergent_test_leaves_open_only_the_first_rows():
+    # q_n >= (n + 1) g rules s_n out; it leaves open n = 1, 2, 3 alone.
+    rows = partial_sum_scan(enclosure.MAX_DEPTH)
+    assert [r.n for r, _ in rows if r.q_n < (r.n + 1) * r.g] == [1, 2, 3]
+
+
+def test_scan_column_matches_the_full_table_oracle(monkeypatch):
+    # The old path: grow the table past max_n! once, then look up every row.
+    _fresh_table(monkeypatch)
+    cfrac._grow(0, math.factorial(3000))
+    rows = [
+        (r.n, r.full_factorial, hit, cfrac._in_table(r.num, r.q_n))
+        for r, hit in partial_sum_scan(3000, check_convergent=True)
+    ]
+    assert [n for n, _, hit, oracle in rows if hit != oracle] == []
+    assert [n for n, _, hit, _ in rows if hit] == [1, 3]
+    assert sum(full for _, full, _, _ in rows) == 300  # q_n = n!, as corollary 3 reads
 
 
 def test_partial_sums_are_left_endpoints():
@@ -286,6 +306,8 @@ def test_huge_denominator_refused_before_the_recurrence_runs_away(monkeypatch):
     ids=["conjecture2", "corollary3"],
 )
 def test_scan_proves_the_table_once(monkeypatch, scan, expected):
+    # The table is grown, and proved, once for each row the inequality
+    # leaves open: s_1 (q_1 = 1) and s_3 (q_3 = 3); s_2 is looked up in it.
     _fresh_table(monkeypatch)
     calls = []
 
@@ -295,17 +317,21 @@ def test_scan_proves_the_table_once(monkeypatch, scan, expected):
 
     monkeypatch.setattr(cfrac, "compare_distance_to_e", counted)
     assert scan(300) == expected
-    assert len(calls) == 1
+    assert len(calls) == 2
+    assert cfrac._Q[-1] == 32 and len(cfrac._P) <= 10
 
 
 def test_partial_sum_scan_checks_before_it_returns(monkeypatch):
-    # Both refusals come from the call, before any row is read.
+    # The depth is refused by the call, before any row is read. The table
+    # the convergent test needs is proved within a depth of 300.
     _fresh_table(monkeypatch)
     monkeypatch.setattr(enclosure, "MAX_DEPTH", 300)
     with pytest.raises(DepthCapExceeded):
         partial_sum_scan(301)
     with pytest.raises(DepthCapExceeded):
-        partial_sum_scan(200, check_convergent=True)
+        partial_sum_scan(301, check_convergent=True)
+    rows = partial_sum_scan(300, check_convergent=True)
+    assert [record.n for record, hit in rows if hit] == [1, 3]
     with pytest.raises(ValueError):
         partial_sum_scan(-1)
     # The scan steps the recurrence; partial_sum_record reads the enclosure.

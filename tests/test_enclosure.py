@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from emeasure import enclosure
-from emeasure.cfrac import partial_sum_record
+from emeasure.cfrac import is_convergent, partial_sum_record
 from emeasure.enclosure import (
     MAX_DEPTH,
     DepthCapExceeded,
@@ -121,6 +121,10 @@ def test_non_rational_input_rejected():
         compare_distance_to_e(2.5, Fraction(1, 10))
     with pytest.raises(TypeError, match="requires a rational bound, not float"):
         compare_distance_to_e(Fraction(5, 2), 0.1)
+    with pytest.raises(TypeError, match="^render_distance requires a rational r, not float$"):
+        render_distance(2.5, 5)
+    with pytest.raises(TypeError, match="^is_convergent requires a rational r, not float$"):
+        is_convergent(2.5)
     assert compare_distance_to_e(3, Fraction(1, 2)) == LESS
 
 

@@ -315,6 +315,12 @@ def test_kempner_prime_power_refuses_a_float_prime():
         kempner_prime_power(2.0, 3)
 
 
+def test_kempner_prime_power_refuses_a_float_exponent():
+    # kempner_prime_power(3, 2.0) answered 6.
+    with pytest.raises(TypeError, match="^kempner_prime_power requires an int a, not float$"):
+        kempner_prime_power(3, 2.0)
+
+
 def test_a_refusal_is_not_cached():
     kempner._factors.cache_clear()
     for _ in range(2):

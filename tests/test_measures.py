@@ -292,6 +292,19 @@ def test_verdicts_refuse_a_float(check):
         check(65, 24.0)
 
 
+@pytest.mark.parametrize(
+    "name, call",
+    [
+        ("known_measure_bound", lambda eps: known_measure_bound(24, eps)),
+        ("compare_bounds", lambda eps: compare_bounds(24, eps)),
+        ("check_known", lambda eps: check_known(65, 24, eps)),
+    ],
+)
+def test_a_float_eps_is_refused(name, call):
+    with pytest.raises(TypeError, match=f"^{name} requires a rational eps, not float$"):
+        call(0.5)
+
+
 def test_check_known_verdict():
     assert check_known(65, 24).holds  # 1/576 < 0.00994
     # The classical measure only holds for q >= q(eps); convergents satisfy
