@@ -46,13 +46,22 @@ class CantorSpec:
     tail_mode: str = "repeat-last-block"  # custom only
 
     def __post_init__(self):
+        if not _is_int(self.a0):
+            raise ValueError("a0 must be an integer")
         if self.family not in ("unit", "complement", "masked_unit", "custom"):
             raise ValueError(f"unknown family {self.family!r}")
         if self.family == "masked_unit":
             if not self.mask or any(m not in (0, 1) for m in self.mask):
                 raise ValueError("masked_unit requires a nonempty 0/1 mask")
         if self.family == "custom":
-            if not self.a_table or len(self.a_table) != len(self.b_table):
+            for name in ("a_table", "b_table"):
+                table = getattr(self, name)
+                is_list = isinstance(table, (list, tuple))
+                if not (is_list and table and all(map(_is_int, table))):
+                    raise ValueError(f"{name} must be a nonempty list of integers")
+                # A list (from JSON, say) is stored as a tuple, so specs hash.
+                object.__setattr__(self, name, tuple(table))
+            if len(self.a_table) != len(self.b_table):
                 raise ValueError(
                     "custom family requires equal-length nonempty a/b tables"
                 )
@@ -60,6 +69,12 @@ class CantorSpec:
                 raise ValueError(f"unknown tail mode {self.tail_mode!r}")
             for i, (a, b) in enumerate(zip(self.a_table, self.b_table), start=1):
                 _check_term(a, b, i)
+
+
+def _is_int(value) -> bool:
+    """An int, and not a bool: the JSON form of a spec keeps true and false
+    apart from integers."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)

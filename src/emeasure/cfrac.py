@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import threading
 from collections.abc import Iterator
 from dataclasses import dataclass
 from decimal import Decimal
@@ -61,6 +62,9 @@ def _partial_quotient(k: int) -> int:
 # first two entries seed the recurrence p_k = a_k p_(k-1) + p_(k-2).
 _P: list[int] = [0, 1]
 _Q: list[int] = [1, 0]
+# Growing is check-then-extend, so _grow holds this lock: two threads must
+# not both extend the table from the same end.
+_GROW_LOCK = threading.Lock()
 
 
 def _grow(count: int, denominator: int = 0) -> None:
@@ -75,27 +79,29 @@ def _grow(count: int, denominator: int = 0) -> None:
     only once the check passes. It should pass: a_(K+1) >= 2 gives
     q_(K+1) > 2 q_K.
     """
-    if len(_P) >= count + 2 and _Q[-1] > denominator:
-        return
-    # 2 q_(2D)^2 >= D! for every D <= 1.2 10^4, so no proof at K past
-    # 2 MAX_DEPTH + 1 is decided within MAX_DEPTH: refuse such a count before
-    # the recurrence runs, and a denominator once the recurrence gets there.
-    check_depth((count + 1) // 2)
-    ps, qs = _P[-2:], _Q[-2:]
-    # k indexes the last entry of ps/qs. The table ends at k = 2 (mod 3),
-    # or -1 when empty, so qs[-3] is read only after two steps.
-    k = len(_P) - 3
-    while k % 3 != 1 or k < count + 1 or qs[-3] <= denominator:
-        k += 1
-        check_depth(k // 2)
-        a = _partial_quotient(k)
-        ps.append(a * ps[-1] + ps[-2])
-        qs.append(a * qs[-1] + qs[-2])
-    p, q = ps.pop(), qs.pop()  # p_K / q_K
-    if compare_distance_to_e(Fraction(p, q), Fraction(1, 2 * q * q)) != LESS:
-        raise AssertionError(f"generated {p}/{q} fails |e - p/q| < 1/(2 q^2)")
-    _P.extend(ps[2:-1])
-    _Q.extend(qs[2:-1])
+    with _GROW_LOCK:
+        if len(_P) >= count + 2 and _Q[-1] > denominator:
+            return
+        # 2 q_(2D)^2 >= D! for every D <= 1.2 10^4, so no proof at K past
+        # 2 MAX_DEPTH + 1 is decided within MAX_DEPTH: refuse such a count
+        # before the recurrence runs, and a denominator once the recurrence
+        # gets there.
+        check_depth((count + 1) // 2)
+        ps, qs = _P[-2:], _Q[-2:]
+        # k indexes the last entry of ps/qs. The table ends at k = 2 (mod 3),
+        # or -1 when empty, so qs[-3] is read only after two steps.
+        k = len(_P) - 3
+        while k % 3 != 1 or k < count + 1 or qs[-3] <= denominator:
+            k += 1
+            check_depth(k // 2)
+            a = _partial_quotient(k)
+            ps.append(a * ps[-1] + ps[-2])
+            qs.append(a * qs[-1] + qs[-2])
+        p, q = ps.pop(), qs.pop()  # p_K / q_K
+        if compare_distance_to_e(Fraction(p, q), Fraction(1, 2 * q * q)) != LESS:
+            raise AssertionError(f"generated {p}/{q} fails |e - p/q| < 1/(2 q^2)")
+        _P.extend(ps[2:-1])
+        _Q.extend(qs[2:-1])
 
 
 def convergent_pairs(count: int) -> list[tuple[int, int]]:
@@ -189,12 +195,10 @@ def _prime_hits(max_n: int) -> list[list[int]]:
     return hits
 
 
-def partial_sum_scan(
-    max_n: int, check_convergent: bool = False
-) -> Iterator[tuple[PartialSumRecord, bool | None]]:
-    """Rows (partial_sum_record(n), whether s_n is a convergent or None),
-    n = 0..max_n, computed as they are read; no row runs a gcd. The depth is
-    checked before this returns.
+def partial_sum_scan(max_n: int) -> Iterator[tuple[PartialSumRecord, bool]]:
+    """Rows (partial_sum_record(n), whether s_n is a convergent), n = 0..max_n,
+    computed as they are read; no row runs a gcd. The depth is checked
+    before this returns.
 
     s_n is a convergent only if q_n < (n + 1) g. The tail gives e - s_n >
     1/(n + 1)!, and a convergent has |e - p_k/q_k| < 1/q_k^2 (Hardy & Wright,
@@ -208,8 +212,6 @@ def partial_sum_scan(
     # One pass of N_n = n N_(n-1) + 1 beside n!: cheaper than a tree per row.
     pairs = itertools.accumulate(range(1, max_n + 1), _next_sum, initial=(1, 1))
     records = map(_record, itertools.count(), pairs, _prime_hits(max_n))
-    if not check_convergent:
-        return ((r, None) for r in records)
     return ((r, r.q_n < (r.n + 1) * r.g and _in_table(r.num, r.q_n)) for r in records)
 
 
@@ -220,8 +222,8 @@ def _next_sum(pair, n: int):
 
 
 def partial_sum_texts(
-    rows: Iterator[tuple[PartialSumRecord, bool | None]],
-) -> Iterator[tuple[PartialSumRecord, bool | None, str, str]]:
+    rows: Iterator[tuple[PartialSumRecord, bool]],
+) -> Iterator[tuple[PartialSumRecord, bool, str, str]]:
     """partial_sum_scan's rows, each with the decimal texts of s_n's numerator
     and denominator. N_n and n! run through their recurrence again in
     decimal, where a step is linear in the digits, and are printed divided by
@@ -250,7 +252,7 @@ def corollary3_scan(max_n: int) -> list[dict]:
         raise ValueError("max_n must be >= 3")
     return [
         {"n": record.n, "violated": hit}
-        for record, hit in partial_sum_scan(max_n, check_convergent=True)
+        for record, hit in partial_sum_scan(max_n)
         if record.n >= 3 and record.full_factorial
     ]
 
@@ -262,5 +264,5 @@ def conjecture2_scan(max_n: int) -> list[int]:
     """
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
-    scan = partial_sum_scan(max_n, check_convergent=True)
+    scan = partial_sum_scan(max_n)
     return [record.n for record, hit in scan if hit]

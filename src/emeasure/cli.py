@@ -106,17 +106,7 @@ def cmd_kempner(args) -> int:
     if args.q is None and not args.oracle_check:
         raise ValueError("kempner requires --q or --oracle-check")
     if args.oracle_check:
-        if args.max < 1:
-            raise ValueError("--max must be >= 1")
-        if args.max > kempner.MAX_ORACLE_Q:
-            raise ResourceError(
-                f"--max {args.max} exceeds MAX_ORACLE_Q = {kempner.MAX_ORACLE_Q}"
-            )
-        mismatches = [
-            q
-            for q in range(1, args.max + 1)
-            if kempner.kempner_S(q) != kempner.kempner_S_naive(q)
-        ]
+        mismatches = kempner.oracle_mismatches(args.max)
         _emit_json({"checked_max": args.max, "mismatches": mismatches})
         return EXIT_OK if not mismatches else EXIT_DOMAIN
     result = kempner.kempner_result(args.q)
@@ -196,7 +186,7 @@ def cmd_convergents(args) -> int:
 def cmd_partial_sums(args) -> int:
     # Each field is the text of a decimal integer, which csv never quotes:
     # rows are joined text with csv's own terminator.
-    rows = cfrac.partial_sum_scan(args.max_n, args.check_convergent)
+    rows = cfrac.partial_sum_scan(args.max_n)
     header = ["n", "s_n_num", "s_n_den", "q_n", "full_factorial"]
     if args.check_convergent:
         header.append("is_convergent")
@@ -209,17 +199,6 @@ def cmd_partial_sums(args) -> int:
     return EXIT_OK
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _int_table(doc: dict, key: str) -> tuple[int, ...]:
-    table = doc.get(key)
-    if not isinstance(table, list) or not all(map(_is_int, table)):
-        raise ValueError(f"{key} must be a list of integers")
-    return tuple(table)
-
-
 def _spec_from_args(args) -> cantor.CantorSpec:
     if args.spec_json:
         with open(args.spec_json) as handle:
@@ -229,19 +208,7 @@ def _spec_from_args(args) -> cantor.CantorSpec:
         for key in doc:
             if key not in ("a0", "a_table", "b_table", "tail_mode"):
                 raise ValueError(f"unknown spec key {key!r}")
-        a0 = doc.get("a0", 0)
-        if not _is_int(a0):
-            raise ValueError("a0 must be an integer")
-        tail_mode = doc.get("tail_mode", "repeat-last-block")
-        if not isinstance(tail_mode, str):
-            raise ValueError("tail_mode must be a string")
-        return cantor.CantorSpec(
-            a0=a0,
-            family="custom",
-            a_table=_int_table(doc, "a_table"),
-            b_table=_int_table(doc, "b_table"),
-            tail_mode=tail_mode,
-        )
+        return cantor.CantorSpec(family="custom", **doc)
     family = args.family
     if family.startswith("mask:"):
         mask = tuple(int(ch) for ch in family.removeprefix("mask:"))
@@ -383,7 +350,8 @@ def run(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except (ResourceError, MemoryError) as exc:
-        print(f"resource error: {exc}", file=sys.stderr)
+        # str(MemoryError()) is empty.
+        print(f"resource error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_RESOURCE
 
 

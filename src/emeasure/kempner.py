@@ -229,6 +229,19 @@ def kempner_S_naive(q: int) -> int:
     return k
 
 
+def oracle_mismatches(max_q: int) -> list[int]:
+    """The q in [1, max_q] at which kempner_S and kempner_S_naive disagree:
+    the one sweep of the fast path against its oracle. A max_q past
+    MAX_ORACLE_Q is refused before any q is checked."""
+    if max_q < 1:
+        raise ValueError("oracle_mismatches requires max_q >= 1")
+    if max_q > MAX_ORACLE_Q:
+        raise ResourceError(
+            f"oracle_mismatches({max_q}) exceeds MAX_ORACLE_Q = {MAX_ORACLE_Q}"
+        )
+    return [q for q in range(1, max_q + 1) if kempner_S(q) != kempner_S_naive(q)]
+
+
 def largest_prime_factor(q: int) -> int:
     """P(q): greatest prime dividing q, for q >= 2."""
     return _factors(q)[-1][0]

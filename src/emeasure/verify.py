@@ -72,11 +72,7 @@ def check_sandwich() -> tuple[bool, str]:
 
 @_check("Kempner fast/naive agreement on q <= 10^4 and anchor values", budget=1.0)
 def check_kempner_oracle() -> tuple[bool, str]:
-    mismatches = [
-        q
-        for q in range(1, 10_001)
-        if kempner.kempner_S(q) != kempner.kempner_S_naive(q)
-    ]
+    mismatches = kempner.oracle_mismatches(10_000)
     anchors = (
         kempner.kempner_S(6) == 3
         and all(kempner.kempner_S(q) == q for q in range(1, 6))

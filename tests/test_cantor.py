@@ -158,6 +158,45 @@ def test_term_bounds_enforced():
         CantorSpec(a0=0, family="custom", a_table=(0,), b_table=(1,))
 
 
+TABLES = {"a_table": (1,), "b_table": (2,)}
+
+
+# The bad fields that cantor --spec-json reads from JSON, built directly.
+@pytest.mark.parametrize(
+    "fields, field",
+    [
+        ({**TABLES, "a_table": ["1"]}, "a_table"),
+        ({**TABLES, "a_table": [True]}, "a_table"),
+        ({**TABLES, "b_table": [2.0]}, "b_table"),
+        ({**TABLES, "a0": 0.5}, "a0"),
+        ({**TABLES, "a0": True}, "a0"),
+        ({**TABLES, "a_table": 1}, "a_table"),
+        ({**TABLES, "a_table": []}, "a_table"),
+        ({"b_table": (2,)}, "a_table"),
+        ({"a_table": (1,)}, "b_table"),
+        ({**TABLES, "tail_mode": ["all-zero"]}, "tail mode"),
+    ],
+)
+def test_spec_fields_are_checked_by_the_spec(fields, field):
+    with pytest.raises(ValueError, match=field):
+        CantorSpec(family="custom", **fields)
+
+
+def test_a0_is_checked_in_every_family():
+    for family in ("unit", "complement"):
+        with pytest.raises(ValueError, match="a0 must be an integer"):
+            CantorSpec(a0=False, family=family)
+    with pytest.raises(ValueError, match="a0 must be an integer"):
+        masked_unit_family((1,), a0=1.0)
+
+
+def test_spec_from_lists_holds_tuples_and_hashes():
+    spec = CantorSpec(a0=3, family="custom", a_table=[1, 0], b_table=[2, 3])
+    assert (spec.a_table, spec.b_table) == ((1, 0), (2, 3))
+    twin = CantorSpec(a0=3, family="custom", a_table=(1, 0), b_table=(2, 3))
+    assert spec == twin and hash(spec) == hash(twin)
+
+
 def test_bad_family_and_mask_rejected():
     with pytest.raises(ValueError):
         CantorSpec(family="bogus")
@@ -232,7 +271,8 @@ def test_integer_partial_sum_matches_fraction_loop(spec, upto):
 
 
 # cantor sums its terms unchecked: the built-in families are valid by
-# construction, and __post_init__ checks only a custom spec's tables.
+# construction, and __post_init__ checks the terms only of a custom spec's
+# tables.
 def assert_terms_valid(spec):
     size = len(spec.a_table) if spec.family == "custom" else len(spec.mask)
     for n in range(1, 3 * size + 21):

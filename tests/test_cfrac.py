@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -81,6 +83,42 @@ def test_convergent_pairs_are_the_convergents_in_lowest_terms(monkeypatch):
 def _fresh_table(monkeypatch):
     monkeypatch.setattr(cfrac, "_P", [0, 1])
     monkeypatch.setattr(cfrac, "_Q", [1, 0])
+
+
+def test_threads_grow_the_table_one_at_a_time(monkeypatch):
+    # Four threads grow a fresh table at once, a thread switch offered every
+    # microsecond. Growing reads the table's end and then extends it; two
+    # threads that read the same end would both extend it from there.
+    expected = [(r.numerator, r.denominator) for r in _recurrence_oracle(700)]
+    switch_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(30):
+            _fresh_table(monkeypatch)
+            barrier = threading.Barrier(4)
+            errors = []
+
+            def grow(count):
+                barrier.wait(timeout=30)
+                try:
+                    convergent_pairs(count)
+                except Exception as exc:
+                    errors.append(exc)
+
+            threads = [
+                threading.Thread(target=grow, args=(300 + 100 * i,)) for i in range(4)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in threads)
+            table = list(zip(cfrac._P[2:], cfrac._Q[2:]))
+            assert errors == []
+            assert len(cfrac._P) == len(cfrac._Q) and table == expected[: len(table)]
+            assert len(table) >= 600
+    finally:
+        sys.setswitchinterval(switch_interval)
 
 
 def test_failed_validation_leaves_the_table_as_it_was(monkeypatch):
@@ -172,7 +210,7 @@ def test_scan_preconditions():
         conjecture2_scan(0)
     # n = 0 is a row of its own: s_0 = 1 = 0!/0!.
     [(record, hit)] = partial_sum_scan(0)
-    assert (record.n, record.num, record.q_n, record.g, hit) == (0, 1, 1, 1, None)
+    assert (record.n, record.num, record.q_n, record.g, hit) == (0, 1, 1, 1, False)
     # s_3 = 8/3, so q_3 = 3 != 3! and the scan at max_n = 3 has no row.
     assert corollary3_scan(3) == []
 
@@ -195,9 +233,9 @@ def test_reduced_rows_match_the_fraction_oracle():
 def test_rows_run_no_gcd(monkeypatch):
     # Fraction reduces by math.gcd, so no Fraction is built either. The proof
     # of the table builds Fractions: a first scan, read through, grows it.
-    list(partial_sum_scan(300, check_convergent=True))
+    list(partial_sum_scan(300))
     monkeypatch.setattr(math, "gcd", None)
-    rows = list(cfrac.partial_sum_texts(partial_sum_scan(300, check_convergent=True)))
+    rows = list(cfrac.partial_sum_texts(partial_sum_scan(300)))
     assert [record.n for record, hit, _, _ in rows if hit] == [1, 3]
 
 
@@ -208,7 +246,7 @@ def test_check_convergent_edge(monkeypatch):
     assert conjecture2_scan(enclosure.MAX_DEPTH) == [1, 3]
     assert len(cfrac._P) <= 10
     with pytest.raises(DepthCapExceeded, match="depth 10001 exceeds"):
-        partial_sum_scan(enclosure.MAX_DEPTH + 1, check_convergent=True)
+        partial_sum_scan(enclosure.MAX_DEPTH + 1)
 
 
 def test_convergent_test_leaves_open_only_the_first_rows():
@@ -223,7 +261,7 @@ def test_scan_column_matches_the_full_table_oracle(monkeypatch):
     cfrac._grow(0, math.factorial(3000))
     rows = [
         (r.n, r.full_factorial, hit, cfrac._in_table(r.num, r.q_n))
-        for r, hit in partial_sum_scan(3000, check_convergent=True)
+        for r, hit in partial_sum_scan(3000)
     ]
     assert [n for n, _, hit, oracle in rows if hit != oracle] == []
     assert [n for n, _, hit, _ in rows if hit] == [1, 3]
@@ -328,13 +366,10 @@ def test_partial_sum_scan_checks_before_it_returns(monkeypatch):
     monkeypatch.setattr(enclosure, "MAX_DEPTH", 300)
     with pytest.raises(DepthCapExceeded):
         partial_sum_scan(301)
-    with pytest.raises(DepthCapExceeded):
-        partial_sum_scan(301, check_convergent=True)
-    rows = partial_sum_scan(300, check_convergent=True)
+    rows = partial_sum_scan(300)
     assert [record.n for record, hit in rows if hit] == [1, 3]
     with pytest.raises(ValueError):
         partial_sum_scan(-1)
     # The scan steps the recurrence; partial_sum_record reads the enclosure.
     rows = list(partial_sum_scan(300))
     assert [record for record, _ in rows] == [partial_sum_record(n) for n in range(301)]
-    assert {hit for _, hit in rows} == {None}

@@ -476,6 +476,17 @@ def test_resource_error_exit_code(capsys, monkeypatch):
     assert "resource" in capsys.readouterr().err
 
 
+def test_memory_error_is_named(capsys, monkeypatch):
+    # str(MemoryError()) is empty: the line says what ran out.
+    def out_of_memory(args):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "cmd_interval", out_of_memory)
+    assert cli.run(["interval", "--n", "3"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "resource error: out of memory\n")
+
+
 @pytest.mark.parametrize(
     "env, argv, expected",
     [

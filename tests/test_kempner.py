@@ -16,6 +16,7 @@ from emeasure.kempner import (
     kempner_prime_power,
     kempner_result,
     largest_prime_factor,
+    oracle_mismatches,
 )
 from emeasure.rationals import ResourceError
 
@@ -242,6 +243,25 @@ def test_oracle_past_its_cap_is_refused_before_any_block(monkeypatch):
     monkeypatch.setattr(kempner.math, "prod", fail_to_build)
     with pytest.raises(ResourceError, match="MAX_ORACLE_Q"):
         kempner_S_naive(MAX_ORACLE_Q + 1)
+
+
+def test_oracle_mismatches_sweeps_every_q(monkeypatch):
+    assert oracle_mismatches(500) == []
+    S = kempner.kempner_S
+    monkeypatch.setattr(kempner, "kempner_S", lambda q: S(q) + (q in (1, 97, 500)))
+    assert oracle_mismatches(500) == [1, 97, 500]
+
+
+@pytest.mark.parametrize(
+    "max_q, error", [(0, ValueError), (-1, ValueError), (MAX_ORACLE_Q + 1, ResourceError)]
+)
+def test_oracle_range_is_refused_before_any_q(monkeypatch, max_q, error):
+    def fail_to_check(q):
+        raise AssertionError(f"checked q = {q} in a range that should be refused")
+
+    monkeypatch.setattr(kempner, "kempner_S_naive", fail_to_check)
+    with pytest.raises(error, match="max_q >= 1|MAX_ORACLE_Q"):
+        oracle_mismatches(max_q)
 
 
 def test_fast_matches_naive_to_10k():
