@@ -50,17 +50,17 @@ class CantorSpec:
             raise ValueError("a0 must be an integer")
         if self.family not in ("unit", "complement", "masked_unit", "custom"):
             raise ValueError(f"unknown family {self.family!r}")
-        if self.family == "masked_unit":
-            if not self.mask or any(m not in (0, 1) for m in self.mask):
-                raise ValueError("masked_unit requires a nonempty 0/1 mask")
+        tables = {"masked_unit": ("mask",), "custom": ("a_table", "b_table")}
+        for name in tables.get(self.family, ()):
+            table = getattr(self, name)
+            is_list = isinstance(table, (list, tuple))
+            if not (is_list and table and all(map(_is_int, table))):
+                raise ValueError(f"{name} must be a nonempty list of integers")
+            # A list (from JSON, say) is stored as a tuple, so specs hash.
+            object.__setattr__(self, name, tuple(table))
+        if self.family == "masked_unit" and not set(self.mask) <= {0, 1}:
+            raise ValueError("masked_unit requires a nonempty 0/1 mask")
         if self.family == "custom":
-            for name in ("a_table", "b_table"):
-                table = getattr(self, name)
-                is_list = isinstance(table, (list, tuple))
-                if not (is_list and table and all(map(_is_int, table))):
-                    raise ValueError(f"{name} must be a nonempty list of integers")
-                # A list (from JSON, say) is stored as a tuple, so specs hash.
-                object.__setattr__(self, name, tuple(table))
             if len(self.a_table) != len(self.b_table):
                 raise ValueError(
                     "custom family requires equal-length nonempty a/b tables"
@@ -175,4 +175,4 @@ def complement_family(a0: int = 0) -> CantorSpec:
 
 def masked_unit_family(mask: tuple[int, ...], a0: int = 0) -> CantorSpec:
     """a_n drawn from a periodic 0/1 mask, b_n = n + 1 (cosh/sinh analogs)."""
-    return CantorSpec(a0=a0, family="masked_unit", mask=tuple(mask))
+    return CantorSpec(a0=a0, family="masked_unit", mask=mask)

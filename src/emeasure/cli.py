@@ -12,7 +12,6 @@ rationals.ResourceError).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import datetime
 import json
 import math
@@ -32,12 +31,11 @@ _quote = json.encoder.encode_basestring_ascii
 
 def _render(obj, indent: str, out: list) -> None:
     """Append the JSON text of obj to out under the CLI's rule: an int (not a
-    bool) becomes its decimal string, a Fraction {"num", "den"}, a dataclass
-    the object of its fields, read one level at a time; str, bool, None,
-    finite floats, lists, tuples and dicts with str keys stay JSON, and
-    anything else raises TypeError. Strings are escaped by json itself, and
-    the text is laid out as json's indent=2 lays it out, `indent` being "\n"
-    and two spaces per level of obj."""
+    bool) becomes its decimal string and a Fraction {"num", "den"}; str,
+    bool, None, finite floats, lists, tuples and dicts with str keys stay
+    JSON, and anything else raises TypeError. Strings are escaped by json
+    itself, and the text is laid out as json's indent=2 lays it out,
+    `indent` being "\n" and two spaces per level of obj."""
     if isinstance(obj, str):
         out.append(_quote(obj))
     elif obj is None or isinstance(obj, bool):
@@ -50,9 +48,7 @@ def _render(obj, indent: str, out: list) -> None:
         if isinstance(obj, Fraction):
             obj = {"num": obj.numerator, "den": obj.denominator}
         elif not isinstance(obj, (dict, list, tuple)):
-            if not dataclasses.is_dataclass(obj):
-                raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-            obj = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+            raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
         brackets = "{}" if isinstance(obj, dict) else "[]"
         if not obj:
             out.append(brackets)
@@ -241,7 +237,8 @@ def cmd_density(args) -> int:
     # runs in this process.
     if args.workers < 1:
         raise ValueError("--workers must be >= 1")
-    _emit_json(density.density_report(args.x, csv_path=args.csv))
+    # A frozen dataclass keeps its fields, in order, in its __dict__.
+    _emit_json(vars(density.density_report(args.x, csv_path=args.csv)))
     return EXIT_OK
 
 

@@ -22,12 +22,11 @@ import os
 from bisect import bisect_left
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import compress, count, repeat
 from operator import floordiv, gt, ne
 
 from .kempner import _primes_upto, kempner_prime_power
-from .rationals import ResourceError, rising_product, truncate_decimal
+from .rationals import ResourceError, rising_product, scaled_text
 
 # The most q one kempner_range call covers: it builds three lists that long.
 BLOCK_SIZE = 1 << 16
@@ -255,8 +254,8 @@ def density_report(x: int, csv_path: str | None = None) -> DensityReport:
         count_S_neq_P=count_sp,
         count_conjecture1_fail=count_c1,
         count_conjecture1_fail_P=count_c1p,
-        ratio_S_neq_P=truncate_decimal(Fraction(count_sp, x), 8),
-        ratio_conjecture1_fail=truncate_decimal(Fraction(count_c1, x), 8),
+        ratio_S_neq_P=scaled_text(False, count_sp * 10**8 // x, 8),
+        ratio_conjecture1_fail=scaled_text(False, count_c1 * 10**8 // x, 8),
         exceptions_S_neq_P=sample_sp,
         exceptions_conjecture1=sample_c1,
     )

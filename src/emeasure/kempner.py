@@ -192,6 +192,8 @@ def kempner_S_naive(q: int) -> int:
     at a time through the first sub-block that brings it to 0; the first k
     found there with q | k! is S(q).
     """
+    if not isinstance(q, int):
+        raise TypeError(f"kempner_S_naive requires an int q, not {type(q).__name__}")
     if q < 1:
         raise ValueError("kempner_S_naive requires q >= 1")
     if q > MAX_ORACLE_Q:

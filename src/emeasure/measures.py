@@ -149,7 +149,7 @@ def corollary2_scan(n: int) -> dict:
     witness = None
     # floor(e n!) = N_n, since 0 < e n! - N_n < 1/n: the nearest p are N_n +/- 1.
     for p in (num - 1, num, num + 1):
-        if not _verdict(p, q, "prime_factor", (1, 1, largest + 1)).holds:
+        if not _exceeds(p, q, 1, 1, largest + 1):
             witness = (p, q)
             break
     return {

@@ -195,12 +195,22 @@ def test_spec_from_lists_holds_tuples_and_hashes():
     assert (spec.a_table, spec.b_table) == ((1, 0), (2, 3))
     twin = CantorSpec(a0=3, family="custom", a_table=(1, 0), b_table=(2, 3))
     assert spec == twin and hash(spec) == hash(twin)
+    spec = CantorSpec(family="masked_unit", mask=[1, 0])
+    assert spec.mask == (1, 0)
+    twin = masked_unit_family((1, 0))
+    assert spec == twin and hash(spec) == hash(twin)
+
+
+@pytest.mark.parametrize("mask", [(True, False), (1.0,), (), "10", [1, None]])
+def test_mask_is_checked_as_the_tables_are(mask):
+    with pytest.raises(ValueError, match="mask must be a nonempty list of integers"):
+        masked_unit_family(mask)
 
 
 def test_bad_family_and_mask_rejected():
     with pytest.raises(ValueError):
         CantorSpec(family="bogus")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="masked_unit requires a nonempty 0/1 mask"):
         CantorSpec(family="masked_unit", mask=(2,))
 
 
@@ -224,8 +234,9 @@ def specs(draw):
     if family == "complement":
         return complement_family(a0)
     if family == "masked_unit":
+        # A list mask, as a caller may pass one, is stored as a tuple.
         mask = draw(st.lists(st.integers(0, 1), min_size=1, max_size=6))
-        return masked_unit_family(tuple(mask), a0)
+        return masked_unit_family(draw(st.sampled_from([list, tuple]))(mask), a0)
     return draw(custom_specs(a0, draw(st.sampled_from(TAIL_MODES))))
 
 
@@ -267,6 +278,7 @@ def test_every_custom_spec_is_rational_with_its_exact_limit(tail_mode, data):
 
 @given(specs(), st.integers(min_value=0, max_value=60))
 def test_integer_partial_sum_matches_fraction_loop(spec, upto):
+    hash(spec)
     assert cantor_partial_sum(spec, upto) == _fraction_partial_sum(spec, upto)
 
 

@@ -2,6 +2,7 @@ import concurrent.futures
 import math
 import sys
 import threading
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -152,6 +153,17 @@ def test_naive_oracle_anchors():
     assert kempner_S_naive(1) == 1
     assert kempner_S_naive(6) == 3
     assert kempner_S_naive(120) == 5
+
+
+def test_naive_oracle_refuses_a_non_int_with_warm_tables():
+    # Warm, the shared tables reach far enough that a float or a Fraction
+    # would be walked to some answer, or to an IndexError, if it got in.
+    kempner_S_naive(5000)
+    for q in (6.0, Fraction(13, 2), Fraction(6), 997.0):
+        with pytest.raises(TypeError, match="kempner_S_naive requires an int q"):
+            kempner_S_naive(q)
+    # A bool is an int.
+    assert kempner_S_naive(True) == 1
 
 
 def one_step_oracle(q):
