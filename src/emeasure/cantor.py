@@ -24,16 +24,26 @@ prod = b_1...b_T, the limit is exact:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .enclosure import check_depth
-from .rationals import split_sum
+from .rationals import require_int, split_sum
 
 IRRATIONAL = "irrational"
 RATIONAL = "rational"
 
 TAIL_MODES = ("repeat-last-block", "all-zero", "all-complement")
+
+# The fields past a0 and family that each family reads; the tables among them
+# are nonempty lists or tuples of ints, stored as tuples. Every other field
+# must hold its default.
+_READS = {
+    "unit": (),
+    "complement": (),
+    "masked_unit": ("mask",),
+    "custom": ("a_table", "b_table", "tail_mode"),
+}
 
 
 @dataclass(frozen=True)
@@ -48,16 +58,19 @@ class CantorSpec:
     def __post_init__(self):
         if not _is_int(self.a0):
             raise ValueError("a0 must be an integer")
-        if self.family not in ("unit", "complement", "masked_unit", "custom"):
+        if self.family not in tuple(_READS):  # by ==, so a list is refused too
             raise ValueError(f"unknown family {self.family!r}")
-        tables = {"masked_unit": ("mask",), "custom": ("a_table", "b_table")}
-        for name in tables.get(self.family, ()):
-            table = getattr(self, name)
-            is_list = isinstance(table, (list, tuple))
-            if not (is_list and table and all(map(_is_int, table))):
-                raise ValueError(f"{name} must be a nonempty list of integers")
-            # A list (from JSON, say) is stored as a tuple, so specs hash.
-            object.__setattr__(self, name, tuple(table))
+        for field in fields(self)[2:]:
+            name, value = field.name, getattr(self, field.name)
+            if name not in _READS[self.family]:
+                if value != field.default:
+                    raise ValueError(f"the {self.family} family does not read {name}")
+            elif name != "tail_mode":
+                is_list = isinstance(value, (list, tuple))
+                if not (is_list and value and all(map(_is_int, value))):
+                    raise ValueError(f"{name} must be a nonempty list of integers")
+                # A list (from JSON, say) is stored as a tuple, so specs hash.
+                object.__setattr__(self, name, tuple(value))
         if self.family == "masked_unit" and not set(self.mask) <= {0, 1}:
             raise ValueError("masked_unit requires a nonempty 0/1 mask")
         if self.family == "custom":
@@ -92,8 +105,7 @@ def _check_term(a: int, b: int, n: int) -> None:
 
 def term(spec: CantorSpec, n: int) -> tuple[int, int]:
     """(a_n, b_n) for n >= 1."""
-    if n < 1:
-        raise ValueError("term index must be >= 1")
+    require_int(n, "n", "term", 1)
     if spec.family == "unit":
         return 1, n + 1
     if spec.family == "complement":
@@ -123,8 +135,7 @@ def _head(spec: CantorSpec, upto: int) -> tuple[int, int]:
 
 def cantor_partial_sum(spec: CantorSpec, upto: int) -> Fraction:
     """Exact sum of the first terms: a0 + sum_{n=1}^{upto} a_n/(b_1...b_n)."""
-    if upto < 0:
-        raise ValueError("upto must be >= 0")
+    require_int(upto, "upto", "cantor_partial_sum", 0)
     num, prod = _head(spec, upto)
     return Fraction(spec.a0 * prod + num, prod)
 

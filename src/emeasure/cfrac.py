@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .enclosure import check_depth, compare_distance_to_e, endpoint
 from .kempner import _primes_upto
-from .rationals import LESS, decimal_text, exact_decimal, require_rational
+from .rationals import LESS, decimal_text, exact_decimal, require_int, require_rational
 
 
 @dataclass(frozen=True)
@@ -107,8 +107,7 @@ def _grow(count: int, denominator: int = 0) -> None:
 def convergent_pairs(count: int) -> list[tuple[int, int]]:
     """(p_k, q_k) of the first `count` convergents of e, as stored: each pair
     is in lowest terms, as p_k q_(k-1) - p_(k-1) q_k = +-1."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    require_int(count, "count", "convergent_pairs", 1)
     _grow(count)
     return list(zip(_P[2 : count + 2], _Q[2 : count + 2]))
 
@@ -206,8 +205,7 @@ def partial_sum_scan(max_n: int) -> Iterator[tuple[PartialSumRecord, bool]]:
     row that this leaves open, n = 1, 2 and 3 for every n <= MAX_DEPTH, grows
     the table to its own q_n and is looked up there.
     """
-    if max_n < 0:
-        raise ValueError("max_n must be >= 0")
+    require_int(max_n, "max_n", "partial_sum_scan", 0)
     check_depth(max_n)
     # One pass of N_n = n N_(n-1) + 1 beside n!: cheaper than a tree per row.
     pairs = itertools.accumulate(range(1, max_n + 1), _next_sum, initial=(1, 1))
@@ -248,8 +246,7 @@ def corollary3_scan(max_n: int) -> list[dict]:
     Returns one row per full-factorial index; `violated` should always be
     False (it is a theorem).
     """
-    if max_n < 3:
-        raise ValueError("max_n must be >= 3")
+    require_int(max_n, "max_n", "corollary3_scan", 3)
     return [
         {"n": record.n, "violated": hit}
         for record, hit in partial_sum_scan(max_n)
@@ -262,7 +259,6 @@ def conjecture2_scan(max_n: int) -> list[int]:
 
     The conjecture predicts exactly [1, 3] for every max_n >= 3.
     """
-    if max_n < 1:
-        raise ValueError("max_n must be >= 1")
+    require_int(max_n, "max_n", "conjecture2_scan", 1)
     scan = partial_sum_scan(max_n)
     return [record.n for record, hit in scan if hit]

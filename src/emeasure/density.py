@@ -26,7 +26,7 @@ from itertools import compress, count, repeat
 from operator import floordiv, gt, ne
 
 from .kempner import _primes_upto, kempner_prime_power
-from .rationals import ResourceError, rising_product, scaled_text
+from .rationals import ResourceError, require_int, rising_product, scaled_text
 
 # The most q one kempner_range call covers: it builds three lists that long.
 BLOCK_SIZE = 1 << 16
@@ -62,8 +62,7 @@ class KempnerPlan:
 def kempner_plan(x: int) -> KempnerPlan:
     """The base primes p <= isqrt(x) and the S value of each of their
     powers up to x, for a scan of x + 1 <= MAX_SCAN_ENTRIES entries."""
-    if x < 2:
-        raise ValueError("kempner_plan requires x >= 2")
+    require_int(x, "x", "kempner_plan", 2)
     if x + 1 > MAX_SCAN_ENTRIES:
         raise ResourceError(
             f"scan of {x + 1} entries exceeds budget of {MAX_SCAN_ENTRIES}"
@@ -91,6 +90,8 @@ def kempner_range(lo: int, hi: int, plan: KempnerPlan) -> tuple[list[int], list[
     q by p once per p^a | q leaves 1 or the one prime factor of q above
     isqrt(x).
     """
+    require_int(lo, "lo", "kempner_range")
+    require_int(hi, "hi", "kempner_range")
     if not 2 <= lo <= hi <= plan.x:
         raise ValueError("kempner_range requires 2 <= lo <= hi <= the plan's x")
     n = hi - lo + 1
@@ -225,12 +226,10 @@ def density_report(x: int, csv_path: str | None = None) -> DensityReport:
     S(q) != P(q) from _exceptions_S_neq_P, and both q^2 >= S(q)! and
     q^2 >= P(q)! from the q whose primes are all below t, the smallest t
     with t! > x^2, since P(q) >= t gives q^2 < t! <= P(q)! <= S(q)!.
-    kempner_plan holds x + 1 to MAX_SCAN_ENTRIES.
+    kempner_plan checks x: an int >= 2, with x + 1 <= MAX_SCAN_ENTRIES.
     csv_path, if given, receives one row per q with its S/P values and flags,
     from a block scan.
     """
-    if x < 2:
-        raise ValueError("density_report requires x >= 2")
     plan = kempner_plan(x)
     threshold, facts = _factorial_threshold(x)
     count_sp, sample_sp = _count_and_smallest(_exceptions_S_neq_P(plan))

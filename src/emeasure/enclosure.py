@@ -20,6 +20,7 @@ from .rationals import (
     GREATER,
     LESS,
     ResourceError,
+    require_int,
     require_rational,
     rising_product,
     scaled_text,
@@ -64,9 +65,9 @@ def check_depth(n: int) -> None:
 
 def endpoint(n: int) -> tuple[int, int]:
     """(N_n, n!), unreduced: s_n = N_n / n! is the left endpoint of I_n, and
-    N_0 = 1, N_n = n N_(n-1) + 1. Every decision below multiplies integers."""
-    if n < 0:
-        raise ValueError("endpoint requires n >= 0")
+    N_0 = 1, N_n = n N_(n-1) + 1. Every decision below multiplies integers.
+    The deciders read _endpoint itself, as refine's depths are 1 to MAX_DEPTH."""
+    require_int(n, "n", "endpoint", 0)
     check_depth(n)
     return _endpoint(n)
 
@@ -88,8 +89,7 @@ def partial_sum(n: int) -> Fraction:
 
 def interval(n: int) -> Interval:
     """The n-th interval of the construction: [s_n, s_n + 1/n!]."""
-    if n < 1:
-        raise ValueError("interval requires n >= 1")
+    require_int(n, "n", "interval", 1)
     num, fact = endpoint(n)
     return Interval(left=Fraction(num, fact), right=Fraction(num + 1, fact), n=n)
 
@@ -116,7 +116,7 @@ def refine(decide, floor: int):
 
 
 def _margin(a: int, b: int, u: int, v: int, m: int, n: int) -> tuple[int, int, int]:
-    """(lo, hi, n! b): at depth n, |e - a/b| - u / (v m!) lies strictly
+    """(lo, hi, n! b): at refine's depth n, |e - a/b| - u / (v m!) lies strictly
     between lo / (n! b) and hi / (n! b).
 
     e lies strictly inside I_n, so |e - a/b| lies strictly between the
@@ -132,7 +132,7 @@ def _margin(a: int, b: int, u: int, v: int, m: int, n: int) -> tuple[int, int, i
     never an end of its bracket: it is positive once lo >= 0 and negative
     once hi <= 0.
     """
-    num, fact = endpoint(n)
+    num, fact = _endpoint(n)
     den = fact * b
     d = num * b - a * fact  # (s_n - a/b) n! b
     if d >= 0:
@@ -156,9 +156,7 @@ def compare_distance_to_e(r: Fraction, bound: Fraction) -> str:
     rational.
     """
     require_rational(r, "r", "compare_distance_to_e")
-    require_rational(bound, "bound", "compare_distance_to_e")
-    if bound < 0:
-        raise ValueError("bound must be >= 0")
+    require_rational(bound, "bound", "compare_distance_to_e", 0)
     b, v = r.denominator, bound.denominator
     return GREATER if _exceeds(r.numerator, b, bound.numerator, v, 0) else LESS
 
@@ -188,8 +186,7 @@ def _exceeds(a: int, b: int, u: int, v: int, m: int) -> bool:
 def render_distance(r: Fraction, digits: int) -> str:
     """Truncated decimal of |e - r|, correct to `digits` places."""
     require_rational(r, "r", "render_distance")
-    if digits < 1:
-        raise ValueError("digits must be >= 1")
+    require_int(digits, "digits", "render_distance", 1)
     # With MAX_DEPTH <= 10^k, every n <= MAX_DEPTH has n! < n^n <=
     # 10^(k MAX_DEPTH): past that, refuse before building 10^digits.
     if digits >= MAX_DEPTH * len(str(MAX_DEPTH - 1)):
@@ -232,11 +229,10 @@ def floor_e_times(q: int) -> int:
     smallest n with n! >= 2^8 (q + 1), where the bracket is below 2^-8 and
     holds an integer for few q.
     """
-    if q < 1:
-        raise ValueError("q must be >= 1")
+    require_int(q, "q", "floor_e_times", 1)
 
     def decide(n: int) -> int | None:
-        num, fact = endpoint(n)
+        num, fact = _endpoint(n)
         lo = num * q // fact
         return lo if lo == (num * q + q) // fact else None
 

@@ -11,9 +11,9 @@ import math
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress
+from itertools import chain, compress
 
-from .rationals import ResourceError
+from .rationals import ResourceError, require_int
 
 # (prime, exponent) pairs, primes strictly increasing.
 Factorization = list[tuple[int, int]]
@@ -56,6 +56,7 @@ def _primes_upto(n: int) -> list[int]:
 # The 168 primes below 1000. factorize divides by these, and goes on with
 # the odd d from 1001 only when they leave a cofactor of at least 997^2.
 _SMALL_PRIMES = tuple(_primes_upto(999))
+_ODD_DIVISORS = range(1001, TRIAL_DIVISION_LIMIT + 1, 2)
 
 
 @dataclass(frozen=True)
@@ -87,30 +88,22 @@ def factorize(q: int) -> Factorization:
 @lru_cache(maxsize=64, typed=True)
 def _factors(q: int) -> tuple[tuple[int, int], ...]:
     """factorize(q) as a tuple, which every caller shares."""
-    if not isinstance(q, int):
-        raise TypeError(f"factorize requires an int q, not {type(q).__name__}")
-    if q < 2:
-        raise ValueError("factorize requires q >= 2")
+    require_int(q, "q", "factorize", 2)
     factors: Factorization = []
     rest = q
-    for d in _SMALL_PRIMES:
+    for d in chain(_SMALL_PRIMES, _ODD_DIVISORS):
         if d * d > rest:
             break
         if rest % d == 0:
             rest = _divide_out(rest, d, factors)
     else:
-        # The odd d go on to the first one past TRIAL_DIVISION_LIMIT, whose
-        # square ends the loop or which refuses the cofactor.
-        for d in range(1001, TRIAL_DIVISION_LIMIT + 3, 2):
-            if d * d > rest:
-                break
-            if d > TRIAL_DIVISION_LIMIT:
-                raise ResourceError(
-                    f"trial division up to {TRIAL_DIVISION_LIMIT} leaves a"
-                    f" {rest.bit_length()}-bit cofactor"
-                )
-            if rest % d == 0:
-                rest = _divide_out(rest, d, factors)
+        # No d up to TRIAL_DIVISION_LIMIT divides rest, so it is prime if it
+        # is below (TRIAL_DIVISION_LIMIT + 1)^2.
+        if rest >= (TRIAL_DIVISION_LIMIT + 1) ** 2:
+            raise ResourceError(
+                f"trial division up to {TRIAL_DIVISION_LIMIT} leaves a"
+                f" {rest.bit_length()}-bit cofactor"
+            )
     if rest > 1:
         factors.append((rest, 1))
     return tuple(factors)
@@ -129,9 +122,8 @@ def _divide_out(rest: int, d: int, factors: Factorization) -> int:
 def is_prime(n: int) -> bool:
     """Whether n is prime, decided by factorize: raises ResourceError where
     factorize does (the first prime refused is 1 000 002 000 007)."""
-    if n < 2:
-        return False if isinstance(n, int) else _factors(n)  # refuses a non-int n
-    return _factors(n) == ((n, 1),)
+    require_int(n, "n", "is_prime")
+    return n >= 2 and _factors(n) == ((n, 1),)
 
 
 def kempner_prime_power(p: int, a: int) -> int:
@@ -141,12 +133,8 @@ def kempner_prime_power(p: int, a: int) -> int:
     The answer is a multiple of p and is at most a*p, so a linear walk over
     multiples of p, summing their p-adic valuations, is plenty fast here.
     """
-    if not isinstance(p, int):
-        raise TypeError(f"kempner_prime_power requires an int p, not {type(p).__name__}")
-    if not isinstance(a, int):
-        raise TypeError(f"kempner_prime_power requires an int a, not {type(a).__name__}")
-    if a < 1:
-        raise ValueError("exponent must be >= 1")
+    require_int(p, "p", "kempner_prime_power", 2)
+    require_int(a, "a", "kempner_prime_power", 1)
     if a == 1:
         return p
     k = valuation = 0
@@ -161,11 +149,8 @@ def kempner_prime_power(p: int, a: int) -> int:
 
 def kempner_S(q: int) -> int:
     """S(q): smallest positive k such that q divides k!. S(1) = 1."""
-    if q < 1:
-        raise ValueError("kempner_S requires q >= 1")
-    if q == 1:
-        return 1 if isinstance(q, int) else _factors(q)  # refuses a non-int q
-    return _kempner_S(_factors(q))
+    require_int(q, "q", "kempner_S", 1)
+    return 1 if q == 1 else _kempner_S(_factors(q))
 
 
 def _kempner_S(factors) -> int:
@@ -192,10 +177,7 @@ def kempner_S_naive(q: int) -> int:
     at a time through the first sub-block that brings it to 0; the first k
     found there with q | k! is S(q).
     """
-    if not isinstance(q, int):
-        raise TypeError(f"kempner_S_naive requires an int q, not {type(q).__name__}")
-    if q < 1:
-        raise ValueError("kempner_S_naive requires q >= 1")
+    require_int(q, "q", "kempner_S_naive", 1)
     if q > MAX_ORACLE_Q:
         raise ResourceError(
             f"kempner_S_naive({q}) exceeds MAX_ORACLE_Q = {MAX_ORACLE_Q}"
@@ -235,8 +217,7 @@ def oracle_mismatches(max_q: int) -> list[int]:
     """The q in [1, max_q] at which kempner_S and kempner_S_naive disagree:
     the one sweep of the fast path against its oracle. A max_q past
     MAX_ORACLE_Q is refused before any q is checked."""
-    if max_q < 1:
-        raise ValueError("oracle_mismatches requires max_q >= 1")
+    require_int(max_q, "max_q", "oracle_mismatches", 1)
     if max_q > MAX_ORACLE_Q:
         raise ResourceError(
             f"oracle_mismatches({max_q}) exceeds MAX_ORACLE_Q = {MAX_ORACLE_Q}"
@@ -250,8 +231,6 @@ def largest_prime_factor(q: int) -> int:
 
 
 def kempner_result(q: int) -> KempnerResult:
-    if q < 2:
-        raise ValueError("kempner_result requires q >= 2")
     factors = _factors(q)
     # Positional: a frozen dataclass built by keyword costs twice as much.
     return KempnerResult(q, _kempner_S(factors), factors[-1][0], list(factors))

@@ -27,8 +27,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .enclosure import _exceeds, _render, endpoint
-from .kempner import is_prime, kempner_S, largest_prime_factor
-from .rationals import ResourceError, require_rational, rising_product
+from .kempner import _factors, _kempner_S, is_prime, largest_prime_factor
+from .rationals import ResourceError, require_int, require_rational, rising_product
 
 MARGIN_DIGITS = 6
 
@@ -74,30 +74,18 @@ class MeasureVerdict:
         return _inverse_factorial(m) if m else Fraction(u, v)
 
 
-def _require_q(q: int, what: str) -> None:
-    if not isinstance(q, int):
-        raise TypeError(f"{what} requires an int q, not {type(q).__name__}")
-    if q < 2:
-        raise ValueError(f"{what} requires q >= 2")
-
-
-def _theorem1_k(q: int, what: str) -> int:
-    _require_q(q, what)
-    return kempner_S(q) + 1
-
-
 def theorem1_bound(q: int) -> Fraction:
     """1/(S(q)+1)!, the lower bound of the new measure; requires q >= 2."""
-    return _inverse_factorial(_theorem1_k(q, "theorem1_bound"))
+    require_int(q, "q", "theorem1_bound", 2)
+    return _inverse_factorial(_kempner_S(_factors(q)) + 1)
 
 
 def _verdict(
     p: int, q: int, bound_name: str, terms: tuple[int, int, int]
 ) -> MeasureVerdict:
     """The verdict on |e - p/q| > u / (v m!) for terms (u, v, m), decided
-    without building m!. p/q need not be in lowest terms."""
-    if not isinstance(p, int):
-        raise TypeError(f"a verdict requires an int p, not {type(p).__name__}")
+    without building m!. p/q need not be in lowest terms; the caller has
+    checked both."""
     holds = _exceeds(p, q, *terms)
     # Positional: a frozen dataclass built by keyword costs twice as much.
     return MeasureVerdict(p, q, bound_name, holds, terms)
@@ -105,23 +93,27 @@ def _verdict(
 
 def check_theorem1(p: int, q: int) -> MeasureVerdict:
     """|e - p/q| > 1/(S(q)+1)!; must hold for every q >= 2."""
-    return _verdict(p, q, "theorem1", (1, 1, _theorem1_k(q, "check_theorem1")))
+    require_int(p, "p", "check_theorem1")
+    require_int(q, "q", "check_theorem1", 2)
+    return _verdict(p, q, "theorem1", (1, 1, _kempner_S(_factors(q)) + 1))
 
 
 def check_prime_factor_bound(p: int, q: int) -> MeasureVerdict:
     """|e - p/q| > 1/(P(q)+1)!; may fail (only an almost-all statement)."""
-    _require_q(q, "check_prime_factor_bound")
+    require_int(p, "p", "check_prime_factor_bound")
+    require_int(q, "q", "check_prime_factor_bound", 2)
     return _verdict(p, q, "prime_factor", (1, 1, largest_prime_factor(q) + 1))
 
 
 def check_weak_prime(p: int, q: int) -> MeasureVerdict:
-    _require_q(q, "check_weak_prime")
+    require_int(p, "p", "check_weak_prime")
+    require_int(q, "q", "check_weak_prime", 2)
     return _verdict(p, q, "weak_prime", (1, 1, q + 1))
 
 
 def check_known(p: int, q: int, eps: Fraction = Fraction(0)) -> MeasureVerdict:
     """|e - p/q| > 1/q^(2+eps), against the classical measure's bound."""
-    require_rational(eps, "eps", "check_known")
+    require_int(p, "p", "check_known")
     b = known_measure_bound(q, eps)
     return _verdict(p, q, "known_eps", (b.numerator, b.denominator, 0))
 
@@ -129,8 +121,7 @@ def check_known(p: int, q: int, eps: Fraction = Fraction(0)) -> MeasureVerdict:
 def check_sharpness(n: int) -> bool:
     """The theorem1 factorial is sharp at q = n!: both endpoints p of the
     depth-n interval satisfy |e - p/n!| < 1/S(n!)! = 1/n!."""
-    if n < 3:
-        raise ValueError("check_sharpness requires n >= 3")
+    require_int(n, "n", "check_sharpness", 3)
     num, fact = endpoint(n)
     return not any(_exceeds(p, fact, 1, fact, 0) for p in (num, num + 1))
 
@@ -141,8 +132,7 @@ def corollary2_scan(n: int) -> dict:
     All candidates pass iff n is prime; for composite n the interval
     endpoint at depth n is a witness of failure.
     """
-    if n < 2:
-        raise ValueError("corollary2_scan requires n >= 2")
+    require_int(n, "n", "corollary2_scan", 2)
     num, q = endpoint(n)
     # P(n!) is the largest prime <= n: found without factoring n!.
     largest = next(m for m in range(n, 1, -1) if is_prime(m))
@@ -188,10 +178,8 @@ def known_measure_bound(q: int, eps: Fraction = Fraction(0)) -> Fraction:
     ceil(root) at 30 decimal digits of precision, keeping the result a true
     lower bound.
     """
-    _require_q(q, "known_measure_bound")
-    require_rational(eps, "eps", "known_measure_bound")
-    if eps < 0:
-        raise ValueError("eps must be >= 0")
+    require_int(q, "q", "known_measure_bound", 2)
+    require_rational(eps, "eps", "known_measure_bound", 0)
     c, d = eps.numerator, eps.denominator
     # q^(2+c) when d = 1, else q^c * 10^(30 d) and its d-th root.
     _check_bits((2 + c) * q.bit_length() + 100 * d, "the bound 1/q^(2+eps)")
@@ -210,13 +198,11 @@ def compare_bounds(q: int, eps: Fraction = Fraction(0)) -> dict:
     exact even for fractional eps. Neither factorial is built past the
     other side of its comparison, which is at most q^(2+2*eps).
     """
-    _require_q(q, "compare_bounds")
-    require_rational(eps, "eps", "compare_bounds")
-    if eps < 0:
-        raise ValueError("eps must be >= 0")
+    require_int(q, "q", "compare_bounds", 2)
+    require_rational(eps, "eps", "compare_bounds", 0)
     c, d = eps.numerator, eps.denominator
     _check_bits((2 * d + c) * q.bit_length(), "q^(2+eps) raised to eps's denominator")
-    s = kempner_S(q)
+    s = _kempner_S(_factors(q))
     rhs = q ** (2 * d + c)
     # lhs is (S+1)!, or a partial product 2*3*...*k above rhs, which
     # compares with rhs as (S+1)! does. (S+1)! > rhs already decides
@@ -239,5 +225,6 @@ def compare_bounds(q: int, eps: Fraction = Fraction(0)) -> dict:
 
 def factorial_square_boundary(n: int) -> bool:
     """(n+1)! < (n!)^2 -- true for n >= 3, false at n = 2."""
+    require_int(n, "n", "factorial_square_boundary", 0)
     fact = math.factorial(n)
     return (n + 1) * fact < fact * fact

@@ -2,10 +2,11 @@
 
 The enclosure, the verdicts and the scans decide on ints; a
 ``fractions.Fraction`` appears only where a rational is taken in or handed
-back. This module holds what the layers share: the comparison verdicts,
-ResourceError, the walk over consecutive factors that every factorial
-threshold uses, the series kernel, decimal rendering of Fractions and of
-scaled ints, and the exact decimal context.
+back. This module holds what the layers share: the argument rule every
+exported function applies before any work (require_int, require_rational),
+the comparison verdicts, ResourceError, the walk over consecutive factors
+that every factorial threshold uses, the series kernel, decimal rendering of
+Fractions and of scaled ints, and the exact decimal context.
 """
 
 from __future__ import annotations
@@ -22,11 +23,22 @@ class ResourceError(RuntimeError):
     """A request exceeds one of the package's size or work budgets."""
 
 
-def require_rational(value, name: str, what: str) -> None:
+def require_int(value, name: str, what: str, least: int | None = None) -> None:
     """Raise TypeError unless `value`, the argument `name` of `what`, is an
-    int or a Fraction: the types whose numerator and denominator are read."""
+    int (a bool is one), and ValueError if it is below `least`."""
+    if not isinstance(value, int):
+        raise TypeError(f"{what} requires an int {name}, not {type(value).__name__}")
+    if least is not None and value < least:
+        raise ValueError(f"{what} requires {name} >= {least}")
+
+
+def require_rational(value, name: str, what: str, least: int | None = None) -> None:
+    """As require_int, for an int or a Fraction: the types whose numerator
+    and denominator are read."""
     if not isinstance(value, (int, Fraction)):
         raise TypeError(f"{what} requires a rational {name}, not {type(value).__name__}")
+    if least is not None and value < least:
+        raise ValueError(f"{what} requires {name} >= {least}")
 
 
 def rising_product(lo: int, hi: int, cap: int) -> tuple[int, int]:
@@ -68,8 +80,8 @@ def truncate_decimal(x: Fraction, digits: int) -> str:
 
     Truncation is toward zero, matching the "0.00994 ..." display style.
     """
-    if digits < 1:
-        raise ValueError("digits must be >= 1")
+    require_rational(x, "x", "truncate_decimal")
+    require_int(digits, "digits", "truncate_decimal", 1)
     num = x.numerator
     return scaled_text(num < 0, abs(num) * 10**digits // x.denominator, digits)
 

@@ -182,6 +182,24 @@ def test_spec_fields_are_checked_by_the_spec(fields, field):
         CantorSpec(family="custom", **fields)
 
 
+@pytest.mark.parametrize(
+    "fields, field",
+    [
+        # Each built, and the first classified irrational and raised in hash.
+        ({"family": "unit", "mask": [1], "a_table": [5]}, "mask"),
+        ({"family": "unit", "tail_mode": "bogus"}, "tail_mode"),
+        ({"family": "complement", "b_table": (1,)}, "b_table"),
+        ({"family": "masked_unit", "mask": (1,), "tail_mode": "all-zero"}, "tail_mode"),
+        ({**TABLES, "family": "custom", "mask": (1, 0)}, "mask"),
+        ({"family": "unit", "mask": []}, "mask"),
+    ],
+)
+def test_a_field_the_family_does_not_read_is_refused(fields, field):
+    family = fields["family"]
+    with pytest.raises(ValueError, match=f"^the {family} family does not read {field}$"):
+        CantorSpec(**fields)
+
+
 def test_a0_is_checked_in_every_family():
     for family in ("unit", "complement"):
         with pytest.raises(ValueError, match="a0 must be an integer"):

@@ -76,7 +76,7 @@ def test_convergent_pairs_are_the_convergents_in_lowest_terms(monkeypatch):
     table = convergents(200)
     monkeypatch.undo()
     assert [(c.index, (c.p, c.q)) for c in table] == list(enumerate(pairs))
-    with pytest.raises(ValueError, match="count must be >= 1"):
+    with pytest.raises(ValueError, match="^convergent_pairs requires count >= 1$"):
         convergent_pairs(0)
 
 

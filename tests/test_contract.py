@@ -1,10 +1,13 @@
 """The library keeps the CLI's contract: every function that emeasure
-exports and that takes ints, called on ints drawn from around its budgets,
-returns, or raises ValueError (a domain error) or ResourceError (a budget
-refused), within TIME_LIMIT seconds."""
+exports and that takes ints, called on ints or bools drawn from around its
+budgets, returns, or raises ValueError (a domain error) or ResourceError (a
+budget refused), within TIME_LIMIT seconds. Called with a float or a Fraction
+for an int, it raises TypeError in the argument rule's wording before any
+table or cache grows."""
 
 import contextlib
 import inspect
+import re
 import signal
 from fractions import Fraction
 
@@ -12,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import emeasure
-from emeasure import cantor, density, enclosure, kempner, measures
+from emeasure import cantor, cfrac, density, enclosure, kempner, measures
 from emeasure.rationals import ResourceError, truncate_decimal
 
 TIME_LIMIT = 5.0
@@ -25,6 +28,16 @@ BUDGETS = (
     kempner.TRIAL_DIVISION_LIMIT,
 )
 POOL = sorted({-1, 0, 1, 2, 10**30} | {b + d for b in BUDGETS for d in (-1, 0, 1)})
+INTS = st.sampled_from(POOL)
+# What an int parameter may be given besides an int: a bool, which counts as
+# one, and floats and Fractions, integral or not, which do not.
+NOT_INTS = st.one_of(
+    st.floats(),
+    INTS.map(float),
+    INTS.map(Fraction),
+    INTS.map(lambda i: Fraction(2 * i + 1, 2)),
+)
+TYPE_REFUSAL = re.compile(r"\w+ requires an int \w+, not (float|Fraction)")
 
 # kempner_range scans from a plan; one for q <= MAX_DEPTH puts the plan's
 # edge among the drawn ints.
@@ -32,7 +45,8 @@ PLAN = emeasure.kempner_plan(enclosure.MAX_DEPTH)
 UNIT = cantor.unit_family()
 NEAR_E = Fraction(65, 24)
 
-# Each exported function, called with ints only.
+# Each exported function, called with its int parameters only; eps is a
+# rational, drawn as an int.
 CALLS = {
     "cantor_partial_sum": lambda upto: emeasure.cantor_partial_sum(UNIT, upto),
     "check_prime_factor_bound": emeasure.check_prime_factor_bound,
@@ -70,6 +84,28 @@ def _overtime(signum, frame):
 
 
 @contextlib.contextmanager
+def nothing_grows():
+    """Empty the shared caches and the convergent table, and check that the
+    block leaves them empty and the oracle's tables as long as it found them."""
+    kempner._factors.cache_clear()
+    enclosure._endpoint.cache_clear()
+    table = cfrac._P[:], cfrac._Q[:]
+    del cfrac._P[2:], cfrac._Q[2:]
+    blocks = len(kempner._BLOCKS)
+    try:
+        yield
+    finally:
+        grown = (
+            kempner._factors.cache_info().currsize,
+            enclosure._endpoint.cache_info().currsize,
+            len(cfrac._P),
+            len(kempner._BLOCKS) - blocks,
+        )
+        cfrac._P[:], cfrac._Q[:] = table
+    assert grown == (0, 0, 2, 0)
+
+
+@contextlib.contextmanager
 def time_limit(seconds):
     """Raise Overtime in the block once `seconds` of wall time pass."""
     previous = signal.signal(signal.SIGALRM, _overtime)
@@ -91,13 +127,27 @@ def test_every_exported_function_is_covered():
 @given(data=st.data())
 def test_answer_or_refusal_in_time(name, data):
     call = CALLS[name]
-    ints = st.sampled_from(POOL)
-    args = [data.draw(ints, label=arg) for arg in inspect.signature(call).parameters]
-    try:
-        with time_limit(TIME_LIMIT):
+    args = []
+    for arg in inspect.signature(call).parameters:
+        pool = INTS if arg == "eps" else st.one_of(INTS, st.booleans(), NOT_INTS)
+        args.append(data.draw(pool, label=arg))
+    if all(isinstance(arg, int) for arg in args):
+        try:
+            with time_limit(TIME_LIMIT):
+                call(*args)
+        except (ValueError, ResourceError):
+            pass
+    else:
+        with nothing_grows(), time_limit(TIME_LIMIT), pytest.raises(TypeError) as refusal:
             call(*args)
-    except (ValueError, ResourceError):
-        pass
+        assert TYPE_REFUSAL.fullmatch(str(refusal.value))
+
+
+def test_a_float_count_builds_no_convergent():
+    # The table grew from 2 entries to 44 before the slice refused 40.0.
+    message = "^convergent_pairs requires an int count, not float$"
+    with nothing_grows(), pytest.raises(TypeError, match=message):
+        emeasure.convergents(40.0)
 
 
 # Refusals of out-of-domain arguments that no int drawn above reaches: the
@@ -105,10 +155,12 @@ def test_answer_or_refusal_in_time(name, data):
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda: enclosure.floor_e_times(0), "q must be >= 1"),
-        (lambda: kempner.kempner_prime_power(2, 0), "exponent must be >= 1"),
-        (lambda: truncate_decimal(Fraction(1, 3), 0), "digits must be >= 1"),
-        (lambda: cantor.term(UNIT, 0), "term index must be >= 1"),
+        (lambda: enclosure.floor_e_times(0), "floor_e_times requires q >= 1"),
+        (lambda: kempner.kempner_prime_power(2, 0), "kempner_prime_power requires a >= 1"),
+        # p = 1 walked 1, 2, 3, ... dividing by 1 without end.
+        (lambda: kempner.kempner_prime_power(1, 2), "kempner_prime_power requires p >= 2"),
+        (lambda: truncate_decimal(Fraction(1, 3), 0), "truncate_decimal requires digits >= 1"),
+        (lambda: cantor.term(UNIT, 0), "term requires n >= 1"),
         (
             lambda: cantor.CantorSpec(family="custom", a_table=(1,), b_table=(2, 3)),
             "custom family requires equal-length nonempty a/b tables",
@@ -123,6 +175,7 @@ def test_answer_or_refusal_in_time(name, data):
     ids=[
         "floor_e_times",
         "kempner_prime_power",
+        "kempner_prime_power_base",
         "truncate_decimal",
         "cantor_term",
         "unequal_tables",
