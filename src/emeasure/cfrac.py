@@ -19,7 +19,15 @@ from fractions import Fraction
 
 from .enclosure import check_depth, compare_distance_to_e, endpoint
 from .kempner import _primes_upto
-from .rationals import LESS, decimal_text, exact_decimal, require_int, require_rational
+from .rationals import (
+    LESS,
+    check_decimal,
+    decimal_text,
+    exact_context,
+    exact_decimal,
+    require_int,
+    require_rational,
+)
 
 
 @dataclass(frozen=True)
@@ -112,20 +120,35 @@ def convergent_pairs(count: int) -> list[tuple[int, int]]:
     return list(zip(_P[2 : count + 2], _Q[2 : count + 2]))
 
 
-def convergent_texts(count: int) -> list[tuple[str, str]]:
-    """The decimal texts of convergent_pairs(count). The recurrence runs again
-    in decimal, where a step and a text are linear in the digits, and each
-    text is checked against its proved int (rationals.decimal_text)."""
+def convergent_texts(count: int) -> Iterator[tuple[str, str]]:
+    """The decimal texts of convergent_pairs(count), yielded pair by pair.
+
+    The recurrence runs in decimal (_decimal_convergents), where a step and a
+    text are linear in the digits, twice. The first pass checks every value
+    against its proved int (rationals.check_decimal) and keeps nothing; only
+    then does this return, so every refusal and every failed check is raised
+    by the call itself. The iterator runs the same recurrence again and
+    yields the texts of the values checked, holding one pair at a time.
+    """
     pairs = convergent_pairs(count)
-    texts = []
-    p0, p1, q0, q1 = Decimal(0), Decimal(1), Decimal(1), Decimal(0)
     with exact_decimal():
-        for k, (p, q) in enumerate(pairs):
-            a = _partial_quotient(k)
-            p0, p1 = p1, a * p1 + p0
-            q0, q1 = q1, a * q1 + q0
-            texts.append((decimal_text(p1, p), decimal_text(q1, q)))
-    return texts
+        for (p, q), (p_dec, q_dec) in zip(pairs, _decimal_convergents(count)):
+            check_decimal(p_dec, p)
+            check_decimal(q_dec, q)
+    return ((str(p), str(q)) for p, q in _decimal_convergents(count))
+
+
+def _decimal_convergents(count: int) -> Iterator[tuple[Decimal, Decimal]]:
+    """(p_k, q_k) as Decimals, k = 0..count-1, from p_k = a_k p_(k-1) +
+    p_(k-2). Each step is one fused multiply-add of an exact context's own,
+    so the generator lends no context to its caller between steps."""
+    fma = exact_context().fma
+    p0, p1, q0, q1 = Decimal(0), Decimal(1), Decimal(1), Decimal(0)
+    for k in range(count):
+        a = _partial_quotient(k)
+        p0, p1 = p1, fma(a, p1, p0)
+        q0, q1 = q1, fma(a, q1, q0)
+        yield p1, q1
 
 
 def convergents(count: int) -> list[Convergent]:

@@ -2,11 +2,11 @@
 
 Subcommands: kempner, interval, distance, measure, convergents,
 partial-sums, cantor, density, verify-paper. JSON output follows one rule
-(`_emit_json`): every integer is a decimal string and every rational is
-{"num", "den"}, so results survive 64-bit consumers. Exit codes: 0 success,
-1 domain error (bad input or usage, or a file that cannot be read or
-written), 2 resource error (a depth, size or work budget; see
-rationals.ResourceError).
+(`_emit_json`, whose text `convergents` writes row by row): every integer is
+a decimal string and every rational is {"num", "den"}, so results survive
+64-bit consumers. Exit codes: 0 success, 1 domain error (bad input or usage,
+or a file that cannot be read or written), 2 resource error (a depth, size
+or work budget; see rationals.ResourceError).
 """
 
 from __future__ import annotations
@@ -170,12 +170,18 @@ def cmd_measure(args) -> int:
 
 
 def cmd_convergents(args) -> int:
-    # The texts are built beside the proved table and checked against it, so
-    # no int is converted and no gcd runs per convergent.
-    texts = cfrac.convergent_texts(args.count)
-    _emit_json(
-        [{"index": k, "value": {"num": p, "den": q}} for k, (p, q) in enumerate(texts)]
-    )
+    # convergent_texts has checked every row before it returns, and yields
+    # each row's texts as they are built. Every value is a digit string, which
+    # JSON never escapes: each row is written as text, in the bytes _render
+    # gives it in the document's list at indent 2.
+    sep = "[\n  "
+    for k, (p, q) in enumerate(cfrac.convergent_texts(args.count)):
+        sys.stdout.write(
+            f'{sep}{{\n    "index": "{k}",\n    "value": {{\n'
+            f'      "num": "{p}",\n      "den": "{q}"\n    }}\n  }}'
+        )
+        sep = ",\n  "
+    sys.stdout.write("\n]\n")
     return EXIT_OK
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from itertools import compress, count, repeat
 from operator import floordiv, gt, ne
 
-from .kempner import _primes_upto, kempner_prime_power
+from .kempner import _kempner_prime_power, _primes_upto
 from .rationals import ResourceError, require_int, rising_product, scaled_text
 
 # The most q one kempner_range call covers: it builds three lists that long.
@@ -71,7 +71,7 @@ def kempner_plan(x: int) -> KempnerPlan:
     for p in _primes_upto(math.isqrt(x)):
         power, a = p, 1
         while power <= x:
-            powers.append((kempner_prime_power(p, a), power, p))
+            powers.append((_kempner_prime_power(p, a), power, p))
             power, a = power * p, a + 1
     powers.sort()
     return KempnerPlan(x, tuple(powers))
@@ -175,7 +175,7 @@ def _smooth(x: int, primes: list[int]) -> Iterator[tuple[int, int, int]]:
             r = primes[k]
             rb, b = r, 1
             while q * rb <= x:
-                stack.append((q * rb, max(s, kempner_prime_power(r, b)), r, k + 1))
+                stack.append((q * rb, max(s, _kempner_prime_power(r, b)), r, k + 1))
                 rb, b = rb * r, b + 1
 
 

@@ -127,14 +127,24 @@ def is_prime(n: int) -> bool:
 
 
 def kempner_prime_power(p: int, a: int) -> int:
-    """Smallest k with p^a | k!, i.e. the least k for which the exponent of
-    the prime p in k! is at least a.
+    """S(p^a) for a prime p: the smallest k with p^a | k!, i.e. the least k
+    for which the exponent of p in k! is at least a. A composite p is
+    refused; whether p is prime is decided by factorize, which raises
+    ResourceError where it does."""
+    require_int(p, "p", "kempner_prime_power", 2)
+    require_int(a, "a", "kempner_prime_power", 1)
+    if _factors(p) != ((p, 1),):
+        raise ValueError("kempner_prime_power requires a prime p")
+    return _kempner_prime_power(p, a)
+
+
+def _kempner_prime_power(p: int, a: int) -> int:
+    """kempner_prime_power(p, a), unchecked, for a prime p and an int a >= 1
+    that the caller vouches for.
 
     The answer is a multiple of p and is at most a*p, so a linear walk over
     multiples of p, summing their p-adic valuations, is plenty fast here.
     """
-    require_int(p, "p", "kempner_prime_power", 2)
-    require_int(a, "a", "kempner_prime_power", 1)
     if a == 1:
         return p
     k = valuation = 0
@@ -159,7 +169,7 @@ def _kempner_S(factors) -> int:
     for p, a in factors:
         # S(p) = p without a call: most exponents are 1, and verify-paper
         # runs this loop for some 22 000 q, almost all of them uncached.
-        k = p if a == 1 else kempner_prime_power(p, a)
+        k = p if a == 1 else _kempner_prime_power(p, a)
         if k > s:
             s = k
     return s

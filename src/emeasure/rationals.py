@@ -146,26 +146,38 @@ def _power_of_two(w: int, powers: dict) -> decimal.Decimal:
     return powers[w]
 
 
-def exact_decimal():
-    """A decimal.localcontext in which arithmetic on integral Decimals is
+def exact_context() -> decimal.Context:
+    """A new decimal.Context in which arithmetic on integral Decimals is
     exact or raises: the precision and exponent range are the largest decimal
     allows, and Inexact is trapped (an inexact `/` raises MemoryError, as its
     quotient would need endless digits). An add, a multiply by a small int or
     a `//` by one is linear in the digits there, and so is str()."""
     ctx = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX)
     ctx.traps[decimal.Inexact] = True
-    return decimal.localcontext(ctx)
+    return ctx
+
+
+def exact_decimal():
+    """A decimal.localcontext of an exact_context()."""
+    return decimal.localcontext(exact_context())
 
 
 _RESIDUE_MODULUS = (1 << 61) - 1  # a Mersenne prime
 
 
-def decimal_text(value: decimal.Decimal, n: int, divisor: int = 1) -> str:
-    """str(n), read off an integral Decimal value built to equal n * divisor
-    (an int >= 1); n itself is never converted. value is first compared with
-    n * divisor mod 2^61 - 1, in time linear in the digits; a mismatch raises
-    AssertionError, as a failed proof does. Call it under exact_decimal()."""
+def check_decimal(value: decimal.Decimal, n: int, divisor: int = 1) -> None:
+    """Compare an integral Decimal value, built to equal n * divisor (an int
+    >= 1), with n * divisor mod 2^61 - 1, in time linear in the digits; a
+    mismatch raises AssertionError, as a failed proof does. Call it under
+    exact_decimal()."""
     m = _RESIDUE_MODULUS
     if value % m != n % m * divisor % m:
         raise AssertionError("a Decimal differs from its int mod 2^61 - 1")
+
+
+def decimal_text(value: decimal.Decimal, n: int, divisor: int = 1) -> str:
+    """str(n), read off an integral Decimal value built to equal n * divisor
+    (an int >= 1) once check_decimal has passed it; n itself is never
+    converted. Call it under exact_decimal()."""
+    check_decimal(value, n, divisor)
     return str(value // divisor if divisor > 1 else value)

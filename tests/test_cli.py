@@ -7,6 +7,7 @@ import io
 import json
 import math
 import sys
+import tracemalloc
 from decimal import ROUND_DOWN, Decimal, localcontext
 from fractions import Fraction
 
@@ -258,15 +259,42 @@ def test_partial_sums_rows_match_the_recurrence(capsys):
     assert rows == expected
 
 
-def test_a_wrong_decimal_convergent_writes_nothing(capsys, monkeypatch):
+# 59 is the last of 60 rows: every row is checked before the first is written.
+@pytest.mark.parametrize("poisoned", [0, 40, 59])
+def test_a_wrong_decimal_convergent_writes_nothing(capsys, monkeypatch, poisoned):
     # The table is grown and proved with the true quotients first, so the
-    # wrong quotient at index 40 reaches only the decimal recurrence.
+    # wrong quotient reaches only the decimal recurrence.
     cfrac.convergent_pairs(60)
     quotient = cfrac._partial_quotient
-    monkeypatch.setattr(cfrac, "_partial_quotient", lambda k: quotient(k) + (k == 40))
+    monkeypatch.setattr(cfrac, "_partial_quotient", lambda k: quotient(k) + (k == poisoned))
     with pytest.raises(AssertionError, match=r"mod 2\^61 - 1"):
         cli.run(["convergents", "--count", "60"])
     assert capsys.readouterr().out == ""
+
+
+class CharacterCount:
+    """A stdout that keeps no text, only how many characters it was sent."""
+
+    def __init__(self):
+        self.written = 0
+
+    def write(self, text):
+        self.written += len(text)
+
+
+def test_convergents_are_written_row_by_row(monkeypatch):
+    # With the int table grown first, what the command holds beside it is a
+    # row or two of text, not the document: 9.1 MB for 3000 rows.
+    cfrac.convergent_pairs(3000)
+    sink = CharacterCount()
+    monkeypatch.setattr(sys, "stdout", sink)
+    tracemalloc.start()
+    try:
+        assert cli.run(["convergents", "--count", "3000"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < sink.written / 4
 
 
 # s_40 is in lowest terms over 40!; s_41 and s_3 are not, and their rows print

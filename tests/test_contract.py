@@ -159,6 +159,9 @@ def test_a_float_count_builds_no_convergent():
         (lambda: kempner.kempner_prime_power(2, 0), "kempner_prime_power requires a >= 1"),
         # p = 1 walked 1, 2, 3, ... dividing by 1 without end.
         (lambda: kempner.kempner_prime_power(1, 2), "kempner_prime_power requires p >= 2"),
+        # A composite p was walked as a prime: (6, 1) gave 6, but S(6) = 3.
+        (lambda: kempner.kempner_prime_power(6, 1), "kempner_prime_power requires a prime p"),
+        (lambda: kempner.kempner_prime_power(4, 2), "kempner_prime_power requires a prime p"),
         (lambda: truncate_decimal(Fraction(1, 3), 0), "truncate_decimal requires digits >= 1"),
         (lambda: cantor.term(UNIT, 0), "term requires n >= 1"),
         (
@@ -176,6 +179,8 @@ def test_a_float_count_builds_no_convergent():
         "floor_e_times",
         "kempner_prime_power",
         "kempner_prime_power_base",
+        "kempner_prime_power_composite",
+        "kempner_prime_power_prime_power",
         "truncate_decimal",
         "cantor_term",
         "unequal_tables",
