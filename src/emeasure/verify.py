@@ -5,11 +5,22 @@ reproduction path (exposed as the `verify-paper` CLI subcommand); the
 acceptance tests run each check with `run_check` and hold it to its runtime
 budget. Every check is exact; `detail` carries the computed values so a
 failure is self-explanatory.
+
+On a POSIX machine where this process may run on more than one CPU, and no
+other thread runs, `run_all()` shares the checks with one forked child: the
+two take check indices from one pipe, a byte at a time, and the child sends
+back each result it finished. The parent runs again itself every check with
+no result from the child (one that raised there, or a child that died), so
+the results, and any exception a check raises, are those of a serial run.
+Each result's `seconds` is timed in the process that ran the check.
 """
 
 from __future__ import annotations
 
+import marshal
 import math
+import os
+import threading
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -224,5 +235,71 @@ def run_check(fn) -> CheckResult:
     )
 
 
+def _take(queue: int):
+    """Check indices read from the `queue` pipe a byte at a time until it is
+    empty. The pipe hands each byte to one reader only."""
+    while index := os.read(queue, 1):
+        yield index[0]
+
+
+def _fork(queue: int):
+    """(pid, file of results) of a child sharing the checks in `queue`, or
+    (0, None) when run_all runs them alone: without os.fork, on one CPU, or
+    with another thread running. That thread could hold a module's lock
+    (cfrac._GROW_LOCK, kempner._BLOCKS_LOCK) at the fork, and Python 3.12
+    warns of a fork with threads running."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+    if cpus < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return 0, None
+    back, out = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # out of processes or memory: run alone
+        os.close(back)
+        os.close(out)
+        return 0, None
+    if pid:
+        os.close(out)
+        return pid, open(back, "rb")
+    # The child writes each result as it finishes, so its write fails once
+    # the parent has stopped reading, and leaves by os._exit: it never
+    # flushes inherited stdio nor runs atexit hooks. A check that raises
+    # ends it; the parent runs that check again.
+    try:
+        os.close(back)
+        with open(out, "wb") as results:
+            for i in _take(queue):
+                r = run_check(CHECKS[i])
+                marshal.dump((i, r.passed, r.detail, r.seconds), results)
+                results.flush()
+    finally:
+        os._exit(0)
+
+
 def run_all() -> list[CheckResult]:
-    return [run_check(fn) for fn in CHECKS]
+    """Every check's result, in CHECKS order. The checks are shared with one
+    forked child where _fork allows; a check with no result from the child
+    runs here, so the results never depend on the child."""
+    done: dict[int, CheckResult] = {}
+    queue, feed = os.pipe()
+    os.write(feed, bytes(range(len(CHECKS))))
+    os.close(feed)
+    pid, results = 0, None
+    try:
+        pid, results = _fork(queue)
+        for i in _take(queue):
+            done[i] = run_check(CHECKS[i])
+        while results is not None:
+            try:
+                i, passed, detail, seconds = marshal.load(results)
+            except (EOFError, ValueError):  # the child has ended
+                break
+            done[i] = CheckResult(CHECKS[i].check_name, passed, detail, seconds)
+    finally:
+        os.close(queue)
+        if results is not None:
+            results.close()
+        if pid:
+            os.waitpid(pid, 0)
+    return [done[i] if i in done else run_check(fn) for i, fn in enumerate(CHECKS)]
