@@ -24,11 +24,10 @@ prod = b_1...b_T, the limit is exact:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .enclosure import check_depth
-from .rationals import require_int, split_sum
+from .rationals import Record, require_int, split_sum
 
 IRRATIONAL = "irrational"
 RATIONAL = "rational"
@@ -46,31 +45,33 @@ _READS = {
 }
 
 
-@dataclass(frozen=True)
-class CantorSpec:
-    a0: int = 0
-    family: str = "unit"  # unit | complement | masked_unit | custom
-    mask: tuple[int, ...] = ()  # masked_unit: periodic 0/1 pattern over n >= 1
-    a_table: tuple[int, ...] = ()  # custom only
-    b_table: tuple[int, ...] = ()  # custom only
-    tail_mode: str = "repeat-last-block"  # custom only
-
-    def __post_init__(self):
-        if not _is_int(self.a0):
+class CantorSpec(Record):
+    def __init__(
+        self,
+        a0: int = 0,
+        family: str = "unit",  # unit | complement | masked_unit | custom
+        mask: tuple[int, ...] = (),  # masked_unit: periodic 0/1 pattern over n >= 1
+        a_table: tuple[int, ...] = (),  # custom only
+        b_table: tuple[int, ...] = (),  # custom only
+        tail_mode: str = "repeat-last-block",  # custom only
+    ):
+        if not _is_int(a0):
             raise ValueError("a0 must be an integer")
-        if self.family not in tuple(_READS):  # by ==, so a list is refused too
-            raise ValueError(f"unknown family {self.family!r}")
-        for field in fields(self)[2:]:
-            name, value = field.name, getattr(self, field.name)
-            if name not in _READS[self.family]:
-                if value != field.default:
-                    raise ValueError(f"the {self.family} family does not read {name}")
+        if family not in tuple(_READS):  # by ==, so a list is refused too
+            raise ValueError(f"unknown family {family!r}")
+        values = dict(mask=mask, a_table=a_table, b_table=b_table, tail_mode=tail_mode)
+        defaults = CantorSpec.__init__.__defaults__[2:]
+        for (name, value), default in zip(values.items(), defaults):
+            if name not in _READS[family]:
+                if value != default:
+                    raise ValueError(f"the {family} family does not read {name}")
             elif name != "tail_mode":
                 is_list = isinstance(value, (list, tuple))
                 if not (is_list and value and all(map(_is_int, value))):
                     raise ValueError(f"{name} must be a nonempty list of integers")
                 # A list (from JSON, say) is stored as a tuple, so specs hash.
-                object.__setattr__(self, name, tuple(value))
+                values[name] = tuple(value)
+        vars(self).update(a0=a0, family=family, **values)
         if self.family == "masked_unit" and not set(self.mask) <= {0, 1}:
             raise ValueError("masked_unit requires a nonempty 0/1 mask")
         if self.family == "custom":
@@ -90,10 +91,9 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-@dataclass(frozen=True)
-class CantorVerdict:
-    classification: str
-    rational_value: Fraction | None
+class CantorVerdict(Record):
+    def __init__(self, classification: str, rational_value: Fraction | None):
+        vars(self).update(classification=classification, rational_value=rational_value)
 
 
 def _check_term(a: int, b: int, n: int) -> None:
@@ -129,7 +129,7 @@ def _head(spec: CantorSpec, upto: int) -> tuple[int, int]:
     # MAX_DEPTH bounds for the enclosure.
     check_depth(upto)
     # Valid unchecked: the built-in families by construction; a custom tail
-    # repeats entries __post_init__ checked, or is (0, b) or (b - 1, b).
+    # repeats entries CantorSpec checked, or is (0, b) or (b - 1, b).
     return split_sum([term(spec, n) for n in range(1, upto + 1)])
 
 

@@ -13,7 +13,6 @@ import bisect
 import itertools
 import threading
 from collections.abc import Iterator
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 
@@ -21,6 +20,7 @@ from .enclosure import check_depth, compare_distance_to_e, endpoint
 from .kempner import _primes_upto
 from .rationals import (
     LESS,
+    Record,
     check_decimal,
     decimal_text,
     exact_context,
@@ -30,13 +30,11 @@ from .rationals import (
 )
 
 
-@dataclass(frozen=True)
-class Convergent:
+class Convergent(Record):
     """p_k/q_k, the pair as stored: coprime, as p_k q_(k-1) - p_(k-1) q_k = +-1."""
 
-    index: int
-    p: int
-    q: int
+    def __init__(self, index: int, p: int, q: int):
+        vars(self).update(index=index, p=p, q=q)
 
     @property
     def value(self) -> Fraction:
@@ -44,14 +42,12 @@ class Convergent:
         return Fraction(self.p, self.q)
 
 
-@dataclass(frozen=True)
-class PartialSumRecord:
-    """s_n = N_n/n! = num/q_n in lowest terms, with g = gcd(N_n, n!)."""
+class PartialSumRecord(Record):
+    """s_n = N_n/n! = num/q_n in lowest terms, with g = gcd(N_n, n!), so
+    num = N_n / g and q_n = n! / g."""
 
-    n: int
-    num: int  # N_n / g
-    q_n: int  # n! / g
-    g: int
+    def __init__(self, n: int, num: int, q_n: int, g: int):
+        vars(self).update(n=n, num=num, q_n=q_n, g=g)
 
     @property
     def full_factorial(self) -> bool:

@@ -12,7 +12,6 @@ or work budget; see rationals.ResourceError).
 from __future__ import annotations
 
 import argparse
-import datetime
 import json
 import math
 import sys
@@ -124,6 +123,8 @@ def cmd_interval(args) -> int:
 
 
 def cmd_distance(args) -> int:
+    if args.q == 0:
+        raise ValueError("--q must not be 0")
     r = Fraction(args.p, args.q)
     bounds = [_rational("--bound", text) for text in args.bound or []]
     out = {"r": r, "digits": enclosure.render_distance(r, args.digits), "bounds": []}
@@ -213,7 +214,10 @@ def _spec_from_args(args) -> cantor.CantorSpec:
         return cantor.CantorSpec(family="custom", **doc)
     family = args.family
     if family.startswith("mask:"):
-        mask = tuple(int(ch) for ch in family.removeprefix("mask:"))
+        try:
+            mask = tuple(int(ch) for ch in family.removeprefix("mask:"))
+        except ValueError as exc:
+            raise ValueError(f"--family mask:BITS takes BITS in 0s and 1s: {exc}") from None
         return cantor.masked_unit_family(mask, a0=args.a0)
     if family == "unit":
         return cantor.unit_family(a0=args.a0)
@@ -243,7 +247,7 @@ def cmd_density(args) -> int:
     # runs in this process.
     if args.workers < 1:
         raise ValueError("--workers must be >= 1")
-    # A frozen dataclass keeps its fields, in order, in its __dict__.
+    # A record keeps its fields, in order, in its vars().
     _emit_json(vars(density.density_report(args.x, csv_path=args.csv)))
     return EXIT_OK
 
@@ -263,6 +267,8 @@ def cmd_verify_paper(args) -> int:
         "all_passed": all(r.passed for r in results),
     }
     if not args.no_timestamp:
+        import datetime  # here, not at the top: only the timestamp uses it
+
         out["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
     for r in results:
         status = "PASS" if r.passed else "FAIL"

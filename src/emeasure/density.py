@@ -21,12 +21,11 @@ import math
 import os
 from bisect import bisect_left
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 from itertools import compress, count, repeat
 from operator import floordiv, gt, ne
 
 from .kempner import _kempner_prime_power, _primes_upto
-from .rationals import ResourceError, require_int, rising_product, scaled_text
+from .rationals import Record, ResourceError, require_int, rising_product, scaled_text
 
 # The most q one kempner_range call covers: it builds three lists that long.
 BLOCK_SIZE = 1 << 16
@@ -35,28 +34,39 @@ MAX_SCAN_ENTRIES = 10**8
 EXCEPTIONS_CAP = 100
 
 
-@dataclass(frozen=True)
-class DensityReport:
-    x: int
-    count_S_neq_P: int
-    count_conjecture1_fail: int  # q with q^2 >= S(q)!
-    count_conjecture1_fail_P: int  # q with q^2 >= P(q)!, for comparison
-    ratio_S_neq_P: str
-    ratio_conjecture1_fail: str
-    exceptions_S_neq_P: list[int]  # first <= 100 offenders
-    exceptions_conjecture1: list[int]
+class DensityReport(Record):
+    def __init__(
+        self,
+        x: int,
+        count_S_neq_P: int,
+        count_conjecture1_fail: int,  # q with q^2 >= S(q)!
+        count_conjecture1_fail_P: int,  # q with q^2 >= P(q)!, for comparison
+        ratio_S_neq_P: str,
+        ratio_conjecture1_fail: str,
+        exceptions_S_neq_P: list[int],  # first <= 100 offenders
+        exceptions_conjecture1: list[int],
+    ):
+        vars(self).update(
+            x=x,
+            count_S_neq_P=count_S_neq_P,
+            count_conjecture1_fail=count_conjecture1_fail,
+            count_conjecture1_fail_P=count_conjecture1_fail_P,
+            ratio_S_neq_P=ratio_S_neq_P,
+            ratio_conjecture1_fail=ratio_conjecture1_fail,
+            exceptions_S_neq_P=exceptions_S_neq_P,
+            exceptions_conjecture1=exceptions_conjecture1,
+        )
 
 
-@dataclass(frozen=True)
-class KempnerPlan:
+class KempnerPlan(Record):
     """What kempner_range needs to scan any q in [2, x]: every prime power
     p^a <= x with p <= isqrt(x), as (S(p^a), p^a, p), sorted by S(p^a).
 
     Its size is O(sqrt(x)); no table of x entries is ever built.
     """
 
-    x: int
-    powers: tuple[tuple[int, int, int], ...]
+    def __init__(self, x: int, powers: tuple[tuple[int, int, int], ...]):
+        vars(self).update(x=x, powers=powers)
 
 
 def kempner_plan(x: int) -> KempnerPlan:

@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .rationals import (
     GREATER,
     LESS,
+    Record,
     ResourceError,
     require_int,
     require_rational,
@@ -50,11 +50,9 @@ class DepthCapExceeded(ResourceError):
     """Raised when an answer needs a depth past MAX_DEPTH."""
 
 
-@dataclass(frozen=True)
-class Interval:
-    left: Fraction
-    right: Fraction
-    n: int
+class Interval(Record):
+    def __init__(self, left: Fraction, right: Fraction, n: int):
+        vars(self).update(left=left, right=right, n=n)
 
 
 def check_depth(n: int) -> None:

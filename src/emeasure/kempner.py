@@ -9,11 +9,10 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, compress
 
-from .rationals import ResourceError, require_int
+from .rationals import Record, ResourceError, require_int
 
 # (prime, exponent) pairs, primes strictly increasing.
 Factorization = list[tuple[int, int]]
@@ -59,12 +58,11 @@ _SMALL_PRIMES = tuple(_primes_upto(999))
 _ODD_DIVISORS = range(1001, TRIAL_DIVISION_LIMIT + 1, 2)
 
 
-@dataclass(frozen=True)
-class KempnerResult:
-    q: int
-    s: int  # S(q)
-    p: int  # P(q), largest prime factor
-    factorization: Factorization
+class KempnerResult(Record):
+    """q, S(q), P(q) (the largest prime factor) and q's factorization."""
+
+    def __init__(self, q: int, s: int, p: int, factorization: Factorization):
+        vars(self).update(q=q, s=s, p=p, factorization=factorization)
 
 
 def factorize(q: int) -> Factorization:
@@ -242,5 +240,4 @@ def largest_prime_factor(q: int) -> int:
 
 def kempner_result(q: int) -> KempnerResult:
     factors = _factors(q)
-    # Positional: a frozen dataclass built by keyword costs twice as much.
     return KempnerResult(q, _kempner_S(factors), factors[-1][0], list(factors))

@@ -23,12 +23,17 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .enclosure import _exceeds, _render, endpoint
 from .kempner import _factors, _kempner_S, is_prime, largest_prime_factor
-from .rationals import ResourceError, require_int, require_rational, rising_product
+from .rationals import (
+    Record,
+    ResourceError,
+    require_int,
+    require_rational,
+    rising_product,
+)
 
 MARGIN_DIGITS = 6
 
@@ -51,15 +56,14 @@ def _inverse_factorial(k: int) -> Fraction:
     return Fraction(1, math.factorial(k))
 
 
-@dataclass(frozen=True)
-class MeasureVerdict:
-    p: int
-    q: int
-    bound_name: str
-    holds: bool
-    # (u, v, m) with bound = u / (v m!): (1, 1, k) for 1/k!, (num, den, 0)
-    # for a rational bound; the terms the enclosure weighs a bound by.
-    bound_terms: tuple[int, int, int] = field(repr=False)
+class MeasureVerdict(Record):
+    def __init__(self, p: int, q: int, bound_name: str, holds: bool, bound_terms):
+        # bound_terms is (u, v, m) with bound = u / (v m!): (1, 1, k) for 1/k!,
+        # (num, den, 0) for a rational bound; the terms the enclosure weighs a
+        # bound by.
+        vars(self).update(
+            p=p, q=q, bound_name=bound_name, holds=holds, bound_terms=bound_terms
+        )
 
     @functools.cached_property
     def margin_digits(self) -> str:
@@ -86,9 +90,7 @@ def _verdict(
     """The verdict on |e - p/q| > u / (v m!) for terms (u, v, m), decided
     without building m!. p/q need not be in lowest terms; the caller has
     checked both."""
-    holds = _exceeds(p, q, *terms)
-    # Positional: a frozen dataclass built by keyword costs twice as much.
-    return MeasureVerdict(p, q, bound_name, holds, terms)
+    return MeasureVerdict(p, q, bound_name, _exceeds(p, q, *terms), terms)
 
 
 def check_theorem1(p: int, q: int) -> MeasureVerdict:

@@ -4,9 +4,10 @@ The enclosure, the verdicts and the scans decide on ints; a
 ``fractions.Fraction`` appears only where a rational is taken in or handed
 back. This module holds what the layers share: the argument rule every
 exported function applies before any work (require_int, require_rational),
-the comparison verdicts, ResourceError, the walk over consecutive factors
-that every factorial threshold uses, the series kernel, decimal rendering of
-Fractions and of scaled ints, and the exact decimal context.
+the comparison verdicts, ResourceError, Record (the base of every result
+record), the walk over consecutive factors that every factorial threshold
+uses, the series kernel, decimal rendering of Fractions and of scaled ints,
+and the exact decimal context.
 """
 
 from __future__ import annotations
@@ -21,6 +22,39 @@ GREATER = "greater"
 
 class ResourceError(RuntimeError):
     """A request exceeds one of the package's size or work budgets."""
+
+
+class Record:
+    """An immutable result record. A subclass's __init__ takes the fields as
+    its parameters and stores them, in order, by vars(self).update(...);
+    those parameter names are its _fields. Records of one type compare and
+    hash by their field values, and the repr shows the fields. A
+    functools.cached_property also caches into vars(self), outside _fields."""
+
+    def __init_subclass__(cls):
+        code = cls.__init__.__code__
+        cls._fields = code.co_varnames[1 : code.co_argcount]
+
+    def _values(self) -> tuple:
+        return tuple(map(vars(self).__getitem__, self._fields))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        pairs = zip(self._fields, self._values())
+        return f"{type(self).__qualname__}({', '.join(f'{k}={v!r}' for k, v in pairs)})"
 
 
 def require_int(value, name: str, what: str, least: int | None = None) -> None:

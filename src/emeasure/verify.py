@@ -22,19 +22,15 @@ import math
 import os
 import threading
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import cantor, cfrac, density, enclosure, kempner, measures
-from .rationals import GREATER, LESS, truncate_decimal
+from .rationals import GREATER, LESS, Record, truncate_decimal
 
 
-@dataclass
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str
-    seconds: float = 0.0
+class CheckResult(Record):
+    def __init__(self, name: str, passed: bool, detail: str, seconds: float = 0.0):
+        vars(self).update(name=name, passed=passed, detail=detail, seconds=seconds)
 
 
 def _check(name: str, budget: float):

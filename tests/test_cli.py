@@ -788,7 +788,7 @@ def test_emit_json_matches_the_json_encoder(doc):
 
 
 def test_emit_writes_nothing_when_rendering_fails(capsys):
-    # No CLI document has a key that is not a str, or holds a dataclass (a
+    # No CLI document has a key that is not a str, or holds a record (a
     # command hands over a report's vars()), so either is refused, not
     # converted as json's encoder would convert it.
     report = density.density_report(10)
@@ -970,6 +970,9 @@ def test_cli_boundary(argv):
     [
         (["measure", "--compare"], "--compare requires --q"),
         (["cantor", "--family", "nope"], "unknown family 'nope'"),
+        # Each message names the flag that was given a bad value.
+        (["distance", "--p", "1", "--q", "0"], "--q must not be 0"),
+        (["cantor", "--family", "mask:1x"], "--family mask:BITS"),
     ],
 )
 def test_missing_or_unknown_choice_is_domain_error(capsys, argv, message):

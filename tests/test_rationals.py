@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 import sys
 from decimal import Decimal
@@ -7,7 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from emeasure import density, rationals
+from emeasure import density, enclosure, measures, rationals, verify
 from emeasure.rationals import decimal_text, exact_decimal, rising_product, truncate_decimal
 
 
@@ -123,3 +125,51 @@ def test_decimal_text_checks_the_decimal_it_prints(digit_limit):
                 decimal_text(wrong, n, 7)
         with pytest.raises(AssertionError):
             decimal_text(Decimal(n + 1), n)
+
+
+def test_records_are_immutable():
+    for record in (
+        enclosure.interval(3),
+        measures.check_theorem1(65, 24),
+        verify.CheckResult("name", True, "detail", 0.5),
+    ):
+        name = record._fields[0]
+        with pytest.raises(AttributeError):
+            setattr(record, name, 1)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+        with pytest.raises(AttributeError):
+            record.other = 1
+        assert getattr(record, name) != 1 and "other" not in vars(record)
+
+
+def test_records_compare_and_hash_by_type_and_fields():
+    box = enclosure.Interval(1, 2, 3)
+    assert box == enclosure.Interval(1, 2, 3)
+    assert hash(box) == hash(enclosure.Interval(1, 2, 3))
+    assert box != enclosure.Interval(1, 2, 4)
+    # Equal values in a record of another type, or in a tuple, are not equal.
+    assert box != verify.CheckResult(1, 2, 3)
+    assert box != (1, 2, 3) and box.__eq__((1, 2, 3)) is NotImplemented
+    assert repr(box) == "Interval(left=1, right=2, n=3)"
+    assert list(vars(box)) == ["left", "right", "n"]
+
+
+def test_cached_properties_stay_out_of_a_verdicts_fields():
+    verdict = measures.check_theorem1(65, 24)
+    fresh = measures.check_theorem1(65, 24)
+    before = hash(verdict), repr(verdict)
+    assert (verdict.margin_digits, verdict.bound) == ("0.001615", Fraction(1, 120))
+    assert {"margin_digits", "bound"} <= set(vars(verdict))
+    assert (hash(verdict), repr(verdict)) == before
+    assert verdict == fresh and hash(verdict) == hash(fresh)
+
+
+def test_records_survive_pickle_and_copy():
+    verdict = measures.check_theorem1(65, 24)
+    verdict.margin_digits  # cached in vars(), carried along, never compared
+    for record in (enclosure.interval(5), verdict, verify.CheckResult("n", False, "d")):
+        for again in (pickle.loads(pickle.dumps(record)), copy.copy(record)):
+            assert type(again) is type(record) and again == record
+            with pytest.raises(AttributeError):
+                again.other = 1

@@ -156,9 +156,10 @@ def test_a_check_the_child_does_not_finish_runs_in_the_parent(monkeypatch, tmp_p
     assert_no_child()
 
 
-def test_importing_the_cli_loads_no_process_pool_or_pickle():
+def test_importing_the_cli_skips_modules_most_calls_never_use():
     # Each of these costs milliseconds to import, which every CLI call and
-    # perfbench's setup_s would pay.
+    # perfbench's setup_s would pay. The records are no dataclasses, which
+    # import inspect, and only verify-paper's timestamp imports datetime.
     src = Path(verify.__file__).resolve().parents[1]
     code = "import sys, emeasure.cli; print(*sys.modules)"
     env = {**os.environ, "PYTHONPATH": str(src)}
@@ -166,5 +167,6 @@ def test_importing_the_cli_loads_no_process_pool_or_pickle():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout
     loaded = {name.partition(".")[0] for name in out.split()}
-    assert not loaded & {"multiprocessing", "concurrent", "pickle", "subprocess"}
+    costly = {"multiprocessing", "concurrent", "pickle", "subprocess"}
+    assert not loaded & (costly | {"dataclasses", "inspect", "datetime"})
     assert {"marshal", "threading"} <= loaded
