@@ -214,11 +214,12 @@ def _spec_from_args(args) -> cantor.CantorSpec:
         return cantor.CantorSpec(family="custom", **doc)
     family = args.family
     if family.startswith("mask:"):
-        try:
-            mask = tuple(int(ch) for ch in family.removeprefix("mask:"))
-        except ValueError as exc:
-            raise ValueError(f"--family mask:BITS takes BITS in 0s and 1s: {exc}") from None
-        return cantor.masked_unit_family(mask, a0=args.a0)
+        bits = family.removeprefix("mask:")
+        if not bits or bits.strip("01"):
+            raise ValueError(
+                f"--family mask:BITS takes one or more 0s and 1s, not {bits!r}"
+            )
+        return cantor.masked_unit_family(tuple(map(int, bits)), a0=args.a0)
     if family == "unit":
         return cantor.unit_family(a0=args.a0)
     if family == "complement":

@@ -7,11 +7,13 @@ Two exception counters over q in [2, x]:
 * q^2 >= S(q)!        -- exceptions to the conjectured q^2 < S(q)! (and the
                          P(q)! variant is counted alongside for comparison)
 
-Both kinds of exception are rare smooth numbers, so density_report
-enumerates them from the O(sqrt(x)) prime powers of kempner_plan instead of
-scanning every q. kempner_range scans consecutive q from the same plan; it
-writes the one-row-per-q CSV and serves as the reference the counts are
-tested against.
+Both kinds of exception are rare smooth numbers, so density_report counts
+them from the O(sqrt(x)) prime powers of kempner_plan instead of scanning
+every q. The S != P walk counts the exceptions whose last prime is large
+from a table of pi(y), without visiting them. kempner_range scans
+consecutive q from the same plan; it finds the smallest S != P exceptions
+in the first block of [2, x], writes the one-row-per-q CSV and serves as
+the reference the counts are tested against.
 """
 
 from __future__ import annotations
@@ -19,12 +21,11 @@ from __future__ import annotations
 import heapq
 import math
 import os
-from bisect import bisect_left
 from collections.abc import Iterable, Iterator
-from itertools import compress, count, repeat
+from itertools import accumulate, compress, count, repeat
 from operator import floordiv, gt, ne
 
-from .kempner import _kempner_prime_power, _primes_upto
+from .kempner import _kempner_prime_power, _prime_flags, _primes_upto
 from .rationals import Record, ResourceError, require_int, rising_product, scaled_text
 
 # The most q one kempner_range call covers: it builds three lists that long.
@@ -32,6 +33,9 @@ BLOCK_SIZE = 1 << 16
 # The most entries one scan may cover (x + 1), read when a plan is made.
 MAX_SCAN_ENTRIES = 10**8
 EXCEPTIONS_CAP = 100
+# The q per kempner_range call of the S != P sample: 127 of them lie in
+# [2, 1000], so one block holds the EXCEPTIONS_CAP smallest for any x >= 1000.
+_SAMPLE_BLOCK = 1 << 10
 
 
 class DensityReport(Record):
@@ -135,42 +139,78 @@ def _factorial_threshold(x: int) -> tuple[int, list[int]]:
     return t, [math.factorial(k) for k in range(t + 1)]
 
 
-def _exceptions_S_neq_P(plan: KempnerPlan) -> Iterator[int]:
-    """Every q in [2, plan.x] with S(q) != P(q), each once, in no order.
+def _count_S_neq_P(plan: KempnerPlan) -> int:
+    """How many q in [2, plan.x] have S(q) != P(q).
 
     S(q) is the largest S(r^b) over the r^b exactly dividing q. It exceeds
     P(q) exactly when that largest value belongs to some b >= 2: S(r) = r is
     at most P(q), and S(r^b) = k*r with k >= 2 is composite for b >= 2, so
     it never ties with a prime. Such an r^b <= x has r <= isqrt(x), so it is
-    a plan entry. Each such q is yielded from one entry only, the (s, p^a)
+    a plan entry. Each such q is counted from one entry only, the (s, p^a)
     latest in the plan's (S, power) order among the p^a exactly dividing q:
     q = p^a * m, where p does not divide m, every prime of m is below s, and
     every r^b exactly dividing m with b >= 2 comes earlier in the plan.
+
+    The walk from p^a appends primes in ascending order. At a node q whose
+    next prime may be no smaller than primes[j], it visits only the primes
+    r <= isqrt(x // q) and counts the children q*r with
+    isqrt(x // q) < r <= x // q, r < s, r != p, at once from a table of
+    pi(y), the number of primes <= y. Such a child is a leaf: a child of it
+    would be q*r*r' with a prime r' > r, or q*r^2, and both are at least
+    q*r^2 >= q * (x // q + 1) > x, since r > isqrt(x // q) means
+    r^2 >= x // q + 1.
     """
     x, powers = plan.x, plan.powers
     order = {power: i for i, (_, power, _) in enumerate(powers)}
     squareful = [i for i, (_, power, p) in enumerate(powers) if power != p]
     if not squareful:  # x < 4
-        return
-    primes = _primes_upto(powers[squareful[-1]][0])
+        return 0
+    top = powers[squareful[-1]][0] - 1  # every prime a walk appends is <= top
+    flags = _prime_flags(top)
+    primes = list(compress(range(top + 1), flags))
+    pi = list(accumulate(flags))  # pi[y] = number of primes <= y
+    total = 0
     for i in squareful:
         s, power, p = powers[i]
-        stop = bisect_left(primes, s)
+        last = s - 1
+        k_p = pi[p] - 1  # the index of p in primes
         # (q, index of the smallest prime q may still take)
         stack = [(power, 0)]
         while stack:
             q, j = stack.pop()
-            yield q
-            for k in range(j, stop):
+            lim = x // q
+            root = math.isqrt(lim)
+            # primes[j:mid] are visited, primes[max(j, mid):end] are leaves
+            mid = pi[root] if root < last else pi[last]
+            end = pi[lim] if lim < last else pi[last]
+            first = mid if mid > j else j
+            if first < end:  # less p, if it is among them
+                total += end - first - (first <= k_p and p <= lim)
+            total += 1
+            for k in range(j, mid):
                 r = primes[k]
-                if q * r > x:
-                    break
                 if r == p:
                     continue
-                rb = r
-                while q * rb <= x and (rb == r or order[rb] < i):
+                stack.append((q * r, k + 1))
+                rb = r * r
+                while rb <= lim and order[rb] < i:
                     stack.append((q * rb, k + 1))
                     rb *= r
+    return total
+
+
+def _smallest_S_neq_P(plan: KempnerPlan) -> list[int]:
+    """The EXCEPTIONS_CAP smallest q in [2, plan.x] with S(q) != P(q), in
+    ascending order, from kempner_range over the first _SAMPLE_BLOCK q, and
+    the next block only while fewer than EXCEPTIONS_CAP are found."""
+    found: list[int] = []
+    for lo in range(2, plan.x + 1, _SAMPLE_BLOCK):
+        if len(found) >= EXCEPTIONS_CAP:
+            break
+        hi = min(lo + _SAMPLE_BLOCK - 1, plan.x)
+        S, P = kempner_range(lo, hi, plan)
+        found += compress(range(lo, hi + 1), map(ne, S, P))
+    return found[:EXCEPTIONS_CAP]
 
 
 def _smooth(x: int, primes: list[int]) -> Iterator[tuple[int, int, int]]:
@@ -231,18 +271,21 @@ def _write_csv(path: str, plan: KempnerPlan, threshold: int, facts: list[int]) -
 def density_report(x: int, csv_path: str | None = None) -> DensityReport:
     """Exact exception counts over q in [2, x].
 
-    The counts come from enumerating the exceptions themselves, so time and
-    memory grow with their number and with sqrt(x), not with x:
-    S(q) != P(q) from _exceptions_S_neq_P, and both q^2 >= S(q)! and
-    q^2 >= P(q)! from the q whose primes are all below t, the smallest t
-    with t! > x^2, since P(q) >= t gives q^2 < t! <= P(q)! <= S(q)!.
+    The counts come from walks over the exceptions, so time and memory grow
+    with their number and with sqrt(x), not with x. S(q) != P(q) is counted
+    by _count_S_neq_P, which visits the exceptions whose last prime is small
+    and counts those whose last prime is large from a table of pi(y); the
+    EXCEPTIONS_CAP smallest come from kempner_range over the first block
+    of [2, x]. Both q^2 >= S(q)! and q^2 >= P(q)! come from the q whose
+    primes are all below t, the smallest t with t! > x^2, since P(q) >= t
+    gives q^2 < t! <= P(q)! <= S(q)!.
     kempner_plan checks x: an int >= 2, with x + 1 <= MAX_SCAN_ENTRIES.
     csv_path, if given, receives one row per q with its S/P values and flags,
     from a block scan.
     """
     plan = kempner_plan(x)
     threshold, facts = _factorial_threshold(x)
-    count_sp, sample_sp = _count_and_smallest(_exceptions_S_neq_P(plan))
+    count_sp, sample_sp = _count_S_neq_P(plan), _smallest_S_neq_P(plan)
     tally_c1p = count()
 
     def conjecture1_fails() -> Iterator[int]:

@@ -42,14 +42,19 @@ _SUBS: list[int] = []
 _BLOCKS_LOCK = threading.Lock()
 
 
-def _primes_upto(n: int) -> list[int]:
-    """The primes p <= n, from a bytearray sieve."""
+def _prime_flags(n: int) -> bytearray:
+    """flags[k] = 1 if k is prime else 0, for 0 <= k <= n."""
     flags = bytearray([1]) * (n + 1)
     flags[:2] = b"\0\0"
     for p in range(2, math.isqrt(n) + 1):
         if flags[p]:
             flags[p * p :: p] = bytes(len(range(p * p, n + 1, p)))
-    return list(compress(range(n + 1), flags))
+    return flags
+
+
+def _primes_upto(n: int) -> list[int]:
+    """The primes p <= n, from a bytearray sieve."""
+    return list(compress(range(n + 1), _prime_flags(n)))
 
 
 # The 168 primes below 1000. factorize divides by these, and goes on with

@@ -973,6 +973,8 @@ def test_cli_boundary(argv):
         # Each message names the flag that was given a bad value.
         (["distance", "--p", "1", "--q", "0"], "--q must not be 0"),
         (["cantor", "--family", "mask:1x"], "--family mask:BITS"),
+        (["cantor", "--family", "mask:12"], "--family mask:BITS"),
+        (["cantor", "--family", "mask:"], "--family mask:BITS"),
     ],
 )
 def test_missing_or_unknown_choice_is_domain_error(capsys, argv, message):

@@ -209,6 +209,29 @@ def test_report_agrees_with_block_tally_drawn(x):
 
 
 @pytest.mark.parametrize(
+    "x",
+    [23**3, 47**3, 7**3 * 5**2, 2**10 * 5**2],
+    ids=["p-leaf-of-p^2", "p-leaf-of-p^2-larger", "root-5-under-7^3", "root-5-under-2^10"],
+)
+def test_leaf_count_edges(x):
+    # At x = p^3 the node p^2 has x // p^2 = p, so p lies among its leaves,
+    # the primes above isqrt(p), and must not be counted. At x = q * 5^2
+    # with S(5^2) < S(q), isqrt(x // q) = 5 is prime and q * 5^2 = x is an
+    # exception below q * 5, so 5 must be visited, not counted as a leaf.
+    # Each x has a square prime power above x / 2, a node with x // q = 1.
+    assert density_report(x) == block_tally(x)
+
+
+def test_sample_past_one_block(monkeypatch):
+    # 300 exceptions reach past the first block of the sample scan.
+    monkeypatch.setattr(density, "EXCEPTIONS_CAP", 300)
+    report = density_report(10**5)
+    assert len(report.exceptions_S_neq_P) == 300
+    assert report.exceptions_S_neq_P[-1] > density._SAMPLE_BLOCK
+    assert report == block_tally(10**5)
+
+
+@pytest.mark.parametrize(
     "x, counts",
     [(10**7, (67_252, 1_642, 7_546)), (99_999_999, (342_862, 3_284, 19_654))],
 )
@@ -315,11 +338,9 @@ def test_csv_replaces_target_atomically(tmp_path, monkeypatch):
     target = tmp_path / "exceptions.csv"
     target.write_text("old\n")
     x = density.BLOCK_SIZE + 300
-    blocks = []
 
     def failing_range(lo, hi, plan):
-        blocks.append(lo)
-        if len(blocks) == 2:
+        if lo > density.BLOCK_SIZE:  # the CSV's second block
             raise RuntimeError("disk gone")
         return kempner_range(lo, hi, plan)
 
