@@ -18,12 +18,11 @@ the reference the counts are tested against.
 
 from __future__ import annotations
 
-import heapq
 import math
 import os
-from collections.abc import Iterable, Iterator
-from itertools import accumulate, compress, count, repeat
-from operator import floordiv, gt, ne
+from collections.abc import Iterator
+from itertools import accumulate, compress, repeat
+from operator import floordiv, ne
 
 from .kempner import _kempner_prime_power, _prime_flags, _primes_upto
 from .rationals import Record, ResourceError, require_int, rising_product, scaled_text
@@ -216,30 +215,30 @@ def _smallest_S_neq_P(plan: KempnerPlan) -> list[int]:
 def _smooth(x: int, primes: list[int]) -> Iterator[tuple[int, int, int]]:
     """(q, S(q), P(q)) for every q in [2, x] whose primes all lie in the
     ascending list primes, each once, in no order."""
+    # (r^b, S(r^b)) for each prime r and each of its powers up to x
+    table = []
+    for r in primes:
+        row, rb, b = [], r, 1
+        while rb <= x:
+            row.append((rb, _kempner_prime_power(r, b)))
+            rb, b = rb * r, b + 1
+        table.append(row)
     stack = [(1, 1, 1, 0)]
     while stack:
         q, s, p, j = stack.pop()
         if q > 1:
             yield q, s, p
+        lim = x // q
         for k in range(j, len(primes)):
-            r = primes[k]
-            rb, b = r, 1
-            while q * rb <= x:
-                stack.append((q * rb, max(s, _kempner_prime_power(r, b)), r, k + 1))
-                rb, b = rb * r, b + 1
+            for rb, t in table[k]:
+                if rb > lim:
+                    break
+                stack.append((q * rb, t if t > s else s, primes[k], k + 1))
 
 
-def _count_and_smallest(items: Iterable[int]) -> tuple[int, list[int]]:
-    """How many items there are, and the EXCEPTIONS_CAP smallest in
-    ascending order, holding at most EXCEPTIONS_CAP of them at once."""
-    tally = count()
-    # zip draws from items before tally, so tally advances once per item.
-    smallest = heapq.nsmallest(EXCEPTIONS_CAP, zip(items, tally))
-    return next(tally), [q for q, _ in smallest]
-
-
-def _write_csv(path: str, plan: KempnerPlan, threshold: int, facts: list[int]) -> None:
-    """One row per q in [2, plan.x] with S(q), P(q) and both flags. Every
+def _write_csv(path: str, plan: KempnerPlan, fails: set[int]) -> None:
+    """One row per q in [2, plan.x] with S(q), P(q) and both flags, the
+    conj1_fail flag read from fails, the set of q with q^2 >= S(q)!. Every
     field is an integer, which csv never quotes, so each row is formatted
     text ending in csv's own terminator, "\\r\\n".
 
@@ -256,9 +255,6 @@ def _write_csv(path: str, plan: KempnerPlan, threshold: int, facts: list[int]) -
                 hi = min(lo + BLOCK_SIZE - 1, plan.x)
                 S, P = kempner_range(lo, hi, plan)
                 qs = range(lo, hi + 1)
-                # q^2 >= S(q)! needs S(q) < threshold; few q per block qualify.
-                small = compress(zip(qs, S), map(gt, repeat(threshold), S))
-                fails = {q for q, s in small if q * q >= facts[s]}
                 flags = map(int, map(fails.__contains__, qs))
                 rows = zip(qs, S, P, map(int, map(ne, S, P)), flags)
                 handle.writelines(map("%d,%d,%d,%d,%d\r\n".__mod__, rows))
@@ -276,9 +272,12 @@ def density_report(x: int, csv_path: str | None = None) -> DensityReport:
     by _count_S_neq_P, which visits the exceptions whose last prime is small
     and counts those whose last prime is large from a table of pi(y); the
     EXCEPTIONS_CAP smallest come from kempner_range over the first block
-    of [2, x]. Both q^2 >= S(q)! and q^2 >= P(q)! come from the q whose
-    primes are all below t, the smallest t with t! > x^2, since P(q) >= t
-    gives q^2 < t! <= P(q)! <= S(q)!.
+    of [2, x]. One walk over the q whose primes are all below t, the
+    smallest t with t! > x^2, counts both q^2 >= S(q)! and q^2 >= P(q)!,
+    since P(q) >= t gives q^2 < t! <= P(q)! <= S(q)!. It keeps the
+    q^2 >= S(q)! exceptions in one sorted list (3 284 at x = 10^8 - 1):
+    their count, the EXCEPTIONS_CAP smallest and the CSV's conj1_fail
+    column are all read from it.
     kempner_plan checks x: an int >= 2, with x + 1 <= MAX_SCAN_ENTRIES.
     csv_path, if given, receives one row per q with its S/P values and flags,
     from a block scan.
@@ -286,28 +285,24 @@ def density_report(x: int, csv_path: str | None = None) -> DensityReport:
     plan = kempner_plan(x)
     threshold, facts = _factorial_threshold(x)
     count_sp, sample_sp = _count_S_neq_P(plan), _smallest_S_neq_P(plan)
-    tally_c1p = count()
-
-    def conjecture1_fails() -> Iterator[int]:
-        # S(q) >= P(q), so q^2 >= S(q)! implies q^2 >= P(q)!: one walk
-        # tallies the P failures and yields the S failures among them.
-        for q, s, p in _smooth(x, _primes_upto(threshold - 1)):
-            if q * q >= facts[p]:
-                next(tally_c1p)
-                if s < threshold and q * q >= facts[s]:
-                    yield q
-
-    count_c1, sample_c1 = _count_and_smallest(conjecture1_fails())
-    count_c1p = next(tally_c1p)
+    # S(q) >= P(q), so q^2 >= S(q)! implies q^2 >= P(q)!: one walk counts
+    # the P failures and keeps the S failures among them.
+    count_c1p, fails = 0, []
+    for q, s, p in _smooth(x, _primes_upto(threshold - 1)):
+        if q * q >= facts[p]:
+            count_c1p += 1
+            if s < threshold and q * q >= facts[s]:
+                fails.append(q)
+    fails.sort()
     if csv_path is not None:
-        _write_csv(csv_path, plan, threshold, facts)
+        _write_csv(csv_path, plan, set(fails))
     return DensityReport(
         x=x,
         count_S_neq_P=count_sp,
-        count_conjecture1_fail=count_c1,
+        count_conjecture1_fail=len(fails),
         count_conjecture1_fail_P=count_c1p,
         ratio_S_neq_P=scaled_text(False, count_sp * 10**8 // x, 8),
-        ratio_conjecture1_fail=scaled_text(False, count_c1 * 10**8 // x, 8),
+        ratio_conjecture1_fail=scaled_text(False, len(fails) * 10**8 // x, 8),
         exceptions_S_neq_P=sample_sp,
-        exceptions_conjecture1=sample_c1,
+        exceptions_conjecture1=fails[:EXCEPTIONS_CAP],
     )

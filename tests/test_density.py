@@ -231,6 +231,22 @@ def test_sample_past_one_block(monkeypatch):
     assert report == block_tally(10**5)
 
 
+def test_smooth_walk_computes_each_prime_power_once(monkeypatch):
+    # At x = 2 000 500 the q whose primes are all <= 13 number 5 119, but
+    # only 60 powers r^b <= x of those primes occur among them.
+    calls = []
+
+    def counted(r, b):
+        calls.append((r, b))
+        return kempner_prime_power(r, b)
+
+    monkeypatch.setattr(density, "_kempner_prime_power", counted)
+    walked = list(density._smooth(2_000_500, [2, 3, 5, 7, 11, 13]))
+    assert len(walked) == 5_119
+    assert len(calls) <= 60
+    assert walked == [(q, kempner_S(q), largest_prime_factor(q)) for q, _, _ in walked]
+
+
 @pytest.mark.parametrize(
     "x, counts",
     [(10**7, (67_252, 1_642, 7_546)), (99_999_999, (342_862, 3_284, 19_654))],
@@ -278,9 +294,10 @@ def test_plan_carries_the_scan_budget(monkeypatch):
 
 
 def test_scan_memory_independent_of_x():
-    # The report holds an O(sqrt(x)) plan and at most EXCEPTIONS_CAP
-    # exceptions at once, never a table or a block of x entries: at x = 10^7
-    # its peak stays below 1 MiB, which one kempner_range block exceeds.
+    # The report holds an O(sqrt(x)) plan and every q^2 >= S(q)! exception
+    # (1 642 at x = 10^7), never a table or a block of x entries: at
+    # x = 10^7 its peak stays below 1 MiB, which one kempner_range block
+    # exceeds.
     tracemalloc.start()
     try:
         density_report(10**7)
