@@ -11,12 +11,19 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import math
 import threading
 from collections.abc import Iterator
 from decimal import Decimal
 from fractions import Fraction
 
-from .enclosure import check_depth, compare_distance_to_e, endpoint
+from .enclosure import (
+    DepthCapExceeded,
+    check_depth,
+    compare_distance_to_e,
+    endpoint,
+    legendre_past_cap,
+)
 from .kempner import _primes_upto
 from .rationals import (
     LESS,
@@ -86,11 +93,21 @@ def _grow(count: int, denominator: int = 0) -> None:
     with _GROW_LOCK:
         if len(_P) >= count + 2 and _Q[-1] > denominator:
             return
-        # 2 q_(2D)^2 >= D! for every D <= 1.2 10^4, so no proof at K past
-        # 2 MAX_DEPTH + 1 is decided within MAX_DEPTH: refuse such a count
-        # before the recurrence runs, and a denominator once the recurrence
-        # gets there.
+        # Price the proof before the recurrence runs. K = 3m + 1 for the m
+        # below, and each run of quotients 2j, 1, 1 takes q_(3j-2) to
+        # q_(3j+1) = (4j + 1) q_(3j-2) + 2 q_(3j-3) <= (4j + 3) q_(3j-2), so
+        # q_K <= 4^m (m + 1)!. A count whose proof would start past MAX_DEPTH
+        # at that bound is refused, from 13 942 on. check_depth refuses a
+        # count from 2 MAX_DEPTH + 1 on before (m + 1)! is built, and a
+        # denominator once the recurrence gets to its depth: 2 q_(2D)^2 >= D!
+        # for every D <= 1.2 10^4, so no proof past K = 2 MAX_DEPTH + 1 is
+        # decided within MAX_DEPTH.
         check_depth((count + 1) // 2)
+        m = (count + 2) // 3
+        if legendre_past_cap(2 * m + math.factorial(m + 1).bit_length()):
+            raise DepthCapExceeded(
+                f"the proof of {count} convergents starts past MAX_DEPTH"
+            )
         ps, qs = _P[-2:], _Q[-2:]
         # k indexes the last entry of ps/qs. The table ends at k = 2 (mod 3),
         # or -1 when empty, so qs[-3] is read only after two steps.

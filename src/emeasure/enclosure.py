@@ -181,6 +181,23 @@ def _exceeds(a: int, b: int, u: int, v: int, m: int) -> bool:
     return refine(decide, 1 << (bits + _START_SLACK_BITS - 1))
 
 
+def legendre_past_cap(q_bits: int) -> bool:
+    """Whether the Legendre proof |e - p/q| < 1/(2 q^2) of a q of q_bits
+    bits starts refining past MAX_DEPTH. _exceeds counts 2 q_bits bits for
+    its bound, so refine's floor is 2^(2 q_bits + _START_SLACK_BITS - 1),
+    and the start is past MAX_DEPTH if MAX_DEPTH! is below that. A bound on
+    q_bits from above answers for every q up to it.
+
+    (MAX_DEPTH // 3)^MAX_DEPTH <= MAX_DEPTH!, so a floor below the former
+    is answered without building MAX_DEPTH! (about 2 ms at 10^4).
+    """
+    bits = 2 * q_bits + _START_SLACK_BITS - 1
+    n = MAX_DEPTH
+    if bits <= n * ((n // 3).bit_length() - 1):
+        return False
+    return math.factorial(n).bit_length() <= bits
+
+
 def render_distance(r: Fraction, digits: int) -> str:
     """Truncated decimal of |e - r|, correct to `digits` places."""
     require_rational(r, "r", "render_distance")

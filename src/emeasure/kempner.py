@@ -71,7 +71,8 @@ class KempnerResult(Record):
 
 
 def factorize(q: int) -> Factorization:
-    """Prime factorization of q >= 2 by deterministic trial division.
+    """Prime factorization of q >= 2: read off a table of smallest prime
+    factors below 2^14, by deterministic trial division from there on.
 
     Raises ResourceError if the divisors up to TRIAL_DIVISION_LIMIT leave a
     cofactor that may still be composite: one with no divisor up to the
@@ -80,17 +81,73 @@ def factorize(q: int) -> Factorization:
     return list(_factors(q))
 
 
-# Bounded. It holds the repeats of one query: a perfbench decide job asks
-# about each q through kempner_result, check_theorem1 at f and f + 1,
-# check_prime_factor_bound and compare_bounds, and so runs 2 185 trial
-# divisions (seed 1) where it ran one per call, 13 660. verify-paper's range
-# checks ask about each q about once and gain nothing. A raise is never
-# cached. Only a miss checks that q is an int, so the key is typed: 6.0 == 6
-# and hashes alike, and only typed=True promises that 6.0 never answers from
-# 6's entry (CPython keys a lone int argument apart untyped too, unpromised).
-@lru_cache(maxsize=64, typed=True)
+# _factors reads every int q with 2 <= q < _SPF_LIMIT off _SPF: the smallest
+# prime factor of q if q is composite, 0 if q is prime. That factor is at most
+# isqrt(q) < 128, so it fits a byte and the table is 16 KiB. _fill_spf builds
+# it on the first such q, not at import: a run that factors no small q never
+# holds it.
+_SPF_LIMIT = 1 << 14
+_SPF = bytearray()
+
+
+def _fill_spf() -> bytearray:
+    """_SPF, filled from the primes below 128 (about 0.05 ms). Each prime p,
+    largest first, writes itself at p^2, p^2 + p, ...: the last prime to
+    write at a composite q is the smallest that divides it. The table is
+    built whole, then copied into _SPF in one step, so a thread that finds
+    _SPF filled reads all of it."""
+    spf = bytearray(_SPF_LIMIT)
+    for p in reversed(_primes_upto(math.isqrt(_SPF_LIMIT - 1))):
+        spf[p * p :: p] = bytes([p]) * len(range(p * p, _SPF_LIMIT, p))
+    _SPF[:] = spf
+    return _SPF
+
+
+# The last q read off _SPF, with its factors. One query asks for S(q), P(q)
+# and the verdicts at q, five factorizations of one q in a row; a sweep asks
+# about each q once and pays one compare and one store. The pair is replaced
+# whole, so a thread reads a q with its own factors.
+_LAST = (0, ())
+
+
 def _factors(q: int) -> tuple[tuple[int, int], ...]:
-    """factorize(q) as a tuple, which every caller shares."""
+    """factorize(q) as a tuple, which every caller shares: read off _SPF for an
+    int q with 2 <= q < _SPF_LIMIT, from _trial_factors for any other q."""
+    global _LAST
+    if type(q) is not int or not 2 <= q < _SPF_LIMIT:
+        return _trial_factors(q)
+    last = _LAST
+    if last[0] == q:
+        return last[1]
+    spf = _SPF or _fill_spf()
+    factors: Factorization = []
+    rest = q
+    # _divide_out's loop, inline: a call per prime costs a sixth of the path.
+    while d := spf[rest]:
+        rest //= d
+        e = 1
+        while rest % d == 0:
+            rest //= d
+            e += 1
+        factors.append((d, e))
+    if rest > 1:
+        factors.append((rest, 1))
+    result = tuple(factors)
+    _LAST = q, result
+    return result
+
+
+# Bounded. It holds the repeats of one query from 2^14 on: a perfbench decide
+# job asks about each q through kempner_result, check_theorem1 at f and f + 1,
+# check_prime_factor_bound and compare_bounds, and so runs 59 trial divisions
+# for its 295 calls at such q (seed 1); of the other 13 365, 2 737 read _SPF
+# and the rest _LAST. A raise is never cached. Only a miss checks that q is an
+# int, so the key is typed: 6.0 == 6 and hashes alike, and only typed=True
+# promises that 6.0 never answers from 6's entry (CPython keys a lone int
+# argument apart untyped too, unpromised).
+@lru_cache(maxsize=64, typed=True)
+def _trial_factors(q: int) -> tuple[tuple[int, int], ...]:
+    """factorize(q) as a tuple, by trial division."""
     require_int(q, "q", "factorize", 2)
     factors: Factorization = []
     rest = q

@@ -193,11 +193,12 @@ def check_density() -> tuple[bool, str]:
     plan = density.kempner_plan(10_000)
     # 1000 q at a time: the whole range at once is the suite's peak memory.
     blocks = ((lo, min(lo + 999, 10_000)) for lo in range(2, 10_001, 1000))
-    # P(q) reads the factorization that S(q) has just cached.
+    # S(q) and P(q) read one factorization of q: below 2^14 none is cached.
     agree = all(
-        (s, p) == (kempner.kempner_S(q), kempner.largest_prime_factor(q))
+        (s, p) == (kempner._kempner_S(factors), factors[-1][0])
         for lo, hi in blocks
         for q, s, p in zip(range(lo, hi + 1), *density.kempner_range(lo, hi, plan))
+        for factors in [kempner._factors(q)]
     )
     small = density.density_report(1000)
     large = density.density_report(10**6)

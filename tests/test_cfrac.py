@@ -122,7 +122,7 @@ def test_threads_grow_the_table_one_at_a_time(monkeypatch):
 
 
 def test_failed_validation_leaves_the_table_as_it_was(monkeypatch):
-    # Validation past MAX_DEPTH raises. Had the recurrence advanced first,
+    # A proof past MAX_DEPTH is refused. Had the recurrence advanced first,
     # every later convergent would be wrong.
     _fresh_table(monkeypatch)
     with monkeypatch.context() as patch:
@@ -307,14 +307,22 @@ def test_wrong_quotient_is_refused(monkeypatch, j):
 
 
 def test_convergent_count_edge(monkeypatch):
-    # 13944 convergents are proved within MAX_DEPTH; the growth for 13945
-    # needs a proof past it, so it is refused once the recurrence has run.
-    # From 2 MAX_DEPTH + 1 on, a count is refused before the recurrence.
+    # 13941 convergents are proved within MAX_DEPTH. From 13942 on, the
+    # proof priced at q_K <= 4^m (m + 1)!, K = 3m + 1, would start past
+    # MAX_DEPTH, so the count is refused before the recurrence runs: the
+    # growth for 13942 to 13944 was proved at MAX_DEPTH from a start past
+    # it, and for 13945 to 20000 the recurrence ran before the proof failed.
     _fresh_table(monkeypatch)
-    assert len(convergent_pairs(13944)) == 13944
-    with pytest.raises(DepthCapExceeded, match="undecided at MAX_DEPTH"):
-        convergent_pairs(13945)
+    assert len(convergent_pairs(13941)) == 13941
+    bound = 1
+    for m in range(1, 4647):
+        bound *= 4 * (m + 1)
+        assert cfrac._Q[3 * m + 3] <= bound, m  # q_(3m+1) <= 4^m (m + 1)!
     monkeypatch.setattr(cfrac, "_partial_quotient", None)
+    for count in (13942, 13945, 2 * enclosure.MAX_DEPTH):
+        message = f"^the proof of {count} convergents starts past MAX_DEPTH$"
+        with pytest.raises(DepthCapExceeded, match=message):
+            convergent_pairs(count)
     with pytest.raises(DepthCapExceeded, match="depth 10001 exceeds"):
         convergent_pairs(2 * enclosure.MAX_DEPTH + 1)
 

@@ -6,10 +6,14 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
 import sys
+import time
 import tracemalloc
 from decimal import ROUND_DOWN, Decimal, localcontext
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -571,6 +575,63 @@ def test_depth_past_max_depth_is_resource_error(capsys, argv):
     misses = enclosure._endpoint.cache_info().misses
     assert_resource_error(capsys, argv)
     assert enclosure._endpoint.cache_info().misses == misses
+
+
+def test_convergent_count_past_its_proof_is_refused_at_once(capsys):
+    # The whole recurrence ran first (0.3-0.4 s at 20000), then the proof
+    # failed at MAX_DEPTH; the proof is now priced before the recurrence.
+    start = time.perf_counter()
+    assert_resource_error(capsys, ["convergents", "--count", "20000"])
+    assert time.perf_counter() - start < 0.1
+
+
+# An input past each budget that the CLI can reach, one per ResourceError
+# raise site; kempner_range's BLOCK_SIZE check and kempner_S_naive's own
+# MAX_ORACLE_Q check sit behind others.
+PAST_A_BUDGET = {
+    "depth": ["interval", "--n", "10001"],
+    "convergent-proof": ["convergents", "--count", "13942"],
+    "undecided": ["distance", "--p", "65", "--q", "24", "--digits", "39999"],
+    "digits": ["distance", "--p", "65", "--q", "24", "--digits", "40000"],
+    "trial-division": ["kempner", "--q", "1000002000007"],
+    "oracle": ["kempner", "--oracle-check", "--max", "100001"],
+    "bound-bits": ["measure", "--p", "2718284", "--q", "1000003"],
+    "scan": ["density", "--x", "100000000"],
+}
+
+
+# Runs the CLI, then writes its own peak RSS to stderr: VmHWM counts this
+# process alone, where ru_maxrss would count the test process it was forked
+# from.
+RUN_AND_REPORT_PEAK = """
+import sys
+from emeasure import cli
+try:
+    code = cli.run(sys.argv[1:])
+finally:
+    for line in open("/proc/self/status"):
+        if line.startswith("VmHWM:"):
+            sys.stderr.write(line)
+sys.exit(code)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc")
+@pytest.mark.parametrize("argv", PAST_A_BUDGET.values(), ids=PAST_A_BUDGET)
+def test_a_refusal_costs_about_a_start(argv):
+    # Exit 2 and empty stdout in a fresh process, within 1 s and 64 MB of
+    # peak RSS. refine's "undecided at MAX_DEPTH" is the one refusal that
+    # cannot be priced first; it costs at most the endpoint at MAX_DEPTH.
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-c", RUN_AND_REPORT_PEAK, *argv], env=env, capture_output=True
+    )
+    assert time.perf_counter() - start < 1.0
+    assert (done.returncode, done.stdout) == (2, b"")
+    error, peak = done.stderr.decode().splitlines()
+    assert error.startswith("resource error: ")
+    assert int(peak.split()[1]) < 64 * 1024  # kB
 
 
 def test_partial_sums_convergent_table_refused_before_header(capsys, monkeypatch):

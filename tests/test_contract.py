@@ -26,6 +26,7 @@ BUDGETS = (
     density.MAX_SCAN_ENTRIES,
     kempner.MAX_ORACLE_Q,
     kempner.TRIAL_DIVISION_LIMIT,
+    kempner._SPF_LIMIT,
 )
 POOL = sorted({-1, 0, 1, 2, 10**30} | {b + d for b in BUDGETS for d in (-1, 0, 1)})
 INTS = st.sampled_from(POOL)
@@ -87,7 +88,7 @@ def _overtime(signum, frame):
 def nothing_grows():
     """Empty the shared caches and the convergent table, and check that the
     block leaves them empty and the oracle's tables as long as it found them."""
-    kempner._factors.cache_clear()
+    kempner._trial_factors.cache_clear()
     enclosure._endpoint.cache_clear()
     table = cfrac._P[:], cfrac._Q[:]
     del cfrac._P[2:], cfrac._Q[2:]
@@ -96,7 +97,7 @@ def nothing_grows():
         yield
     finally:
         grown = (
-            kempner._factors.cache_info().currsize,
+            kempner._trial_factors.cache_info().currsize,
             enclosure._endpoint.cache_info().currsize,
             len(cfrac._P),
             len(kempner._BLOCKS) - blocks,

@@ -1,8 +1,11 @@
 import concurrent.futures
 import math
+import os
+import subprocess
 import sys
 import threading
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -94,6 +97,88 @@ def test_factorize_at_the_end_of_the_prime_table(n):
     # factorize divides by the primes below 1000, then by every odd d from
     # 1001: 997 is the last prime in the table and 1009 the first after it.
     assert factorize(n) == trial_factorize(n)
+
+
+def test_the_table_and_trial_division_meet_at_the_edge():
+    # Every int q below 2^14 is read off the smallest-prime-factor table with
+    # no trial division; from 2^14 on, trial division runs.
+    edge = kempner._SPF_LIMIT
+    assert edge == 2**14
+    kempner._trial_factors.cache_clear()
+    below, above = range(2, edge), range(edge, edge + 1000)
+    assert [factorize(q) for q in below] == [trial_factorize(q) for q in below]
+    assert kempner._trial_factors.cache_info().misses == 0
+    assert [factorize(q) for q in above] == [trial_factorize(q) for q in above]
+    assert kempner._trial_factors.cache_info().misses == 1000
+    # The table holds the smallest prime factor of a composite q, 0 for a prime.
+    assert list(kempner._SPF[2:]) == [
+        0 if trial_is_prime(q) else trial_factorize(q)[0][0] for q in below
+    ]
+
+
+def test_the_table_is_built_on_the_first_small_q_only():
+    # Not at import, not by a density report and not past the edge: runs
+    # that factor no small q never hold it.
+    code = (
+        "import emeasure.cli, emeasure.kempner as k;"
+        " emeasure.density_report(10**4); k.factorize(2**14); a = len(k._SPF);"
+        " k.factorize(6); print(a, len(k._SPF))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(kempner.__file__).resolve().parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.split() == ["0", str(2**14)]
+
+
+def test_the_table_filled_by_threads_is_read_whole(monkeypatch):
+    # Every thread starts at an empty table. Whichever fills it, none may
+    # read it part-filled, where a composite still reads 0 and so as a prime.
+    qs = range(2, 4000)
+    expected = [trial_factorize(q) for q in qs]
+    barrier = threading.Barrier(4)
+
+    def answers():
+        barrier.wait(timeout=60)
+        return [factorize(q) for q in qs]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            monkeypatch.setattr(kempner, "_SPF", bytearray())
+            with concurrent.futures.ThreadPoolExecutor(4) as pool:
+                futures = [pool.submit(answers) for _ in range(4)]
+                for future in futures:
+                    assert future.result(timeout=60) == expected
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("q", [6.0, 2.0**14 + 2, True, 1, 0, -6])
+def test_refusals_read_as_before_on_both_sides_of_the_edge(q):
+    # A float is refused by its type and an int below 2 by its value, in the
+    # words trial division used before the table; kempner_S(1) is 1 and
+    # is_prime answers False for every int below 2.
+    if isinstance(q, float):
+        error, message = TypeError, "factorize requires an int q, not float"
+    else:
+        error, message = ValueError, "factorize requires q >= 2"
+    for call in (factorize, largest_prime_factor, kempner_result):
+        with pytest.raises(error, match=f"^{message}$"):
+            call(q)
+    if isinstance(q, float):
+        with pytest.raises(TypeError, match="^kempner_S requires an int q, not float$"):
+            kempner_S(q)
+        with pytest.raises(TypeError, match="^is_prime requires an int n, not float$"):
+            is_prime(q)
+        return
+    if q >= 1:
+        assert kempner_S(q) == 1
+    else:
+        with pytest.raises(ValueError, match="^kempner_S requires q >= 1$"):
+            kempner_S(q)
+    assert is_prime(q) is False
 
 
 def test_factorize_rejects_small():
@@ -320,15 +405,15 @@ def test_callers_cannot_change_the_cached_factorization():
 
 
 def test_a_float_does_not_answer_for_its_int():
-    kempner._factors.cache_clear()
-    assert factorize(6) == [(2, 1), (3, 1)]
-    # 6.0 == 6 and hashes alike; the typed key keeps 6.0 from answering out
-    # of 6's entry, and a refusal is not cached. kempner_S and is_prime
-    # refuse it before they look.
+    kempner._trial_factors.cache_clear()
+    assert factorize(16386) == [(2, 1), (3, 1), (2731, 1)]
+    # 16386.0 == 16386 and hashes alike; the typed key keeps 16386.0 from
+    # answering out of 16386's entry, and a refusal is not cached. kempner_S
+    # and is_prime refuse it before they look.
     for call in (factorize, kempner_S, largest_prime_factor, is_prime, kempner_result):
         with pytest.raises(TypeError, match="^(factorize|kempner_S|is_prime) requires an int"):
-            call(6.0)
-    info = kempner._factors.cache_info()
+            call(16386.0)
+    info = kempner._trial_factors.cache_info()
     assert (info.misses, info.currsize) == (4, 1)
 
 
@@ -355,11 +440,11 @@ def test_kempner_prime_power_refuses_a_float_exponent():
 
 
 def test_a_refusal_is_not_cached():
-    kempner._factors.cache_clear()
+    kempner._trial_factors.cache_clear()
     for _ in range(2):
         with pytest.raises(ResourceError, match="trial division up to 1000000"):
             is_prime(1000002000007)
         with pytest.raises(ValueError, match="q >= 2"):
             factorize(1)
-    info = kempner._factors.cache_info()
+    info = kempner._trial_factors.cache_info()
     assert (info.misses, info.hits, info.currsize) == (4, 0, 0)

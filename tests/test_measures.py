@@ -517,12 +517,35 @@ def test_factorial_square_boundary():
 def test_one_query_factors_q_once():
     # The queries a perfbench decide job asks about one q: one trial division.
     q = 720720
-    kempner._factors.cache_clear()
+    kempner._trial_factors.cache_clear()
     f = floor_e_times(q)
     kempner.kempner_result(q)
     check_theorem1(f, q)
     check_theorem1(f + 1, q)
     check_prime_factor_bound(f, q)
     compare_bounds(q)
-    info = kempner._factors.cache_info()
+    info = kempner._trial_factors.cache_info()
     assert (info.misses, info.hits) == (1, 4)
+
+
+def test_one_query_reads_a_small_q_off_the_table_once(monkeypatch):
+    # The same queries below 2^14: 720 = 2^4 3^2 5 is read off the table at
+    # 720, 45 and 5 once, and the other four calls reuse that answer.
+    q = 720
+    reads = []
+
+    class Counted(bytearray):
+        def __getitem__(self, i):
+            reads.append(i)
+            return super().__getitem__(i)
+
+    kempner.factorize(2)
+    monkeypatch.setattr(kempner, "_SPF", Counted(kempner._SPF))
+    monkeypatch.setattr(kempner, "_LAST", (0, ()))
+    f = floor_e_times(q)
+    kempner.kempner_result(q)
+    check_theorem1(f, q)
+    check_theorem1(f + 1, q)
+    check_prime_factor_bound(f, q)
+    compare_bounds(q)
+    assert reads == [720, 45, 5]
