@@ -2,31 +2,29 @@
 partial-sum vs convergent scans, with the decimal texts the CLI prints.
 
 The partial quotients of e follow the pattern 2; 1, 2k, 1 (k = 1, 2, ...).
-That pattern is used as a generator but never trusted: the convergents it
-produces are proved by Legendre's criterion, once per growth of the table,
-against the interval enclosure before being handed out.
+That pattern is used as a generator but never trusted: every call that hands
+out convergents, or says whether a rational is one, first proves the
+quotients it read by Legendre's criterion against the interval enclosure.
+Nothing is kept between calls.
 """
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
-import threading
 from collections.abc import Iterator
 from decimal import Decimal
 from fractions import Fraction
 
 from .enclosure import (
     DepthCapExceeded,
+    _exceeds,
     check_depth,
-    compare_distance_to_e,
     endpoint,
     legendre_past_cap,
 )
 from .kempner import _primes_upto
 from .rationals import (
-    LESS,
     Record,
     check_decimal,
     decimal_text,
@@ -38,7 +36,7 @@ from .rationals import (
 
 
 class Convergent(Record):
-    """p_k/q_k, the pair as stored: coprime, as p_k q_(k-1) - p_(k-1) q_k = +-1."""
+    """p_k/q_k from the recurrence: coprime, as p_k q_(k-1) - p_(k-1) q_k = +-1."""
 
     def __init__(self, index: int, p: int, q: int):
         vars(self).update(index=index, p=p, q=q)
@@ -69,99 +67,88 @@ def _partial_quotient(k: int) -> int:
     return 2 * (k + 1) // 3 if k % 3 == 2 else 1
 
 
-# The proved convergents p_k/q_k = _P[k + 2]/_Q[k + 2], in lowest terms. The
-# first two entries seed the recurrence p_k = a_k p_(k-1) + p_(k-2).
-_P: list[int] = [0, 1]
-_Q: list[int] = [1, 0]
-# Growing is check-then-extend, so _grow holds this lock: two threads must
-# not both extend the table from the same end.
-_GROW_LOCK = threading.Lock()
+def _fma(a: int, x: int, y: int) -> int:
+    return a * x + y
 
 
-def _grow(count: int, denominator: int = 0) -> None:
-    """Extend the table to at least `count` convergents, the last with
-    q_k > denominator, proved by one comparison.
-
-    The recurrence runs to the first K = 1 (mod 3) with K >= count + 1 and
-    q_(K-2) > denominator. If |e - p_K/q_K| < 1/(2 q_K^2), p_K/q_K is a
-    convergent of e (Legendre; Hardy & Wright, Thm 184). As a_K = 1, it is
-    [a_0; ..., a_(K-1), 1] = [a_0; ..., a_(K-1) + 1], the K-th or (K-1)-th,
-    so e's quotients begin a_0, ..., a_(K-2): those convergents are stored,
-    only once the check passes. It should pass: a_(K+1) >= 2 gives
-    q_(K+1) > 2 q_K.
-    """
-    with _GROW_LOCK:
-        if len(_P) >= count + 2 and _Q[-1] > denominator:
-            return
-        # Price the proof before the recurrence runs. K = 3m + 1 for the m
-        # below, and each run of quotients 2j, 1, 1 takes q_(3j-2) to
-        # q_(3j+1) = (4j + 1) q_(3j-2) + 2 q_(3j-3) <= (4j + 3) q_(3j-2), so
-        # q_K <= 4^m (m + 1)!. A count whose proof would start past MAX_DEPTH
-        # at that bound is refused, from 13 942 on. check_depth refuses a
-        # count from 2 MAX_DEPTH + 1 on before (m + 1)! is built, and a
-        # denominator once the recurrence gets to its depth: 2 q_(2D)^2 >= D!
-        # for every D <= 1.2 10^4, so no proof past K = 2 MAX_DEPTH + 1 is
-        # decided within MAX_DEPTH.
-        check_depth((count + 1) // 2)
-        m = (count + 2) // 3
-        if legendre_past_cap(2 * m + math.factorial(m + 1).bit_length()):
-            raise DepthCapExceeded(
-                f"the proof of {count} convergents starts past MAX_DEPTH"
-            )
-        ps, qs = _P[-2:], _Q[-2:]
-        # k indexes the last entry of ps/qs. The table ends at k = 2 (mod 3),
-        # or -1 when empty, so qs[-3] is read only after two steps.
-        k = len(_P) - 3
-        while k % 3 != 1 or k < count + 1 or qs[-3] <= denominator:
-            k += 1
-            check_depth(k // 2)
-            a = _partial_quotient(k)
-            ps.append(a * ps[-1] + ps[-2])
-            qs.append(a * qs[-1] + qs[-2])
-        p, q = ps.pop(), qs.pop()  # p_K / q_K
-        if compare_distance_to_e(Fraction(p, q), Fraction(1, 2 * q * q)) != LESS:
-            raise AssertionError(f"generated {p}/{q} fails |e - p/q| < 1/(2 q^2)")
-        _P.extend(ps[2:-1])
-        _Q.extend(qs[2:-1])
-
-
-def convergent_pairs(count: int) -> list[tuple[int, int]]:
-    """(p_k, q_k) of the first `count` convergents of e, as stored: each pair
-    is in lowest terms, as p_k q_(k-1) - p_(k-1) q_k = +-1."""
-    require_int(count, "count", "convergent_pairs", 1)
-    _grow(count)
-    return list(zip(_P[2 : count + 2], _Q[2 : count + 2]))
-
-
-def convergent_texts(count: int) -> Iterator[tuple[str, str]]:
-    """The decimal texts of convergent_pairs(count), yielded pair by pair.
-
-    The recurrence runs in decimal (_decimal_convergents), where a step and a
-    text are linear in the digits, twice. The first pass checks every value
-    against its proved int (rationals.check_decimal) and keeps nothing; only
-    then does this return, so every refusal and every failed check is raised
-    by the call itself. The iterator runs the same recurrence again and
-    yields the texts of the values checked, holding one pair at a time.
-    """
-    pairs = convergent_pairs(count)
-    with exact_decimal():
-        for (p, q), (p_dec, q_dec) in zip(pairs, _decimal_convergents(count)):
-            check_decimal(p_dec, p)
-            check_decimal(q_dec, q)
-    return ((str(p), str(q)) for p, q in _decimal_convergents(count))
-
-
-def _decimal_convergents(count: int) -> Iterator[tuple[Decimal, Decimal]]:
-    """(p_k, q_k) as Decimals, k = 0..count-1, from p_k = a_k p_(k-1) +
-    p_(k-2). Each step is one fused multiply-add of an exact context's own,
-    so the generator lends no context to its caller between steps."""
-    fma = exact_context().fma
-    p0, p1, q0, q1 = Decimal(0), Decimal(1), Decimal(1), Decimal(0)
+def _recurrence(count: int, fma, zero, one) -> Iterator[tuple]:
+    """(p_k, q_k), k = 0..count-1, from p_k = a_k p_(k-1) + p_(k-2) and q_k
+    alike, where fma(a, x, y) = a x + y: _fma over ints, or over Decimals an
+    exact context's own fma, so the generator lends no context to its caller
+    between steps."""
+    p0, p1, q0, q1 = zero, one, one, zero
     for k in range(count):
         a = _partial_quotient(k)
         p0, p1 = p1, fma(a, p1, p0)
         q0, q1 = q1, fma(a, q1, q0)
         yield p1, q1
+
+
+def _proof_index(count: int) -> int:
+    """K, the first K = 1 (mod 3) with K >= count + 1: the convergent whose
+    proof covers the first `count`, priced before any recurrence runs.
+
+    If |e - p_K/q_K| < 1/(2 q_K^2), p_K/q_K is a convergent of e (Legendre;
+    Hardy & Wright, Thm 184). As a_K = 1, it is [a_0; ..., a_(K-1), 1] =
+    [a_0; ..., a_(K-1) + 1], the K-th or (K-1)-th, so e's quotients begin
+    a_0, ..., a_(K-2). It should pass: a_(K+1) >= 2 gives q_(K+1) > 2 q_K.
+
+    K = 3m + 1 for the m below, and each run of quotients 2j, 1, 1 takes
+    q_(3j-2) to q_(3j+1) = (4j + 1) q_(3j-2) + 2 q_(3j-3) <= (4j + 3)
+    q_(3j-2), so q_K <= 4^m (m + 1)!. A count whose proof would start past
+    MAX_DEPTH at that bound is refused, from 13 942 on; check_depth refuses
+    one from 2 MAX_DEPTH + 1 on before (m + 1)! is built.
+    """
+    require_int(count, "count", "convergent_pairs", 1)
+    check_depth((count + 1) // 2)
+    m = (count + 2) // 3
+    if legendre_past_cap(2 * m + math.factorial(m + 1).bit_length()):
+        raise DepthCapExceeded(
+            f"the proof of {count} convergents starts past MAX_DEPTH"
+        )
+    return 3 * m + 1
+
+
+def _prove(p: int, q: int) -> None:
+    """Raise AssertionError unless |e - p/q| < 1/(2 q^2), decided on ints:
+    no Fraction is built and no gcd runs. The message names q by its size,
+    as str() refuses an int past 4300 digits."""
+    if _exceeds(p, q, 1, 2 * q * q, 0):
+        raise AssertionError(
+            f"a generated p/q, q of {q.bit_length()} bits, fails |e - p/q| < 1/(2 q^2)"
+        )
+
+
+def convergent_pairs(count: int) -> list[tuple[int, int]]:
+    """(p_k, q_k) of the first `count` convergents of e, run to the proof's
+    index and proved by one comparison: each pair is in lowest terms, as
+    p_k q_(k-1) - p_(k-1) q_k = +-1."""
+    pairs = list(_recurrence(_proof_index(count) + 1, _fma, 0, 1))
+    _prove(*pairs[-1])
+    del pairs[count:]
+    return pairs
+
+
+def convergent_texts(count: int) -> Iterator[tuple[str, str]]:
+    """The decimal texts of convergent_pairs(count), yielded pair by pair.
+
+    The recurrence runs over ints and over Decimals side by side to the
+    proof's index; a Decimal step and text are linear in the digits. Every
+    Decimal row is checked against its int (rationals.check_decimal) and the
+    last int pair is proved, keeping no row; only then does this return, so
+    every refusal and every failed check is raised by the call itself. The
+    iterator runs the Decimal recurrence again and yields the texts of the
+    values checked, holding one pair at a time.
+    """
+    rows = _proof_index(count) + 1
+    with exact_decimal():
+        decimals = _recurrence(rows, exact_context().fma, Decimal(0), Decimal(1))
+        for (p, q), (p_dec, q_dec) in zip(_recurrence(rows, _fma, 0, 1), decimals):
+            check_decimal(p_dec, p)
+            check_decimal(q_dec, q)
+    _prove(p, q)
+    decimals = _recurrence(count, exact_context().fma, Decimal(0), Decimal(1))
+    return ((str(p), str(q)) for p, q in decimals)
 
 
 def convergents(count: int) -> list[Convergent]:
@@ -172,17 +159,26 @@ def convergents(count: int) -> list[Convergent]:
 def is_convergent(r: Fraction) -> bool:
     """True iff r equals some convergent of e."""
     require_rational(r, "r", "is_convergent")
-    return _in_table(r.numerator, r.denominator)
+    return _is_convergent(r.numerator, r.denominator)
 
 
-def _in_table(p: int, q: int) -> bool:
-    """True iff p/q, in lowest terms with q > 0, is a convergent, looked up
-    once the table is grown past q."""
-    _grow(0, q)
-    # q_k increases strictly from k = 1 on; only q_0 = q_1 = 1 repeat.
-    lo = bisect.bisect_left(_Q, q, 2)
-    hi = bisect.bisect_right(_Q, q, 2)
-    return p in _P[lo:hi]
+def _is_convergent(p: int, q: int) -> bool:
+    """Whether p/q, in lowest terms with q > 0, is a convergent of e.
+
+    p/q = [b_0; b_1, ..., b_m], with b_m >= 2 when m >= 1, is also [b_0; ...,
+    b_m - 1, 1], and it has no other continued fraction: it is the convergent
+    [a_0; ..., a_k] exactly when one of the two is. The walk by divmod stops
+    at the first b_k other than a_k, or at b_m. The quotients compared, up
+    to a_(k+1), are proved before the answer.
+    """
+    k, (b, rest) = 0, divmod(p, q)
+    while rest and b == _partial_quotient(k):
+        k, p, q = k + 1, q, rest
+        b, rest = divmod(p, q)
+    a = _partial_quotient(k)
+    hit = rest == 0 and (b == a or b - 1 == a and _partial_quotient(k + 1) == 1)
+    convergent_pairs(k + 2)
+    return hit
 
 
 def partial_sum_record(n: int) -> PartialSumRecord:
@@ -238,15 +234,17 @@ def partial_sum_scan(max_n: int) -> Iterator[tuple[PartialSumRecord, bool]]:
     s_n is a convergent only if q_n < (n + 1) g. The tail gives e - s_n >
     1/(n + 1)!, and a convergent has |e - p_k/q_k| < 1/q_k^2 (Hardy & Wright,
     Thm 171), so s_n = p_k/q_k needs q_n^2 < (n + 1)! = (n + 1) g q_n. Only a
-    row that this leaves open, n = 1, 2 and 3 for every n <= MAX_DEPTH, grows
-    the table to its own q_n and is looked up there.
+    row that this leaves open, n = 1, 2 and 3 for every n <= MAX_DEPTH, walks
+    its own continued fraction.
     """
     require_int(max_n, "max_n", "partial_sum_scan", 0)
     check_depth(max_n)
     # One pass of N_n = n N_(n-1) + 1 beside n!: cheaper than a tree per row.
     pairs = itertools.accumulate(range(1, max_n + 1), _next_sum, initial=(1, 1))
     records = map(_record, itertools.count(), pairs, _prime_hits(max_n))
-    return ((r, r.q_n < (r.n + 1) * r.g and _in_table(r.num, r.q_n)) for r in records)
+    return (
+        (r, r.q_n < (r.n + 1) * r.g and _is_convergent(r.num, r.q_n)) for r in records
+    )
 
 
 def _next_sum(pair, n: int):

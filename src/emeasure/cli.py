@@ -92,6 +92,8 @@ def _rational(flag: str, text: str) -> Fraction:
         return Fraction(int(num), int(den) if slash else 1)
     except ValueError as exc:
         raise ValueError(f"{flag} takes P or P/Q in integers: {exc}") from None
+    except ZeroDivisionError:
+        raise ValueError(f"{flag} takes P/Q with Q != 0") from None
 
 
 # ---------------------------------------------------------------- subcommands

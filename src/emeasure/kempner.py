@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import threading
-from functools import lru_cache
 from itertools import chain, compress
 
 from .rationals import Record, ResourceError, require_int
@@ -103,49 +102,44 @@ def _fill_spf() -> bytearray:
     return _SPF
 
 
-# The last q read off _SPF, with its factors. One query asks for S(q), P(q)
-# and the verdicts at q, five factorizations of one q in a row; a sweep asks
-# about each q once and pays one compare and one store. The pair is replaced
-# whole, so a thread reads a q with its own factors.
-_LAST = (0, ())
+# The last q factored, with its factors. One query asks for S(q), P(q) and
+# the verdicts at q, five factorizations of one q in a row; a sweep asks
+# about each q once and pays one compare and one store. Only an int q is
+# looked up, as 6.0 == 6, and only an answer is kept, never a refusal. The
+# pair is replaced whole, so a thread reads a q with its own factors.
+_LAST = (None, ())
 
 
 def _factors(q: int) -> tuple[tuple[int, int], ...]:
     """factorize(q) as a tuple, which every caller shares: read off _SPF for an
     int q with 2 <= q < _SPF_LIMIT, from _trial_factors for any other q."""
     global _LAST
-    if type(q) is not int or not 2 <= q < _SPF_LIMIT:
-        return _trial_factors(q)
+    if type(q) is not int:
+        return _trial_factors(q)  # require_int refuses all but an int subclass
     last = _LAST
     if last[0] == q:
         return last[1]
-    spf = _SPF or _fill_spf()
-    factors: Factorization = []
-    rest = q
-    # _divide_out's loop, inline: a call per prime costs a sixth of the path.
-    while d := spf[rest]:
-        rest //= d
-        e = 1
-        while rest % d == 0:
+    if not 2 <= q < _SPF_LIMIT:
+        result = _trial_factors(q)
+    else:
+        spf = _SPF or _fill_spf()
+        factors: Factorization = []
+        rest = q
+        # _divide_out's loop, inline: a call per prime costs a sixth of the path.
+        while d := spf[rest]:
             rest //= d
-            e += 1
-        factors.append((d, e))
-    if rest > 1:
-        factors.append((rest, 1))
-    result = tuple(factors)
+            e = 1
+            while rest % d == 0:
+                rest //= d
+                e += 1
+            factors.append((d, e))
+        if rest > 1:
+            factors.append((rest, 1))
+        result = tuple(factors)
     _LAST = q, result
     return result
 
 
-# Bounded. It holds the repeats of one query from 2^14 on: a perfbench decide
-# job asks about each q through kempner_result, check_theorem1 at f and f + 1,
-# check_prime_factor_bound and compare_bounds, and so runs 59 trial divisions
-# for its 295 calls at such q (seed 1); of the other 13 365, 2 737 read _SPF
-# and the rest _LAST. A raise is never cached. Only a miss checks that q is an
-# int, so the key is typed: 6.0 == 6 and hashes alike, and only typed=True
-# promises that 6.0 never answers from 6's entry (CPython keys a lone int
-# argument apart untyped too, unpromised).
-@lru_cache(maxsize=64, typed=True)
 def _trial_factors(q: int) -> tuple[tuple[int, int], ...]:
     """factorize(q) as a tuple, by trial division."""
     require_int(q, "q", "factorize", 2)

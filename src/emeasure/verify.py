@@ -243,7 +243,7 @@ def _fork(queue: int):
     """(pid, file of results) of a child sharing the checks in `queue`, or
     (0, None) when run_all runs them alone: without os.fork, on one CPU, or
     with another thread running. That thread could hold a module's lock
-    (cfrac._GROW_LOCK, kempner._BLOCKS_LOCK) at the fork, and Python 3.12
+    (kempner._BLOCKS_LOCK) at the fork, and Python 3.12
     warns of a fork with threads running."""
     affinity = getattr(os, "sched_getaffinity", None)
     cpus = len(affinity(0)) if affinity else os.cpu_count() or 1

@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import time
 from fractions import Fraction
 
 import pytest
@@ -50,18 +51,23 @@ def _quotients_by_blocks(count):
     return quotients[:count]
 
 
-def _recurrence_oracle(count):
-    """The first `count` convergents, by the recurrence over the block
-    encoding, rebuilt independently of cfrac."""
+def _oracle_pairs(count):
+    """The first `count` convergents as (p, q), by the recurrence over the
+    block encoding, rebuilt independently of cfrac."""
     quotients = _quotients_by_blocks(count)
     p_prev, p = 1, quotients[0]
     q_prev, q = 0, 1
-    expected = [Fraction(p, q)]
+    pairs = [(p, q)]
     for a in quotients[1:]:
         p_prev, p = p, a * p + p_prev
         q_prev, q = q, a * q + q_prev
-        expected.append(Fraction(p, q))
-    return expected
+        pairs.append((p, q))
+    return pairs
+
+
+def _recurrence_oracle(count):
+    """The first `count` convergents, as Fractions."""
+    return [Fraction(p, q) for p, q in _oracle_pairs(count)]
 
 
 def test_convergents_from_recurrence_oracle():
@@ -80,51 +86,40 @@ def test_convergent_pairs_are_the_convergents_in_lowest_terms(monkeypatch):
         convergent_pairs(0)
 
 
-def _fresh_table(monkeypatch):
-    monkeypatch.setattr(cfrac, "_P", [0, 1])
-    monkeypatch.setattr(cfrac, "_Q", [1, 0])
-
-
-def test_threads_grow_the_table_one_at_a_time(monkeypatch):
-    # Four threads grow a fresh table at once, a thread switch offered every
-    # microsecond. Growing reads the table's end and then extends it; two
-    # threads that read the same end would both extend it from there.
-    expected = [(r.numerator, r.denominator) for r in _recurrence_oracle(700)]
+def test_threads_each_get_the_oracle_pairs():
+    # Four threads ask for convergents at once, a thread switch offered every
+    # microsecond; each call runs and proves its own recurrence.
+    expected = _oracle_pairs(700)
     switch_interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for _ in range(30):
-            _fresh_table(monkeypatch)
+        for _ in range(10):
             barrier = threading.Barrier(4)
-            errors = []
+            answers, errors = {}, []
 
-            def grow(count):
+            def ask(count):
                 barrier.wait(timeout=30)
                 try:
-                    convergent_pairs(count)
+                    answers[count] = convergent_pairs(count)
                 except Exception as exc:
                     errors.append(exc)
 
-            threads = [
-                threading.Thread(target=grow, args=(300 + 100 * i,)) for i in range(4)
-            ]
+            counts = [300 + 100 * i for i in range(4)]
+            threads = [threading.Thread(target=ask, args=(count,)) for count in counts]
             for thread in threads:
                 thread.start()
             for thread in threads:
                 thread.join(timeout=30)
             assert not any(thread.is_alive() for thread in threads)
-            table = list(zip(cfrac._P[2:], cfrac._Q[2:]))
             assert errors == []
-            assert len(cfrac._P) == len(cfrac._Q) and table == expected[: len(table)]
-            assert len(table) >= 600
+            assert answers == {count: expected[:count] for count in counts}
     finally:
         sys.setswitchinterval(switch_interval)
 
 
 def test_failed_validation_leaves_the_table_as_it_was(monkeypatch):
-    # A proof past MAX_DEPTH is refused. Had the recurrence advanced first,
-    # every later convergent would be wrong.
-    _fresh_table(monkeypatch)
+    # A proof past MAX_DEPTH is refused, and nothing of that call is kept:
+    # the next call, within MAX_DEPTH, runs and proves its own recurrence.
     with monkeypatch.context() as patch:
         patch.setattr(enclosure, "MAX_DEPTH", 20)
         with pytest.raises(DepthCapExceeded):
@@ -190,6 +185,49 @@ def test_is_convergent():
     assert not is_convergent(Fraction(65, 24))
 
 
+def test_is_convergent_matches_the_oracle_near_e():
+    # Every p/q with q <= 300 and 2q - 2 <= p <= 3q + 2, against the oracle's
+    # own convergents. 3/1 = [2; 1] and 11/4 = [2; 1, 3] = [2; 1, 2, 1] are
+    # convergents only in the form whose last quotient is 1.
+    oracle = set(_recurrence_oracle(20))
+    wrong = [
+        (p, q)
+        for q in range(1, 301)
+        for p in range(2 * q - 2, 3 * q + 3)
+        if is_convergent(Fraction(p, q)) != (Fraction(p, q) in oracle)
+    ]
+    assert wrong == []
+    assert sum(r.denominator <= 300 for r in oracle) == 8
+
+
+def test_huge_denominator_answers_at_once(monkeypatch):
+    # 1/2^60000 = [0; 2^60000] parts from e at its first quotient: the walk
+    # stops there, and the proof covers a_0 to a_2 only.
+    steps = []
+    original = cfrac._partial_quotient
+    monkeypatch.setattr(
+        cfrac, "_partial_quotient", lambda k: steps.append(k) or original(k)
+    )
+    for r in (Fraction(1, 2**60000), Fraction(1, 10**20000)):
+        steps.clear()
+        start = time.perf_counter()
+        assert not is_convergent(r)
+        assert time.perf_counter() - start < 0.05
+        assert len(steps) <= 8
+
+
+def test_a_deep_match_is_refused_before_the_recurrence(monkeypatch):
+    # p_500/q_500 matches e's quotients as far as it goes, so its answer needs
+    # the proof of 502 convergents, priced past MAX_DEPTH = 300 before any
+    # recurrence runs.
+    p, q = _oracle_pairs(501)[-1]
+    monkeypatch.setattr(enclosure, "MAX_DEPTH", 300)
+    monkeypatch.setattr(cfrac, "_recurrence", None)
+    message = "^the proof of 502 convergents starts past MAX_DEPTH$"
+    with pytest.raises(DepthCapExceeded, match=message):
+        is_convergent(Fraction(p, q))
+
+
 def test_corollary3_no_violations():
     rows = corollary3_scan(60)
     assert rows, "full-factorial indices must exist below 60"
@@ -231,20 +269,26 @@ def test_reduced_rows_match_the_fraction_oracle():
 
 
 def test_rows_run_no_gcd(monkeypatch):
-    # Fraction reduces by math.gcd, so no Fraction is built either. The proof
-    # of the table builds Fractions: a first scan, read through, grows it.
-    list(partial_sum_scan(300))
+    # Fraction reduces by math.gcd, so no Fraction is built either, nor by the
+    # proof of the convergent test.
     monkeypatch.setattr(math, "gcd", None)
     rows = list(cfrac.partial_sum_texts(partial_sum_scan(300)))
     assert [record.n for record, hit, _, _ in rows if hit] == [1, 3]
 
 
+def count_proofs(monkeypatch):
+    """The counts convergent_pairs is called with from now on."""
+    counts, pairs = [], cfrac.convergent_pairs
+    monkeypatch.setattr(cfrac, "convergent_pairs", lambda n: counts.append(n) or pairs(n))
+    return counts
+
+
 def test_check_convergent_edge(monkeypatch):
-    # The scan answers up to MAX_DEPTH with a table grown only for s_1 and
-    # s_3; one past it is refused by the call, before any row.
-    _fresh_table(monkeypatch)
+    # The scan answers up to MAX_DEPTH with quotients proved only for s_1,
+    # s_2 and s_3; one past it is refused by the call, before any row.
+    counts = count_proofs(monkeypatch)
     assert conjecture2_scan(enclosure.MAX_DEPTH) == [1, 3]
-    assert len(cfrac._P) <= 10
+    assert counts == [2, 3, 4]
     with pytest.raises(DepthCapExceeded, match="depth 10001 exceeds"):
         partial_sum_scan(enclosure.MAX_DEPTH + 1)
 
@@ -255,12 +299,13 @@ def test_convergent_test_leaves_open_only_the_first_rows():
     assert [r.n for r, _ in rows if r.q_n < (r.n + 1) * r.g] == [1, 2, 3]
 
 
-def test_scan_column_matches_the_full_table_oracle(monkeypatch):
-    # The old path: grow the table past max_n! once, then look up every row.
-    _fresh_table(monkeypatch)
-    cfrac._grow(0, math.factorial(3000))
+def test_scan_column_matches_the_full_table_oracle():
+    # Every row looked up in the oracle's convergents, run past 3000!.
+    pairs = _oracle_pairs(7700)
+    assert pairs[-1][1] > math.factorial(3000)
+    table = set(pairs)
     rows = [
-        (r.n, r.full_factorial, hit, cfrac._in_table(r.num, r.q_n))
+        (r.n, r.full_factorial, hit, (r.num, r.q_n) in table)
         for r, hit in partial_sum_scan(3000)
     ]
     assert [n for n, _, hit, oracle in rows if hit != oracle] == []
@@ -274,50 +319,53 @@ def test_partial_sums_are_left_endpoints():
         assert Fraction(record.num, record.q_n) == partial_sum(n)
 
 
+def count_comparisons(monkeypatch):
+    """The q of each comparison cfrac asks the enclosure for from now on."""
+    calls, exceeds = [], enclosure._exceeds
+    monkeypatch.setattr(
+        cfrac, "_exceeds", lambda a, b, *rest: calls.append(b) or exceeds(a, b, *rest)
+    )
+    return calls
+
+
 def test_proved_table_matches_per_convergent_oracle(monkeypatch):
-    # One proof covers the whole growth; the old per-convergent check
+    # One proof covers the whole call; the old per-convergent check
     # |e - p/q| < 1/q^2 stays here as an independent oracle.
-    _fresh_table(monkeypatch)
-    calls = []
-
-    def counted(r, bound):
-        calls.append(r)
-        return compare_distance_to_e(r, bound)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(cfrac, "compare_distance_to_e", counted)
-        values = [c.value for c in convergents(1500)]
+    calls = count_comparisons(monkeypatch)
+    pairs = convergent_pairs(1500)
     assert len(calls) == 1
-    assert values == _recurrence_oracle(1500)
-    for p, q in zip(cfrac._P[2:1502], cfrac._Q[2:1502]):
+    assert [Fraction(p, q) for p, q in pairs] == _recurrence_oracle(1500)
+    for p, q in pairs:
         assert Fraction(p, q).denominator == q
         assert compare_distance_to_e(Fraction(p, q), Fraction(1, q * q)) == LESS
 
 
-@pytest.mark.parametrize("j", [0, 1, 2, 5, 40, 299])
+# At j = 5000, p and q have more digits than str() converts by default.
+@pytest.mark.parametrize("j", [0, 1, 2, 5, 40, 299, 5000])
 def test_wrong_quotient_is_refused(monkeypatch, j):
-    _fresh_table(monkeypatch)
     original = cfrac._partial_quotient
     monkeypatch.setattr(
         cfrac, "_partial_quotient", lambda k: original(k) + (k == j)
     )
-    with pytest.raises(AssertionError):
+    with pytest.raises(AssertionError, match=r"fails \|e - p/q\| < 1/\(2 q\^2\)$"):
         convergents(j + 1)
-    assert cfrac._P == [0, 1] and cfrac._Q == [1, 0]
+    monkeypatch.undo()
+    assert convergent_pairs(j + 1) == _oracle_pairs(j + 1)
 
 
 def test_convergent_count_edge(monkeypatch):
     # 13941 convergents are proved within MAX_DEPTH. From 13942 on, the
     # proof priced at q_K <= 4^m (m + 1)!, K = 3m + 1, would start past
     # MAX_DEPTH, so the count is refused before the recurrence runs: the
-    # growth for 13942 to 13944 was proved at MAX_DEPTH from a start past
-    # it, and for 13945 to 20000 the recurrence ran before the proof failed.
-    _fresh_table(monkeypatch)
-    assert len(convergent_pairs(13941)) == 13941
+    # proof for 13942 to 13944 ran at MAX_DEPTH from a start past it, and
+    # for 13945 to 20000 the recurrence ran before the proof failed.
+    pairs = convergent_pairs(13941)
+    assert len(pairs) == 13941
     bound = 1
     for m in range(1, 4647):
         bound *= 4 * (m + 1)
-        assert cfrac._Q[3 * m + 3] <= bound, m  # q_(3m+1) <= 4^m (m + 1)!
+        assert pairs[3 * m + 1][1] <= bound, m  # q_(3m+1) <= 4^m (m + 1)!
+    del pairs
     monkeypatch.setattr(cfrac, "_partial_quotient", None)
     for count in (13942, 13945, 2 * enclosure.MAX_DEPTH):
         message = f"^the proof of {count} convergents starts past MAX_DEPTH$"
@@ -325,22 +373,6 @@ def test_convergent_count_edge(monkeypatch):
             convergent_pairs(count)
     with pytest.raises(DepthCapExceeded, match="depth 10001 exceeds"):
         convergent_pairs(2 * enclosure.MAX_DEPTH + 1)
-
-
-def test_huge_denominator_refused_before_the_recurrence_runs_away(monkeypatch):
-    # q_k > 10^20000 needs k near 16500; the proof could not be decided past
-    # k = 2 MAX_DEPTH + 1, so the recurrence stops there.
-    _fresh_table(monkeypatch)
-    steps = []
-    original = cfrac._partial_quotient
-    monkeypatch.setattr(
-        cfrac, "_partial_quotient", lambda k: steps.append(k) or original(k)
-    )
-    monkeypatch.setattr(enclosure, "MAX_DEPTH", 300)
-    with pytest.raises(DepthCapExceeded):
-        is_convergent(Fraction(1, 10**20000))
-    assert len(steps) <= 2 * 300 + 2
-    assert cfrac._P == [0, 1] and cfrac._Q == [1, 0]
 
 
 @pytest.mark.parametrize(
@@ -351,26 +383,18 @@ def test_huge_denominator_refused_before_the_recurrence_runs_away(monkeypatch):
     ],
     ids=["conjecture2", "corollary3"],
 )
-def test_scan_proves_the_table_once(monkeypatch, scan, expected):
-    # The table is grown, and proved, once for each row the inequality
-    # leaves open: s_1 (q_1 = 1) and s_3 (q_3 = 3); s_2 is looked up in it.
-    _fresh_table(monkeypatch)
-    calls = []
-
-    def counted(r, bound):
-        calls.append(r)
-        return compare_distance_to_e(r, bound)
-
-    monkeypatch.setattr(cfrac, "compare_distance_to_e", counted)
+def test_scan_proves_each_open_row(monkeypatch, scan, expected):
+    # One proof for each row the inequality leaves open, s_1 = [2],
+    # s_2 = [2; 2] and s_3 = [2; 1, 2]: of p_4/q_4 = 19/7 for the first two,
+    # of p_7/q_7 = 193/71 for the third.
+    calls = count_comparisons(monkeypatch)
     assert scan(300) == expected
-    assert len(calls) == 2
-    assert cfrac._Q[-1] == 32 and len(cfrac._P) <= 10
+    assert calls == [7, 7, 71]
 
 
 def test_partial_sum_scan_checks_before_it_returns(monkeypatch):
-    # The depth is refused by the call, before any row is read. The table
-    # the convergent test needs is proved within a depth of 300.
-    _fresh_table(monkeypatch)
+    # The depth is refused by the call, before any row is read. The quotients
+    # the convergent test needs are proved within a depth of 300.
     monkeypatch.setattr(enclosure, "MAX_DEPTH", 300)
     with pytest.raises(DepthCapExceeded):
         partial_sum_scan(301)

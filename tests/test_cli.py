@@ -20,7 +20,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from emeasure import cfrac, cli, density, enclosure, kempner, measures, verify
 from emeasure.enclosure import partial_sum
-from emeasure.rationals import ResourceError, int_str
+from emeasure.rationals import ResourceError, exact_context, int_str
 
 
 def run_json(capsys, argv):
@@ -266,11 +266,17 @@ def test_partial_sums_rows_match_the_recurrence(capsys):
 # 59 is the last of 60 rows: every row is checked before the first is written.
 @pytest.mark.parametrize("poisoned", [0, 40, 59])
 def test_a_wrong_decimal_convergent_writes_nothing(capsys, monkeypatch, poisoned):
-    # The table is grown and proved with the true quotients first, so the
-    # wrong quotient reaches only the decimal recurrence.
-    cfrac.convergent_pairs(60)
-    quotient = cfrac._partial_quotient
-    monkeypatch.setattr(cfrac, "_partial_quotient", lambda k: quotient(k) + (k == poisoned))
+    # Only the decimal recurrence errs: its context's fma reads the quotient
+    # one too large at row `poisoned`, while the ints and their proof are true.
+    class Poisoned:
+        def __init__(self):
+            self.context, self.steps = exact_context(), 0
+
+        def fma(self, a, x, y):
+            row, self.steps = self.steps // 2, self.steps + 1
+            return self.context.fma(a + (row == poisoned), x, y)
+
+    monkeypatch.setattr(cfrac, "exact_context", Poisoned)
     with pytest.raises(AssertionError, match=r"mod 2\^61 - 1"):
         cli.run(["convergents", "--count", "60"])
     assert capsys.readouterr().out == ""
@@ -287,9 +293,8 @@ class CharacterCount:
 
 
 def test_convergents_are_written_row_by_row(monkeypatch):
-    # With the int table grown first, what the command holds beside it is a
-    # row or two of text, not the document: 9.1 MB for 3000 rows.
-    cfrac.convergent_pairs(3000)
+    # The command keeps no table: what it holds is a row or two of ints and
+    # text, not the document: 9.1 MB for 3000 rows.
     sink = CharacterCount()
     monkeypatch.setattr(sys, "stdout", sink)
     tracemalloc.start()
@@ -635,10 +640,8 @@ def test_a_refusal_costs_about_a_start(argv):
 
 
 def test_partial_sums_convergent_table_refused_before_header(capsys, monkeypatch):
-    # A table past 200! would need a proof near depth 400. The scan grows the
-    # table only for s_1, s_2 and s_3, so it answers within a depth of 300.
-    monkeypatch.setattr(cfrac, "_P", [0, 1])
-    monkeypatch.setattr(cfrac, "_Q", [1, 0])
+    # A table past 200! would need a proof near depth 400. The scan proves
+    # quotients only for s_1, s_2 and s_3, so it answers within a depth of 300.
     monkeypatch.setattr(enclosure, "MAX_DEPTH", 300)
     assert cli.run(["partial-sums", "--max-n", "200", "--check-convergent"]) == 0
     rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
@@ -880,6 +883,9 @@ def test_bad_rational_is_domain_error(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+    if "1/0" in argv:
+        flag = argv[argv.index("1/0") - 1]
+        assert captured.err == f"error: {flag} takes P/Q with Q != 0\n"
 
 
 @pytest.mark.parametrize("argv", [["interval"], ["interval", "--n", "x"]])

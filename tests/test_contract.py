@@ -86,24 +86,19 @@ def _overtime(signum, frame):
 
 @contextlib.contextmanager
 def nothing_grows():
-    """Empty the shared caches and the convergent table, and check that the
-    block leaves them empty and the oracle's tables as long as it found them."""
-    kempner._trial_factors.cache_clear()
+    """Empty the endpoint cache, and check that the block leaves it empty,
+    the last factorization where it found it and the oracle's tables as long
+    as it found them."""
     enclosure._endpoint.cache_clear()
-    table = cfrac._P[:], cfrac._Q[:]
-    del cfrac._P[2:], cfrac._Q[2:]
+    last = kempner._LAST
     blocks = len(kempner._BLOCKS)
-    try:
-        yield
-    finally:
-        grown = (
-            kempner._trial_factors.cache_info().currsize,
-            enclosure._endpoint.cache_info().currsize,
-            len(cfrac._P),
-            len(kempner._BLOCKS) - blocks,
-        )
-        cfrac._P[:], cfrac._Q[:] = table
-    assert grown == (0, 0, 2, 0)
+    yield
+    grown = (
+        enclosure._endpoint.cache_info().currsize,
+        kempner._LAST is last,
+        len(kempner._BLOCKS) - blocks,
+    )
+    assert grown == (0, True, 0)
 
 
 @contextlib.contextmanager
@@ -144,8 +139,9 @@ def test_answer_or_refusal_in_time(name, data):
         assert TYPE_REFUSAL.fullmatch(str(refusal.value))
 
 
-def test_a_float_count_builds_no_convergent():
-    # The table grew from 2 entries to 44 before the slice refused 40.0.
+def test_a_float_count_builds_no_convergent(monkeypatch):
+    # 40.0 is refused before the recurrence reads a quotient.
+    monkeypatch.setattr(cfrac, "_partial_quotient", None)
     message = "^convergent_pairs requires an int count, not float$"
     with nothing_grows(), pytest.raises(TypeError, match=message):
         emeasure.convergents(40.0)

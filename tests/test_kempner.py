@@ -99,17 +99,24 @@ def test_factorize_at_the_end_of_the_prime_table(n):
     assert factorize(n) == trial_factorize(n)
 
 
-def test_the_table_and_trial_division_meet_at_the_edge():
+def count_trial_divisions(monkeypatch):
+    """The list of q that kempner._trial_factors is called with from now on."""
+    calls, trial = [], kempner._trial_factors
+    monkeypatch.setattr(kempner, "_trial_factors", lambda q: calls.append(q) or trial(q))
+    return calls
+
+
+def test_the_table_and_trial_division_meet_at_the_edge(monkeypatch):
     # Every int q below 2^14 is read off the smallest-prime-factor table with
     # no trial division; from 2^14 on, trial division runs.
     edge = kempner._SPF_LIMIT
     assert edge == 2**14
-    kempner._trial_factors.cache_clear()
+    calls = count_trial_divisions(monkeypatch)
     below, above = range(2, edge), range(edge, edge + 1000)
     assert [factorize(q) for q in below] == [trial_factorize(q) for q in below]
-    assert kempner._trial_factors.cache_info().misses == 0
+    assert calls == []
     assert [factorize(q) for q in above] == [trial_factorize(q) for q in above]
-    assert kempner._trial_factors.cache_info().misses == 1000
+    assert calls == list(above)
     # The table holds the smallest prime factor of a composite q, 0 for a prime.
     assert list(kempner._SPF[2:]) == [
         0 if trial_is_prime(q) else trial_factorize(q)[0][0] for q in below
@@ -404,17 +411,17 @@ def test_callers_cannot_change_the_cached_factorization():
     assert factorize(720) is not factorize(720)
 
 
-def test_a_float_does_not_answer_for_its_int():
-    kempner._trial_factors.cache_clear()
+def test_a_float_does_not_answer_for_its_int(monkeypatch):
+    calls = count_trial_divisions(monkeypatch)
     assert factorize(16386) == [(2, 1), (3, 1), (2731, 1)]
-    # 16386.0 == 16386 and hashes alike; the typed key keeps 16386.0 from
-    # answering out of 16386's entry, and a refusal is not cached. kempner_S
-    # and is_prime refuse it before they look.
+    # 16386.0 == 16386; the memo is read for an int only, so 16386.0 never
+    # answers out of it, and a refusal is not kept. kempner_S and is_prime
+    # refuse it before they look.
     for call in (factorize, kempner_S, largest_prime_factor, is_prime, kempner_result):
         with pytest.raises(TypeError, match="^(factorize|kempner_S|is_prime) requires an int"):
             call(16386.0)
-    info = kempner._trial_factors.cache_info()
-    assert (info.misses, info.currsize) == (4, 1)
+    assert len(calls) == 4 and kempner._LAST == (16386, ((2, 1), (3, 1), (2731, 1)))
+    assert type(kempner._LAST[0]) is int
 
 
 # The calls that answer without trial division refuse a float too.
@@ -439,12 +446,12 @@ def test_kempner_prime_power_refuses_a_float_exponent():
         kempner_prime_power(3, 2.0)
 
 
-def test_a_refusal_is_not_cached():
-    kempner._trial_factors.cache_clear()
+def test_a_refusal_is_not_cached(monkeypatch):
+    calls = count_trial_divisions(monkeypatch)
+    last = kempner._LAST
     for _ in range(2):
         with pytest.raises(ResourceError, match="trial division up to 1000000"):
             is_prime(1000002000007)
         with pytest.raises(ValueError, match="q >= 2"):
             factorize(1)
-    info = kempner._trial_factors.cache_info()
-    assert (info.misses, info.hits, info.currsize) == (4, 0, 0)
+    assert calls == [1000002000007, 1] * 2 and kempner._LAST is last

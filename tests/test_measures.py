@@ -514,18 +514,23 @@ def test_factorial_square_boundary():
         assert factorial_square_boundary(n)
 
 
-def test_one_query_factors_q_once():
-    # The queries a perfbench decide job asks about one q: one trial division.
+def test_one_query_factors_q_once(monkeypatch):
+    # The queries a perfbench decide job asks about one q: one trial division,
+    # and four answers from the memo.
     q = 720720
-    kempner._trial_factors.cache_clear()
+    calls, trial = [], kempner._trial_factors
+    monkeypatch.setattr(kempner, "_trial_factors", lambda q: calls.append(q) or trial(q))
+    monkeypatch.setattr(kempner, "_LAST", (None, ()))
+    factored, factors = [], kempner._factors
+    for module in (kempner, measures):
+        monkeypatch.setattr(module, "_factors", lambda q: factored.append(q) or factors(q))
     f = floor_e_times(q)
     kempner.kempner_result(q)
     check_theorem1(f, q)
     check_theorem1(f + 1, q)
     check_prime_factor_bound(f, q)
     compare_bounds(q)
-    info = kempner._trial_factors.cache_info()
-    assert (info.misses, info.hits) == (1, 4)
+    assert (calls, len(factored)) == ([q], 5)
 
 
 def test_one_query_reads_a_small_q_off_the_table_once(monkeypatch):
@@ -541,7 +546,7 @@ def test_one_query_reads_a_small_q_off_the_table_once(monkeypatch):
 
     kempner.factorize(2)
     monkeypatch.setattr(kempner, "_SPF", Counted(kempner._SPF))
-    monkeypatch.setattr(kempner, "_LAST", (0, ()))
+    monkeypatch.setattr(kempner, "_LAST", (None, ()))
     f = floor_e_times(q)
     kempner.kempner_result(q)
     check_theorem1(f, q)
