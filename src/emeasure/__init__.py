@@ -13,7 +13,13 @@ from .cfrac import (
     is_convergent,
     partial_sum_record,
 )
-from .density import DensityReport, density_report, kempner_plan, kempner_range
+from .density import (
+    DensityReport,
+    conjecture1_counts,
+    density_report,
+    kempner_plan,
+    kempner_range,
+)
 from .enclosure import (
     Interval,
     compare_distance_to_e,

@@ -8,29 +8,33 @@ Two exception counters over q in [2, x]:
                          P(q)! variant is counted alongside for comparison)
 
 Both kinds of exception are rare smooth numbers, so density_report counts
-them from the O(sqrt(x)) prime powers of kempner_plan instead of scanning
-every q. The S != P walk counts the exceptions whose last prime is large
-from a table of pi(y), without visiting them. kempner_range scans
-consecutive q from the same plan; it finds the smallest S != P exceptions
-in the first block of [2, x], writes the one-row-per-q CSV and serves as
-the reference the counts are tested against.
+them without scanning every q. The S != P walk goes through the O(sqrt(x))
+prime powers of kempner_plan and counts the exceptions whose last prime is
+large from a table of pi(y), without visiting them. conjecture1_counts
+visits no q at all: it counts the divisors of s! and the smooth numbers up
+to x by meet in the middle. kempner_range scans consecutive q from the
+plan; it finds the smallest S != P exceptions in the first block of [2, x],
+writes the one-row-per-q CSV and serves as the reference the counts are
+tested against.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from collections.abc import Iterator
+from bisect import bisect_right
 from itertools import accumulate, compress, repeat
 from operator import floordiv, ne
 
-from .kempner import _kempner_prime_power, _prime_flags, _primes_upto
+from .kempner import _SMALL_PRIMES, _kempner_prime_power, _prime_flags, _primes_upto
 from .rationals import Record, ResourceError, require_int, rising_product, scaled_text
 
 # The most q one kempner_range call covers: it builds three lists that long.
 BLOCK_SIZE = 1 << 16
 # The most entries one scan may cover (x + 1), read when a plan is made.
 MAX_SCAN_ENTRIES = 10**8
+# The largest x conjecture1_counts answers, read at each call.
+MAX_CONJECTURE1_X = 10**18
 EXCEPTIONS_CAP = 100
 # The q per kempner_range call of the S != P sample: 127 of them lie in
 # [2, 1000], so one block holds the EXCEPTIONS_CAP smallest for any x >= 1000.
@@ -212,35 +216,128 @@ def _smallest_S_neq_P(plan: KempnerPlan) -> list[int]:
     return found[:EXCEPTIONS_CAP]
 
 
-def _smooth(x: int, primes: list[int]) -> Iterator[tuple[int, int, int]]:
-    """(q, S(q), P(q)) for every q in [2, x] whose primes all lie in the
-    ascending list primes, each once, in no order."""
-    # (r^b, S(r^b)) for each prime r and each of its powers up to x
-    table = []
-    for r in primes:
-        row, rb, b = [], r, 1
-        while rb <= x:
-            row.append((rb, _kempner_prime_power(r, b)))
-            rb, b = rb * r, b + 1
-        table.append(row)
-    stack = [(1, 1, 1, 0)]
-    while stack:
-        q, s, p, j = stack.pop()
-        if q > 1:
-            yield q, s, p
-        lim = x // q
-        for k in range(j, len(primes)):
-            for rb, t in table[k]:
-                if rb > lim:
+def _ceil_sqrt(n: int) -> int:
+    """The least L with L^2 >= n, for n >= 1."""
+    return math.isqrt(n - 1) + 1
+
+
+def _small_primes(n: int) -> tuple[int, ...]:
+    """The primes <= n, for n < 1000: the t - 1 of any x up to
+    MAX_CONJECTURE1_X is 32."""
+    return _SMALL_PRIMES[: bisect_right(_SMALL_PRIMES, n)]
+
+
+def _products(primes: tuple[int, ...], caps: list[int], y: int) -> list[int]:
+    """Every product of p^e <= y over the primes, with 0 <= e <= p's cap,
+    once each, in no order, for y >= 1."""
+    out = [1]
+    for p, cap in zip(primes, caps):
+        more = []
+        for m in out:
+            for _ in range(cap):
+                m *= p
+                if m > y:
                     break
-                stack.append((q * rb, t if t > s else s, primes[k], k + 1))
+                more.append(m)
+        out += more
+    return out
 
 
-def _write_csv(path: str, plan: KempnerPlan, fails: set[int]) -> None:
-    """One row per q in [2, plan.x] with S(q), P(q) and both flags, the
-    conj1_fail flag read from fails, the set of q with q^2 >= S(q)!. Every
-    field is an integer, which csv never quotes, so each row is formatted
-    text ending in csv's own terminator, "\\r\\n".
+def _count_products(primes: tuple[int, ...], caps: list[int], y: int) -> int:
+    """len(_products(primes, caps, y)), by meet in the middle: the sorted
+    products A of the first third of the primes (rounded up, which at
+    x = 10^18 is faster and smaller than rounded down), and for each product
+    b of the rest, the bisect_right(A, y // b) products a in A with
+    a*b <= y."""
+    k = (len(primes) + 2) // 3
+    low = sorted(_products(primes[:k], caps[:k], y))
+    high = _products(primes[k:], caps[k:], y)
+    return sum(map(bisect_right, repeat(low), map(floordiv, repeat(y), high)))
+
+
+def _legendre(primes: tuple[int, ...], s: int) -> list[int]:
+    """The exponent of each prime in s!, by Legendre's formula."""
+    caps = []
+    for p in primes:
+        e, power = 0, p
+        while power <= s:
+            e, power = e + s // power, power * p
+        caps.append(e)
+    return caps
+
+
+def _count_divisors(s: int, y: int) -> int:
+    """D(s, y): how many divisors of s! are <= y, for y >= 0."""
+    primes = _small_primes(s)
+    return _count_products(primes, _legendre(primes, s), y)
+
+
+def _count_smooth(r: int, y: int) -> int:
+    """Psi(y, r): how many m in [1, y] have no prime factor above r, for
+    y >= 0. The exponent cap y.bit_length() never binds: p^e > y first."""
+    primes = _small_primes(r)
+    return _count_products(primes, [y.bit_length()] * len(primes), y)
+
+
+def conjecture1_counts(x: int) -> tuple[int, int]:
+    """(#{q in [2, x] : q^2 >= S(q)!}, #{q in [2, x] : q^2 >= P(q)!}),
+    counted without visiting the q, for 2 <= x <= MAX_CONJECTURE1_X.
+
+    With t the smallest integer with t! > x^2, q^2 <= x^2 < t! makes the
+    first need S(q) < t and the second P(q) < t. S(q) <= s exactly when
+    q | s!, so D(s, y), the divisors of s! up to y, counts the q <= y with
+    S(q) <= s, and D(s, y) - D(s - 1, y) those with S(q) = s. Such a q fails
+    when q >= L_s = ceil(sqrt(s!)); summed over s = 2 .. t - 1 the counts up
+    to x telescope to D(t - 1, x) - D(1, x). A q with P(q) = r is r*m with
+    m r-smooth, and fails when r*m >= L_r: over the primes r < t that is
+    Psi(x // r, r) - Psi((L_r - 1) // r, r), with Psi(y, r) the number of
+    r-smooth m <= y. At x = 10^18 this takes about 0.3 s; x above
+    MAX_CONJECTURE1_X is refused before any work.
+    """
+    require_int(x, "x", "conjecture1_counts", 2)
+    if x > MAX_CONJECTURE1_X:
+        raise ResourceError(
+            f"conjecture1_counts refuses x above MAX_CONJECTURE1_X = {MAX_CONJECTURE1_X}"
+        )
+    t, facts = _factorial_threshold(x)
+    count_S = _count_divisors(t - 1, x) - 1
+    for s in range(2, t):
+        edge = _ceil_sqrt(facts[s]) - 1
+        count_S -= _count_divisors(s, edge) - _count_divisors(s - 1, edge)
+    count_P = 0
+    for r in _small_primes(t - 1):
+        edge = (_ceil_sqrt(facts[r]) - 1) // r
+        count_P += _count_smooth(r, x // r) - _count_smooth(r, edge)
+    return count_S, count_P
+
+
+def _smallest_conjecture1(x: int, t: int, facts: list[int]) -> list[int]:
+    """The EXCEPTIONS_CAP smallest q in [2, x] with q^2 >= S(q)!, in
+    ascending order: for s = 2 .. t - 1, the divisors q <= x of s! with
+    q >= L_s = ceil(sqrt(s!)) that do not divide (s - 1)!, until
+    EXCEPTIONS_CAP are found and L_s passes the EXCEPTIONS_CAP-th smallest.
+    L_s grows with s, so no later s adds a smaller q."""
+    cap = EXCEPTIONS_CAP
+    found: list[int] = []
+    for s in range(2, t):
+        least = _ceil_sqrt(facts[s])
+        if len(found) >= cap and least > found[cap - 1]:
+            break
+        primes = _small_primes(s)
+        for q in _products(primes, _legendre(primes, s), x):
+            if q >= least and facts[s - 1] % q:
+                found.append(q)
+        found.sort()
+    return found[:cap]
+
+
+def _write_csv(path: str, plan: KempnerPlan, t: int, facts: list[int]) -> None:
+    """One row per q in [2, plan.x] with S(q), P(q) and both flags:
+    S_neq_P is S(q) != P(q), and conj1_fail is q^2 >= S(q)!, tested as
+    S(q) < t and q^2 >= facts[S(q)] with t and facts from
+    _factorial_threshold(plan.x). Every field is an integer, which csv never
+    quotes, so each row is formatted text ending in csv's own terminator,
+    "\\r\\n".
 
     The rows go to a temporary file beside path, which then replaces path
     whole; if anything fails, the temporary file is removed and an existing
@@ -255,7 +352,7 @@ def _write_csv(path: str, plan: KempnerPlan, fails: set[int]) -> None:
                 hi = min(lo + BLOCK_SIZE - 1, plan.x)
                 S, P = kempner_range(lo, hi, plan)
                 qs = range(lo, hi + 1)
-                flags = map(int, map(fails.__contains__, qs))
+                flags = [int(s < t and q * q >= facts[s]) for q, s in zip(qs, S)]
                 rows = zip(qs, S, P, map(int, map(ne, S, P)), flags)
                 handle.writelines(map("%d,%d,%d,%d,%d\r\n".__mod__, rows))
         os.replace(tmp, path)
@@ -267,42 +364,32 @@ def _write_csv(path: str, plan: KempnerPlan, fails: set[int]) -> None:
 def density_report(x: int, csv_path: str | None = None) -> DensityReport:
     """Exact exception counts over q in [2, x].
 
-    The counts come from walks over the exceptions, so time and memory grow
-    with their number and with sqrt(x), not with x. S(q) != P(q) is counted
-    by _count_S_neq_P, which visits the exceptions whose last prime is small
+    No count scans every q, so time and memory grow with sqrt(x) and the
+    exceptions visited, not with x. S(q) != P(q) is counted by
+    _count_S_neq_P, which visits the exceptions whose last prime is small
     and counts those whose last prime is large from a table of pi(y); the
     EXCEPTIONS_CAP smallest come from kempner_range over the first block
-    of [2, x]. One walk over the q whose primes are all below t, the
-    smallest t with t! > x^2, counts both q^2 >= S(q)! and q^2 >= P(q)!,
-    since P(q) >= t gives q^2 < t! <= P(q)! <= S(q)!. It keeps the
-    q^2 >= S(q)! exceptions in one sorted list (3 284 at x = 10^8 - 1):
-    their count, the EXCEPTIONS_CAP smallest and the CSV's conj1_fail
-    column are all read from it.
+    of [2, x]. q^2 >= S(q)! and q^2 >= P(q)! are counted by
+    conjecture1_counts, from divisor and smooth-number counts, and the
+    EXCEPTIONS_CAP smallest q^2 >= S(q)! exceptions come from the divisors
+    of s! for the first few s (_smallest_conjecture1).
     kempner_plan checks x: an int >= 2, with x + 1 <= MAX_SCAN_ENTRIES.
     csv_path, if given, receives one row per q with its S/P values and flags,
-    from a block scan.
+    all from a block scan.
     """
     plan = kempner_plan(x)
-    threshold, facts = _factorial_threshold(x)
+    t, facts = _factorial_threshold(x)
     count_sp, sample_sp = _count_S_neq_P(plan), _smallest_S_neq_P(plan)
-    # S(q) >= P(q), so q^2 >= S(q)! implies q^2 >= P(q)!: one walk counts
-    # the P failures and keeps the S failures among them.
-    count_c1p, fails = 0, []
-    for q, s, p in _smooth(x, _primes_upto(threshold - 1)):
-        if q * q >= facts[p]:
-            count_c1p += 1
-            if s < threshold and q * q >= facts[s]:
-                fails.append(q)
-    fails.sort()
+    count_c1, count_c1p = conjecture1_counts(x)
     if csv_path is not None:
-        _write_csv(csv_path, plan, set(fails))
+        _write_csv(csv_path, plan, t, facts)
     return DensityReport(
         x=x,
         count_S_neq_P=count_sp,
-        count_conjecture1_fail=len(fails),
+        count_conjecture1_fail=count_c1,
         count_conjecture1_fail_P=count_c1p,
         ratio_S_neq_P=scaled_text(False, count_sp * 10**8 // x, 8),
-        ratio_conjecture1_fail=scaled_text(False, len(fails) * 10**8 // x, 8),
+        ratio_conjecture1_fail=scaled_text(False, count_c1 * 10**8 // x, 8),
         exceptions_S_neq_P=sample_sp,
-        exceptions_conjecture1=fails[:EXCEPTIONS_CAP],
+        exceptions_conjecture1=_smallest_conjecture1(x, t, facts),
     )

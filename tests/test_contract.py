@@ -24,6 +24,7 @@ BUDGETS = (
     enclosure.MAX_DEPTH,
     measures.MAX_BOUND_BITS,
     density.MAX_SCAN_ENTRIES,
+    density.MAX_CONJECTURE1_X,
     kempner.MAX_ORACLE_Q,
     kempner.TRIAL_DIVISION_LIMIT,
     kempner._SPF_LIMIT,
@@ -54,6 +55,7 @@ CALLS = {
     "check_sharpness": emeasure.check_sharpness,
     "check_theorem1": emeasure.check_theorem1,
     "compare_bounds": lambda q, eps: emeasure.compare_bounds(q, Fraction(eps)),
+    "conjecture1_counts": emeasure.conjecture1_counts,
     "conjecture2_scan": emeasure.conjecture2_scan,
     "convergents": emeasure.convergents,
     "corollary2_scan": emeasure.corollary2_scan,

@@ -1,3 +1,4 @@
+import bisect
 import concurrent.futures
 import csv
 import io
@@ -5,16 +6,18 @@ import math
 import random
 import tracemalloc
 from fractions import Fraction
+from functools import cache
 from itertools import compress
 from operator import ne
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from emeasure import density
+from emeasure import density, kempner
 from emeasure.density import (
     DensityReport,
     ResourceError,
+    conjecture1_counts,
     density_report,
     kempner_plan,
     kempner_range,
@@ -52,13 +55,61 @@ def spf_walk(lo: int, hi: int, spf: list[int]) -> tuple[list[int], list[int]]:
     return S, P
 
 
+def factorials_past_square(x: int) -> list[int]:
+    """0!, 1!, ..., up to the first factorial above x^2."""
+    facts = [1]
+    while facts[-1] <= x * x:
+        facts.append(facts[-1] * len(facts))
+    return facts
+
+
+def smooth_walk(x: int, primes: list[int]):
+    """Oracle: (q, S(q), P(q)) for every q in [2, x] whose primes all lie in
+    the ascending list primes, each once, in no order, by a walk that
+    appends prime powers in ascending prime order."""
+    # (r^b, S(r^b)) for each prime r and each of its powers up to x
+    table = []
+    for r in primes:
+        row, rb, b = [], r, 1
+        while rb <= x:
+            row.append((rb, kempner._kempner_prime_power(r, b)))
+            rb, b = rb * r, b + 1
+        table.append(row)
+    stack = [(1, 1, 1, 0)]
+    while stack:
+        q, s, p, j = stack.pop()
+        if q > 1:
+            yield q, s, p
+        lim = x // q
+        for k in range(j, len(primes)):
+            for rb, t in table[k]:
+                if rb > lim:
+                    break
+                stack.append((q * rb, t if t > s else s, primes[k], k + 1))
+
+
+def walk_conjecture1(x: int) -> tuple[int, int, list[int]]:
+    """Oracle: the q^2 >= S(q)! and q^2 >= P(q)! counts over [2, x], and
+    the sorted q^2 >= S(q)! exceptions, from a walk over every q whose
+    primes are all below t, the smallest t with t! > x^2: P(q) >= t gives
+    q^2 < t! <= P(q)! <= S(q)!."""
+    facts = factorials_past_square(x)
+    t = len(facts) - 1
+    primes = [r for r in range(2, t) if largest_prime_factor(r) == r]
+    count_P, fails = 0, []
+    for q, s, p in smooth_walk(x, primes):
+        if q * q >= facts[p]:
+            count_P += 1
+            if s < t and q * q >= facts[s]:
+                fails.append(q)
+    return len(fails), count_P, sorted(fails)
+
+
 def block_tally(x: int) -> DensityReport:
     """Oracle: the report from a scan of every q in [2, x], block by block
     with kempner_range, instead of an enumeration of the exceptions."""
     plan = kempner_plan(x)
-    facts = [1]  # up to the first factorial above x^2
-    while facts[-1] <= x * x:
-        facts.append(facts[-1] * len(facts))
+    facts = factorials_past_square(x)
     neq, fail, count_fail_P = [], [], 0
     for lo in range(2, x + 1, density.BLOCK_SIZE):
         hi = min(lo + density.BLOCK_SIZE - 1, x)
@@ -231,17 +282,116 @@ def test_sample_past_one_block(monkeypatch):
     assert report == block_tally(10**5)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=2, max_value=10**7))
+def test_conjecture1_counts_equal_the_walk_drawn(x):
+    assert conjecture1_counts(x) == walk_conjecture1(x)[:2]
+
+
+def test_conjecture1_counts_equal_the_walk_at_ten_to_the_ten():
+    # The walk visits 160 625 smooth q here; the counts visit none.
+    assert conjecture1_counts(10**10) == walk_conjecture1(10**10)[:2] == (12_568, 128_645)
+
+
+@pytest.mark.parametrize(
+    "x, counts",
+    [
+        (10**12, (45_279, 622_789)),
+        (10**15, (205_460, 3_984_898)),
+        (10**18, (1_001_093, 40_610_733)),
+        (10**18 - 1, (1_001_093, 40_610_732)),
+    ],
+)
+def test_conjecture1_counts_pinned(x, counts):
+    # walk_conjecture1 gives the same counts at 10^12, 10^15 and 10^18, in
+    # about 0.7 s, 3 s and 44 s.
+    # q = 10^18 = 2^18 * 5^18 fails q^2 >= P(q)! (P = 5) but not
+    # q^2 >= S(q)! (S = 75, above t = 33), so only the P-count drops by one.
+    assert conjecture1_counts(x) == counts
+
+
+@pytest.mark.parametrize("s", range(1, 13))
+def test_divisor_count_equals_enumeration(s):
+    # Oracle: the divisors of s! by trial division up to sqrt(s!).
+    n = math.factorial(s)
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    divisors = sorted(set(small + [n // d for d in small]))
+    ys = {0, 1, n, n + 1, 10**30} | {d + e for d in divisors for e in (-1, 0)}
+    for y in sorted(ys):
+        assert density._count_divisors(s, y) == bisect.bisect_right(divisors, y), y
+
+
+@cache
+def largest_primes_to(n: int) -> list[int]:
+    """P(m) for 0 <= m <= n from the spf table, with P(0) = P(1) = 1."""
+    spf, P = spf_table(n), [1, 1]
+    for m in range(2, n + 1):
+        P.append(max(spf[m], P[m // spf[m]]))
+    return P
+
+
+@settings(deadline=None)
+@given(st.integers(min_value=0, max_value=10**5), st.sampled_from([2, 3, 5, 7, 13, 31, 97]))
+def test_smooth_count_equals_brute_force(y, r):
+    P = largest_primes_to(10**5)
+    assert density._count_smooth(r, y) == sum(1 for m in range(1, y + 1) if P[m] <= r)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(min_value=2, max_value=10**6), st.integers(min_value=1, max_value=400))
+def test_conjecture1_sample_equals_the_walk(x, cap):
+    # The sample stops once cap are found and L_s passes the cap-th. For
+    # x >= 4536 the 100 smallest end at 4536, with S(q) <= 10; at x = 10^6
+    # the 400 smallest end at 147 420, with S(q) <= 13.
+    default = density.EXCEPTIONS_CAP
+    density.EXCEPTIONS_CAP = cap
+    try:
+        report = density_report(x)
+    finally:
+        density.EXCEPTIONS_CAP = default
+    assert report.exceptions_conjecture1 == walk_conjecture1(x)[2][:cap]
+
+
+def test_conjecture1_sample_at_every_cap(monkeypatch):
+    # Few caps tell a stop rule that compares L_s with the (cap - 1)-th
+    # smallest from the right one: at x = 10^5 only 112 and 300 of the 338.
+    x = 10**5
+    fails = walk_conjecture1(x)[2]
+    t, facts = density._factorial_threshold(x)
+    for cap in range(1, len(fails) + 2):
+        monkeypatch.setattr(density, "EXCEPTIONS_CAP", cap)
+        assert density._smallest_conjecture1(x, t, facts) == fails[:cap], cap
+
+
+def test_conjecture1_budget_is_checked_before_any_work(monkeypatch):
+    # x = 10^18 is the last x the budget allows; past it the refusal comes
+    # before the factorials, the primes or any count.
+    def no_work(*args):
+        raise AssertionError("worked on an x past the budget")
+
+    monkeypatch.setattr(density, "_factorial_threshold", no_work)
+    monkeypatch.setattr(density, "_count_products", no_work)
+    for x in (10**18 + 1, 10**30, 10**5000):
+        with pytest.raises(ResourceError, match=f"MAX_CONJECTURE1_X = {10**18}$"):
+            conjecture1_counts(x)
+    monkeypatch.undo()
+    monkeypatch.setattr(density, "MAX_CONJECTURE1_X", 10**6)
+    assert conjecture1_counts(10**6) == walk_conjecture1(10**6)[:2]
+    with pytest.raises(ResourceError):
+        conjecture1_counts(10**6 + 1)
+
+
 def test_smooth_walk_computes_each_prime_power_once(monkeypatch):
     # At x = 2 000 500 the q whose primes are all <= 13 number 5 119, but
     # only 60 powers r^b <= x of those primes occur among them.
-    calls = []
+    calls, uncounted = [], kempner._kempner_prime_power
 
     def counted(r, b):
         calls.append((r, b))
-        return kempner_prime_power(r, b)
+        return uncounted(r, b)
 
-    monkeypatch.setattr(density, "_kempner_prime_power", counted)
-    walked = list(density._smooth(2_000_500, [2, 3, 5, 7, 11, 13]))
+    monkeypatch.setattr(kempner, "_kempner_prime_power", counted)
+    walked = list(smooth_walk(2_000_500, [2, 3, 5, 7, 11, 13]))
     assert len(walked) == 5_119
     assert len(calls) <= 60
     assert walked == [(q, kempner_S(q), largest_prime_factor(q)) for q, _, _ in walked]
@@ -294,10 +444,11 @@ def test_plan_carries_the_scan_budget(monkeypatch):
 
 
 def test_scan_memory_independent_of_x():
-    # The report holds an O(sqrt(x)) plan and every q^2 >= S(q)! exception
-    # (1 642 at x = 10^7), never a table or a block of x entries: at
-    # x = 10^7 its peak stays below 1 MiB, which one kempner_range block
-    # exceeds.
+    # The report holds an O(sqrt(x)) plan, the S != P walk's O(sqrt(x))
+    # tables of primes and pi(y), and the conjecture-1 counts' products of
+    # the primes below t, never a table or a block of x entries: at
+    # x = 10^7 its peak (0.35 MiB) stays below 1 MiB, which one
+    # kempner_range block exceeds.
     tracemalloc.start()
     try:
         density_report(10**7)
